@@ -48,7 +48,6 @@ from .optics import (
 from .oracle import OracleConfig, oracle_max_separation, oracle_qmin
 from .solvers import (
     UNBOUNDED,
-    CurveParam,
     QminSample,
     TradeoffSample,
     critical_overlap,
@@ -91,7 +90,6 @@ __all__ = [
     "conic_slopes",
     "tangency_residuals",
     # solvers
-    "CurveParam",
     "QminSample",
     "TradeoffSample",
     "UNBOUNDED",

@@ -81,10 +81,14 @@ def from_conic(cp: ConicPoint) -> tuple[FailurePoint, FailurePoint]:
     # The u <= v slack above allows v^2 - u^2 down to -(v+u)*1e-14.
     d = sqrt_clamped(cp.v * cp.v - cp.u * cp.u, tol=1e-13)
     hi = cp.v + d
+    # Rounding u and v by an ulp moves v^2 - u^2 by up to ~3*eps*v^2, so d
+    # by up to ~1.5*eps*v^2/d: near the diagonal (d ~ 1e-8) the image of a
+    # point with q1 = 1 can come back with hi just above 1.
+    slack = 1e-12 + (4.0 * math.ulp(1.0) * cp.v * cp.v / d if d > 0.0 else 0.0)
+    if 1.0 < hi <= 1.0 + slack:
+        hi = 1.0
     # The small root via u^2/hi avoids the cancellation in v - d.
     lo = cp.u * cp.u / hi if hi > 0.0 else 0.0
-    if 1.0 < hi <= 1.0 + 1e-12:
-        hi = 1.0
     return FailurePoint(hi, lo), FailurePoint(lo, hi)
 
 

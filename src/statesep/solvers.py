@@ -18,9 +18,8 @@ separation problem:
 
 No closed form eliminating the sweep parameter exists (it would require
 solving a sixth-degree polynomial), so everything beyond the special cases
-is parametric plus bracketed root finding: bisection-with-secant (Brent)
-at 1e-12 parameter tolerance, with a dense-scan fallback if bracketing
-fails.
+is parametric plus bracketed root finding by Brent's method at 1e-14
+parameter tolerance; a bracket without a sign change raises NumericError.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conics import PolarAngle
 from .core import (
@@ -44,7 +42,6 @@ from .core import (
 )
 
 __all__ = [
-    "CurveParam",
     "QminSample",
     "TradeoffSample",
     "UNBOUNDED",
@@ -75,19 +72,10 @@ _DEGENERATE_PRIOR_TOL = 1e-9
 # Runtime guard on the monotonicity of eta1 along curve sweeps.
 _MONOTONE_TOL = 1e-10
 
-_ROOT_XTOL = 1e-14
-_SCAN_POINTS = 10_000
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class CurveParam:
-    """Parameter t of the symmetric parametrization of the constraint curve."""
-
-    t: float
-
-    def __float__(self) -> float:
-        return self.t
+_ROOT_XTOL = 1e-14
+_ROOT_RTOL = 4.0 * _EPS
+_ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -117,25 +105,72 @@ class TradeoffSample:
 
 
 def _bracketed_root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
-    """Brent root of f on [lo, hi], with a dense-scan fallback bracket."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi < 0.0:
-        return brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=4 * np.finfo(float).eps)
-    # No sign change at the bracket ends; scan for one before giving up.
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([f(x) for x in xs])
-    sign_flips = np.nonzero(np.diff(np.signbit(vals)))[0]
-    if len(sign_flips) == 0:
-        raise NumericError(
-            f"root finding for {what} failed: no sign change on [{lo!r}, {hi!r}] "
-            f"(f(lo)={flo!r}, f(hi)={fhi!r}) even after a {_SCAN_POINTS}-point scan"
-        )
-    i = sign_flips[0]
-    return brentq(f, xs[i], xs[i + 1], xtol=_ROOT_XTOL, rtol=4 * np.finfo(float).eps)
+    """Root of f on [lo, hi] by Brent's method.
+
+    Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4,
+    in the step order of SciPy's ``brentq`` (same interpolate, extrapolate
+    and bisect choices, xtol 1e-14, rtol 4*eps, 100 iterations), so the
+    roots are bit-identical to it.  Raises NumericError when f does not
+    change sign between lo and hi, when f returns NaN, or when the
+    iteration does not converge.
+    """
+
+    def failed(reason: str) -> NumericError:
+        return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
+
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise failed(f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
+
+    # (xcur, fcur) is the best estimate, xblk the contrapoint that keeps the
+    # root bracketed, xpre the previous iterate; spre/scur are the last two
+    # step lengths.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant (linear interpolation)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise failed(f"f({xcur!r}) is NaN")
+    raise failed(f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +278,24 @@ def _curve_dq(t: float, ov: OverlapSpec) -> tuple[float, float]:
     return d1, d2
 
 
-def _eta1_at(t: float, ov: OverlapSpec) -> float:
-    d1, d2 = _curve_dq(t, ov)
+def _tangent_eta1(d1: float, d2: float, t: float, ov: OverlapSpec) -> float:
+    """Prior whose objective line is tangent where the curve slopes (d1, d2)."""
     if math.isinf(d1):
         return 0.5
+    if d2 == d1:
+        raise NumericError(
+            f"tangent prior undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
+            f"equal curve derivatives dq1/dt = dq2/dt = {d1!r}"
+        )
     return d2 / (d2 - d1)
 
 
-def curve_point(tp: CurveParam | float, ov: OverlapSpec) -> FailurePoint:
+def _eta1_at(t: float, ov: OverlapSpec) -> float:
+    d1, d2 = _curve_dq(t, ov)
+    return _tangent_eta1(d1, d2, t, ov)
+
+
+def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     """Lower-half point (q2 <= q1) of the constraint curve at parameter t.
 
     The admissible range [t_slope_minus_one, t_slope_zero] covers every
@@ -259,7 +304,7 @@ def curve_point(tp: CurveParam | float, ov: OverlapSpec) -> FailurePoint:
     construction.
     """
     _require_curve_overlaps(ov)
-    t = float(tp)
+    t = float(t)
     t_lo, t_hi = t_slope_minus_one(ov), t_slope_zero(ov)
     slack = 1e-12 * (t_hi - t_lo)
     if not t_lo - slack <= t <= t_hi + slack:
@@ -289,10 +334,7 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
         t = float(t)
         q1, q2 = _curve_q(t, ov)
         d1, d2 = _curve_dq(t, ov)
-        if math.isinf(d1):
-            eta1 = 0.5
-        else:
-            eta1 = min(max(d2 / (d2 - d1), 0.0), 0.5)
+        eta1 = min(max(_tangent_eta1(d1, d2, t, ov), 0.0), 0.5)
         q_min = min(max(eta1 * q1 + (1.0 - eta1) * q2, 0.0), 1.0)
         samples.append(QminSample(t, eta1, q_min, FailurePoint(q1, q2), d1, d2))
     etas = [smp.eta1 for smp in samples]
@@ -469,6 +511,11 @@ def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
 def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
     """(s_prime, Q) on the tradeoff curve at angle theta < 0."""
     st, ct = math.sin(theta), math.cos(theta)
+    if delta + st == 0.0 or ct == 0.0:
+        raise NumericError(
+            f"tradeoff formulas singular at theta={theta!r}, s={s!r}, delta={delta!r}: "
+            f"delta + sin(theta) = {delta + st!r}, cos(theta) = {ct!r}"
+        )
     one = 1.0 - delta * delta
     gain = math.sqrt(one) * (st / (delta + st)) ** 2 / ct
     term_envelope = math.sqrt(one) * (1.0 + s * s) * ct

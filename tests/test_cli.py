@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import statesep
 from statesep import NumericError, Priors, q_ud
 from statesep.cli import main
 
@@ -189,6 +194,33 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("statesep.cli.solvers.max_separation", boom, raising=False)
     assert main(["maxsep", "--eta1", "0.3", "--q-max", "0.2", "--samples", "4"]) == 3
     capsys.readouterr()
+
+
+def test_singular_tradeoff_exits_3(capsys):
+    # delta + sin(theta) rounds to zero inside the root finder's bracket.
+    code = main(["tradeoff", "--eta1", "4.13e-6", "--s", "0.9999999999977576"])
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import statesep",
+        "import runpy; sys.argv = ['statesep', 'optics', '--s', '0.6', '--s-prime', '0.3', "
+        "'--shots', '20000']\n"
+        "try:\n    runpy.run_module('statesep', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0",
+    ],
+    ids=["import", "optics-cli"],
+)
+def test_runtime_does_not_import_scipy(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(statesep.__file__).parents[1]))
+    check = "import sys\n" + script + "\nassert 'scipy' not in sys.modules, 'scipy loaded'\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_small_run_passes(capsys):

@@ -203,3 +203,25 @@ def test_report_is_json_compatible():
     report = certify_separation(itf, 10_000, seed=99)
     parsed = json.loads(json.dumps(report))
     assert parsed["s"] == 0.6
+
+
+@pytest.mark.parametrize(
+    "s_prime, input_index, dof",
+    [(0.0, 1, 1), (0.3, 1, 1), (0.3, 2, 2), (0.05, 2, 2)],
+)
+def test_chi2_pvalue_closed_form_matches_scipy(s_prime, input_index, dof):
+    from scipy import stats
+
+    from statesep.optics import _chi2_pvalue, _output_intensities
+
+    itf = build_interferometer(0.6, s_prime)
+    probs = _output_intensities(itf, input_index)
+    keep = probs > 0.0
+    assert keep.sum() - 1 == dof
+    for seed in range(20):
+        counts = simulate(itf, input_index, 100_000, seed)
+        tallies = np.array([counts.n1, counts.n2, counts.n3])
+        expected = probs[keep] * counts.shots
+        expected *= tallies[keep].sum() / expected.sum()
+        ref = float(stats.chisquare(tallies[keep].astype(float), expected).pvalue)
+        assert _chi2_pvalue(tallies, probs, counts.shots) == pytest.approx(ref, rel=1e-12)

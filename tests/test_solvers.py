@@ -7,6 +7,7 @@ from statesep import (
     UNBOUNDED,
     DomainError,
     FailurePoint,
+    NumericError,
     OverlapSpec,
     Priors,
     critical_overlap,
@@ -26,6 +27,7 @@ from statesep import (
 )
 
 import helpers
+from statesep import solvers
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +396,87 @@ def test_phase_transition_domain():
         phase_transition_probe(0.6, 0.0, 0.6, 1e-4)
     with pytest.raises(DomainError):
         phase_transition_probe(0.6, 0.0, 0.3, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# root finding: the Brent port against scipy.optimize.brentq
+
+
+def _solver_brackets(monkeypatch):
+    """(f, lo, hi) of every bracket that qmin_at, max_separation and
+    tradeoff_at hand to the root finder on a seeded set of interior inputs."""
+    brackets = []
+    original = solvers._bracketed_root
+
+    def record(f, lo, hi, what):
+        brackets.append((f, lo, hi))
+        return original(f, lo, hi, what)
+
+    monkeypatch.setattr(solvers, "_bracketed_root", record)
+    rng = np.random.default_rng(1506)
+    for eta1, s, frac in rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (120, 3)):
+        pr = Priors.of(float(eta1))
+        qmin_at(pr, OverlapSpec(float(s), float(frac * s)))
+        budget = float(frac) * float(q_ud(pr, float(s)))
+        max_separation(pr, float(s), budget)
+        tradeoff_at(pr, float(s), budget)
+    monkeypatch.undo()
+    return brackets
+
+
+def test_bracketed_root_is_bit_identical_to_brentq(monkeypatch):
+    from scipy.optimize import brentq
+
+    brackets = _solver_brackets(monkeypatch)
+    assert len(brackets) >= 300
+    for f, lo, hi in brackets:
+        ours = solvers._bracketed_root(f, lo, hi, "test")
+        ref = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+        assert ours == ref, (lo, hi, ours, ref)
+
+
+def _step(x):
+    return -1.0 if x < 1.0 / 3.0 else 1.0
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, message, scipy_error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, "no sign change", ValueError),
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, "NaN", ValueError),
+        (lambda x: math.nan, 0.0, 1.0, "nan", ValueError),
+        # A sign step on a huge bracket needs about 1000 bisections.
+        (_step, -1e300, 1e300, "no convergence", RuntimeError),
+    ],
+    ids=["no-sign-change", "nan-inside", "nan-at-ends", "no-convergence"],
+)
+def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_error):
+    from scipy.optimize import brentq
+
+    with pytest.raises(NumericError, match=message):
+        solvers._bracketed_root(f, lo, hi, "test")
+    # The cases are the ones in which brentq itself gives up.
+    with pytest.raises(scipy_error):
+        brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (
+            lambda: qmin_at(
+                Priors.of(0.10320780595864278),
+                OverlapSpec(1.101634294509729e-08, 1.5447711670666384e-18),
+            ),
+            "equal curve derivatives",
+        ),
+        (
+            lambda: tradeoff_at(Priors.of(4.13e-6), 0.9999999999977576, 0.5),
+            r"delta \+ sin\(theta\) = 0\.0",
+        ),
+    ],
+    ids=["qmin_at-equal-slopes", "tradeoff_at-singular-angle"],
+)
+def test_singular_formulas_raise_numeric_error(solve, message):
+    with pytest.raises(NumericError, match=message):
+        solve()
