@@ -133,7 +133,6 @@ def ellipse_point(theta: float | PolarAngle, q: float | FailureBudget, pr: Prior
 
 def conic_slopes(
     theta: float | PolarAngle,
-    q: float | FailureBudget,
     pr: Priors,
     u: float,
     s: float,
@@ -143,11 +142,11 @@ def conic_slopes(
 
     The ellipse slope at sin(theta) = 0 with unequal priors is infinite;
     it is reported as a signed ``inf`` flag value so root finders can
-    bracket across it rather than catch exceptions.  The budget ``q``
-    fixes which ellipse is meant but drops out of its slope.
+    bracket across it rather than catch exceptions.  The ellipse slope
+    depends only on theta and the priors, not on the budget that fixes
+    which ellipse is meant; the parabola slope is taken at abscissa ``u``.
     """
     delta = _check_delta(pr)
-    del q  # kept for the call shape; the slope depends only on theta, priors
     th = float(theta)
     st, ct = math.sin(th), math.cos(th)
     if st == 0.0 and delta != 0.0:

@@ -35,6 +35,7 @@ __all__ = [
     "average_failure",
     "unitarity_residual",
     "in_feasible_set",
+    "bisect_lower_half",
     "endpoint_tangency_check",
 ]
 
@@ -202,33 +203,42 @@ def in_feasible_set(pt: FailurePoint, ov: OverlapSpec, tol: float = RESIDUAL_TOL
     return unitarity_residual(pt, ov) >= -tol
 
 
-def _lower_half_q2(q1: float, s: float, beta: float, iters: int = 80) -> float:
-    """Smaller root q2 of the unitarity curve at fixed q1, by bisection.
+def bisect_lower_half(q1: float, s: float, beta: float, iters: int = 80) -> float:
+    """Bisection for the smaller root q2 of the unitarity curve at fixed q1.
 
-    At fixed q1 the residual increases in q2 up to q1/(q1 + beta^2*(1-q1))
-    and decreases after, so the lower-half branch is the unique root on the
-    increasing stretch.
+    At fixed q1 the residual increases in q2 up to
+    ``turn = q1/(q1 + beta^2*(1-q1))`` and decreases after, so the
+    lower-half branch is the unique root on ``[0, turn]`` when one exists.
+    Whether it does is the caller's check: an off-curve q1 just drives the
+    bracket to one of its ends.  This is the one bisection of the curve in
+    the package; the oracle's vectorized grid is its array twin.
     """
-    if beta == 0.0:
-        return s * s / q1
     turn = q1 / (q1 + beta * beta * (1.0 - q1))
-
-    def f(q2: float) -> float:
-        return beta * math.sqrt((1.0 - q1) * (1.0 - q2)) + math.sqrt(q1 * q2) - s
-
-    if f(turn) < 0.0:
-        raise NumericError(
-            f"no unitarity-curve point at q1={q1!r} (s={s!r}, beta={beta!r}); "
-            "q1 is outside the curve's range"
-        )
     lo, hi = 0.0, turn
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if beta * math.sqrt((1.0 - q1) * (1.0 - mid)) + math.sqrt(q1 * mid) - s < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _lower_half_q2(q1: float, s: float, beta: float, iters: int = 80) -> float:
+    """Smaller root q2 of the unitarity curve at fixed q1.
+
+    Raises :class:`NumericError` when q1 lies outside the curve's range,
+    i.e. the residual is still negative at the turning point.
+    """
+    if beta == 0.0:
+        return s * s / q1
+    turn = q1 / (q1 + beta * beta * (1.0 - q1))
+    if beta * math.sqrt((1.0 - q1) * (1.0 - turn)) + math.sqrt(q1 * turn) - s < 0.0:
+        raise NumericError(
+            f"no unitarity-curve point at q1={q1!r} (s={s!r}, beta={beta!r}); "
+            "q1 is outside the curve's range"
+        )
+    return bisect_lower_half(q1, s, beta, iters)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Minimizes the average failure probability directly over the unitarity
 curve, without touching any of the parametric machinery the closed-form
 solvers are built on: the curve is recovered pointwise by bisecting the
 constraint residual in q2 at fixed q1, swept on a dense grid, and the
-best bracket is polished by golden-section search.  Slow by design and
-used in tests as the independent check on every solver.
+best bracket is polished by golden-section search.  Used in tests and in
+``statesep verify`` as the independent check on every solver.  Most of a
+call is the vectorized bisection over the dense grid (4096 points by
+default); the polish bisects one plain float at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     NumericError,
     OverlapSpec,
     Priors,
+    bisect_lower_half,
 )
 
 __all__ = ["OracleConfig", "oracle_qmin", "oracle_max_separation"]
@@ -89,7 +92,17 @@ def _lower_q2_grid(q1: np.ndarray, s: float, beta: float) -> np.ndarray:
 
 
 def _lower_q2_scalar(q1: float, s: float, beta: float) -> float:
-    return float(_lower_q2_grid(np.array([q1]), s, beta)[0])
+    """One lower-half ordinate, bit-identical to ``_lower_q2_grid`` at q1."""
+    if beta == 0.0:
+        return s * s / q1
+    q2 = bisect_lower_half(q1, s, beta, _BISECT_ITERS)
+    residual = abs(beta * math.sqrt((1.0 - q1) * (1.0 - q2)) + math.sqrt(q1 * q2) - s)
+    if residual > 1e-9:
+        raise NumericError(
+            f"curve bisection failed: residual {residual!r} at q1={q1!r}, "
+            f"s={s!r}, beta={beta!r}"
+        )
+    return q2
 
 
 def oracle_qmin(

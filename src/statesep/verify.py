@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conics, optics, solvers
-from .core import OverlapSpec, Priors
+from .core import OverlapSpec, Priors, bisect_lower_half
 from .oracle import OracleConfig, oracle_qmin
 
 __all__ = ["CheckResult", "run_all"]
@@ -82,17 +82,10 @@ def check_hyperbola_degeneration() -> CheckResult:
     for s in (0.2, 0.6, 0.9):
         q1 = np.linspace(s * s, 1.0, 501)
         # Residual must vanish on the hyperbola, and the beta=0 curve
-        # recovered by bisection must land back on it.
+        # recovered by bisection (no s*s/q1 shortcut) must land back on it.
         worst = max(worst, float(np.max(np.abs(_residual_arr(q1, s * s / q1, s, 0.0)))))
         for q in q1[:: max(len(q1) // 50, 1)]:
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if _residual_arr(q, mid, s, 0.0) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            worst = max(worst, abs(q * 0.5 * (lo + hi) - s * s))
+            worst = max(worst, abs(q * bisect_lower_half(float(q), s, 0.0) - s * s))
     return _result("lemma-hyperbola-degeneration", worst, 1e-12)
 
 

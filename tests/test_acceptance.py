@@ -9,20 +9,18 @@ import numpy as np
 import pytest
 
 from statesep import (
-    OracleConfig,
     OverlapSpec,
     Priors,
     apply,
     build_interferometer,
     max_separation,
-    oracle_qmin,
     phase_transition_probe,
     protocol_input,
     q_ud,
-    qmin_at,
     simulate,
     tradeoff_at,
 )
+from statesep import verify
 from statesep.cli import main
 from statesep.solvers import _eta1_at, t_slope_minus_one, t_slope_zero
 from statesep import curve_point
@@ -61,15 +59,7 @@ def test_criterion_2_ud_against_dense_minimization():
 
 def test_criterion_3_oracle_equivalence_grid():
     start = time.perf_counter()
-    cfg = OracleConfig()
-    worst = 0.0
-    for eta1 in np.linspace(0.02, 0.5, 10):
-        pr = Priors.of(float(eta1))
-        for s in np.linspace(0.1, 0.9, 10):
-            for frac in np.linspace(0.0, 1.0, 10):
-                ov = OverlapSpec(float(s), float(frac * s))
-                diff = abs(float(qmin_at(pr, ov)[0]) - float(oracle_qmin(pr, ov, cfg)[0]))
-                worst = max(worst, diff)
+    worst = verify.check_oracle_agreement(10).worst
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 120.0
     _report(3, "solver/oracle agreement 10x10x10", ok,

@@ -163,13 +163,13 @@ def test_ellipse_envelope_is_diagonal():
 
 def test_slope_values():
     # Parabola slope at u = s is s; ellipse slope vanishes at theta = pi/2.
-    e, p = conic_slopes(math.pi / 2, 0.3, Priors.of(0.2), u=0.5, s=0.5, s_prime=0.25)
+    e, p = conic_slopes(math.pi / 2, Priors.of(0.2), u=0.5, s=0.5, s_prime=0.25)
     assert p == pytest.approx(0.5, abs=1e-12)
     assert e == pytest.approx(0.0, abs=1e-12)
 
 
 def test_slope_infinite_flag():
-    e, _ = conic_slopes(0.0, 0.3, Priors.of(0.2), u=0.4, s=0.5, s_prime=0.25)
+    e, _ = conic_slopes(0.0, Priors.of(0.2), u=0.4, s=0.5, s_prime=0.25)
     assert math.isinf(e) and e < 0
 
 
@@ -178,7 +178,7 @@ def test_tangency_solution_zeroes_residuals():
     sp, theta = max_separation(pr, s, q_max)
     r1, r2 = tangency_residuals(theta, q_max, pr, s, sp)
     assert abs(r1) <= 1e-9 and abs(r2) <= 1e-9
-    e, p = conic_slopes(theta, q_max, pr, ellipse_point(theta, q_max, pr).u, s, sp)
+    e, p = conic_slopes(theta, pr, ellipse_point(theta, q_max, pr).u, s, sp)
     assert e == pytest.approx(p, abs=1e-9)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from statesep import (
     DomainError,
+    NumericError,
     OracleConfig,
     OverlapSpec,
     Priors,
@@ -11,6 +12,7 @@ from statesep import (
     q_ud,
     qmin_at,
 )
+from statesep.oracle import _diagonal_q, _lower_q2_grid, _lower_q2_scalar
 
 
 def test_config_validation():
@@ -112,3 +114,31 @@ def test_oracle_max_separation_examples():
     )
     pr = Priors.of(0.2)
     assert oracle_max_separation(pr, 0.5, float(q_ud(pr, 0.5)) + 0.05) == 0.0
+
+
+def test_scalar_lower_half_is_bit_identical_to_grid():
+    # The golden-section polish evaluates the curve one float at a time; it
+    # must land on exactly the ordinates the vectorized grid sweep finds.
+    # Seeded cases cover beta = 0, beta -> 0, beta -> s, and q1 at the
+    # diagonal crossing and near 1.
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for s in rng.uniform(0.05, 0.95, 12):
+        s = float(s)
+        for frac in (0.0, 1e-12, 1e-6, float(rng.uniform(0.0, 1.0)), 1.0 - 1e-3, 1.0 - 1e-9):
+            beta = frac * s
+            q_diag = _diagonal_q(s, beta)
+            q1s = [q_diag, 1.0 - 1e-6, 1.0 - 1e-12, 1.0]
+            q1s += [float(x) for x in rng.uniform(q_diag, 1.0, 4)]
+            for q1 in q1s:
+                grid = float(_lower_q2_grid(np.array([q1]), s, beta)[0])
+                scalar = _lower_q2_scalar(q1, s, beta)
+                assert scalar.hex() == grid.hex(), (q1, s, beta)
+
+
+def test_scalar_lower_half_rejects_off_curve_q1():
+    # q1 < s**2 has no lower-half point: the bisection runs into the turning
+    # point and the residual post-check must refuse, as the grid does.
+    with pytest.raises(NumericError, match="curve bisection failed"):
+        _lower_q2_scalar(1e-3, 0.6, 0.3)
+    with pytest.raises(NumericError, match="curve bisection failed"):
+        _lower_q2_grid(np.array([1e-3]), 0.6, 0.3)
