@@ -5,13 +5,17 @@ curve, without touching any of the parametric machinery the closed-form
 solvers are built on: the curve is recovered pointwise by bisecting the
 constraint residual in q2 at fixed q1, swept on a dense grid, and the
 best bracket is polished by golden-section search.  Used in tests and in
-``statesep verify`` as the independent check on every solver.  Most of a
-call is the vectorized bisection over the dense grid (4096 points by
-default); the polish bisects one plain float at a time.
+``statesep verify`` as the independent check on every solver.  The curve
+depends only on the overlaps, so it is sampled once per
+``(s, s', grid_size)``: the vectorized bisection over the dense grid (4096
+points by default) runs when the overlaps change and is reused across
+priors.  With the curve at hand, most of a call is the polish, which
+bisects one plain float at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +95,21 @@ def _lower_q2_grid(q1: np.ndarray, s: float, beta: float) -> np.ndarray:
     return q2
 
 
+@functools.lru_cache(maxsize=1)
+def _lower_curve(s: float, beta: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower half of the constraint curve, from its diagonal crossing to q1 = 1.
+
+    The curve does not depend on the priors, so the last one sampled is
+    kept: a sweep over eta1 at fixed overlaps bisects the grid once.  The
+    arrays are shared between calls and therefore read-only.
+    """
+    q1 = np.linspace(_diagonal_q(s, beta), 1.0, grid_size)
+    q2 = _lower_q2_grid(q1, s, beta)
+    q1.flags.writeable = False
+    q2.flags.writeable = False
+    return q1, q2
+
+
 def _lower_q2_scalar(q1: float, s: float, beta: float) -> float:
     """One lower-half ordinate, bit-identical to ``_lower_q2_grid`` at q1."""
     if beta == 0.0:
@@ -129,9 +148,7 @@ def oracle_qmin(
     if s == 1.0:
         return _ret(1.0, 1.0, 1.0)
 
-    q_diag = _diagonal_q(s, beta)
-    q1 = np.linspace(q_diag, 1.0, cfg.grid_size)
-    q2 = _lower_q2_grid(q1, s, beta)
+    q1, q2 = _lower_curve(s, beta, cfg.grid_size)
 
     # Both halves of the curve plus its endpoints are candidates.
     q_lower = prn.eta1 * q1 + prn.eta2 * q2
@@ -158,29 +175,30 @@ def oracle_qmin(
     lo = float(q1[max(i - 1, 0)])
     hi = float(q1[min(i + 1, len(q1) - 1)])
 
-    def objective(x: float) -> float:
-        return prn.eta1 * x + prn.eta2 * _lower_q2_scalar(x, s, beta)
+    def objective(x: float) -> tuple[float, float]:
+        """Average failure at lower-half abscissa x, and the ordinate there."""
+        y = _lower_q2_scalar(x, s, beta)
+        return prn.eta1 * x + prn.eta2 * y, y
 
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
+    (fc, yc), (fd, yd) = objective(c), objective(d)
     for _ in range(cfg.refine_iters):
         if b - a < cfg.tolerance * 1e-2:
             break
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, d, fd, yd = d, c, fc, yc
             c = b - _GOLDEN * (b - a)
-            fc = objective(c)
+            fc, yc = objective(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, fc, yc = c, d, fd, yd
             d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    x = c if fc < fd else d
-    refined = objective(x)
+            fd, yd = objective(d)
+    x, refined, y = (c, fc, yc) if fc < fd else (d, fd, yd)
     if refined < best_q:
         best_q = refined
-        best_point = (x, _lower_q2_scalar(x, s, beta))
+        best_point = (x, y)
 
     return _ret(best_q, *best_point)
 

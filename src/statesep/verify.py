@@ -144,13 +144,15 @@ def check_qmin_monotonicity(seed: int) -> CheckResult:
 
 
 def check_oracle_agreement(grid: int) -> CheckResult:
+    # eta1 innermost: the oracle samples the constraint curve once per
+    # overlap pair and reuses it across the priors.
     cfg = OracleConfig()
     worst = 0.0
-    for eta1 in np.linspace(0.02, 0.5, grid):
-        pr = Priors.of(float(eta1))
-        for s in np.linspace(0.1, 0.9, grid):
-            for frac in np.linspace(0.0, 1.0, grid):
-                ov = OverlapSpec(float(s), float(frac * s))
+    for s in np.linspace(0.1, 0.9, grid):
+        for frac in np.linspace(0.0, 1.0, grid):
+            ov = OverlapSpec(float(s), float(frac * s))
+            for eta1 in np.linspace(0.02, 0.5, grid):
+                pr = Priors.of(float(eta1))
                 q_solver = float(solvers.qmin_at(pr, ov)[0])
                 q_oracle = float(oracle_qmin(pr, ov, cfg)[0])
                 worst = max(worst, abs(q_solver - q_oracle))

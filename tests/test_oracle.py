@@ -12,7 +12,8 @@ from statesep import (
     q_ud,
     qmin_at,
 )
-from statesep.oracle import _diagonal_q, _lower_q2_grid, _lower_q2_scalar
+from statesep import verify
+from statesep.oracle import _diagonal_q, _lower_curve, _lower_q2_grid, _lower_q2_scalar
 
 
 def test_config_validation():
@@ -103,6 +104,69 @@ def test_oracle_agreement_small_grid():
                 b = float(oracle_qmin(pr, ov, cfg)[0])
                 worst = max(worst, abs(a - b))
     assert worst <= 1e-6
+
+
+def _result_hex(result):
+    q, pt = result
+    return float(q).hex(), pt.q1.hex(), pt.q2.hex()
+
+
+def test_curve_memo_is_bit_identical():
+    # The oracle keeps the last sampled curve; calls that hit it must return
+    # exactly what a freshly sampled curve gives, in any call order.  Cases
+    # cover beta = 0, beta == s (early return, no curve), swapped priors
+    # (eta1 > 1/2), the smallest grid, and consecutive pairs sharing s.
+    rng = np.random.Generator(np.random.Philox(key=53))
+    overlaps = [(0.6, 0.0), (0.6, 0.3), (0.45, 0.45)]
+    overlaps += [(float(s), float(f * s)) for s, f in rng.uniform(0.05, 0.95, (4, 2))]
+    cases = [
+        (eta1, s, sp, grid)
+        for s, sp in overlaps
+        for grid in (100, 4096)
+        for eta1 in (0.17, 0.5, 0.83, float(rng.uniform(0.0, 1.0)))
+    ]
+
+    def run(case):
+        eta1, s, sp, grid = case
+        return _result_hex(
+            oracle_qmin(Priors.of(eta1), OverlapSpec(s, sp), OracleConfig(grid_size=grid))
+        )
+
+    fresh = {}
+    for k in rng.permutation(len(cases)):
+        _lower_curve.cache_clear()
+        fresh[int(k)] = run(cases[k])
+    _lower_curve.cache_clear()
+    for k, case in enumerate(cases):  # grouped by (s, s', grid_size)
+        assert run(case) == fresh[k], case
+
+    info = _lower_curve.cache_info()
+    assert info.maxsize == 1
+    # Six curved overlap pairs times two grids, four priors each.
+    assert (info.misses, info.hits) == (12, 36)
+    q1, q2 = _lower_curve(0.6, 0.25, 100)
+    assert not q1.flags.writeable and not q2.flags.writeable
+    with pytest.raises(ValueError):
+        q2[0] = 0.5
+
+
+def test_oracle_agreement_worst_is_order_independent():
+    # check_oracle_agreement walks eta1 innermost so that the curve memo
+    # hits; its worst deviation must match, bit for bit, the eta1-outermost
+    # walk with a freshly sampled curve for every call.
+    grid = 4
+    cfg = OracleConfig()
+    worst = 0.0
+    for eta1 in np.linspace(0.02, 0.5, grid):
+        pr = Priors.of(float(eta1))
+        for s in np.linspace(0.1, 0.9, grid):
+            for frac in np.linspace(0.0, 1.0, grid):
+                ov = OverlapSpec(float(s), float(frac * s))
+                _lower_curve.cache_clear()
+                q_oracle = float(oracle_qmin(pr, ov, cfg)[0])
+                worst = max(worst, abs(float(qmin_at(pr, ov)[0]) - q_oracle))
+    assert worst > 0.0
+    assert verify.check_oracle_agreement(grid).worst.hex() == worst.hex()
 
 
 def test_oracle_max_separation_examples():
