@@ -499,7 +499,8 @@ def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q_max must lie in [0, 1], got {q!r}")
     prn, _ = pr.normalized()
-    if q <= 2.0 * prn.eta1:
+    # A certain state (eta1 = 0) falls through: sqrt(q / 1) needs no division by 0.
+    if prn.eta1 > 0.0 and q <= 2.0 * prn.eta1:
         return q / (2.0 * math.sqrt(prn.eta1 * prn.eta2))
     return math.sqrt((q - prn.eta1) / prn.eta2)
 

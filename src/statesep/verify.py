@@ -4,6 +4,8 @@ Each check measures a worst-case deviation for one contract of the
 package (constraint-geometry lemmas, solver/oracle agreement, round-trip
 consistency across solution families, optics exactness and statistics)
 and compares it against the tolerance the contract is specified at.
+The acceptance suite (``tests/test_acceptance.py``) calls these checks at
+its own seeds, so each release property has this one implementation.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def check_endpoint_identities() -> CheckResult:
     return _result("lemma-endpoint-identities", worst, 1e-12)
 
 
-def check_set_nesting(trials: int, seed: int) -> CheckResult:
+def check_set_nesting(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
+    trials = 10_000
     q1 = rng.uniform(0.0, 1.0, trials)
     q2 = rng.uniform(0.0, 1.0, trials)
     s = rng.uniform(0.05, 0.95, trials)
@@ -58,22 +61,25 @@ def check_set_nesting(trials: int, seed: int) -> CheckResult:
     return _result("lemma-set-nesting", worst, 1e-12)
 
 
-def check_convexity(trials: int, seed: int) -> CheckResult:
+def check_convexity(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
+    trials = 10_000
+    # (s, beta/s) pairs; the acceptance suite's (0.6, 0.5) comes last, so
+    # the 3x3 grid's draws do not depend on it.
+    pairs = [(s, frac) for s in (0.2, 0.5, 0.8) for frac in (0.1, 0.5, 0.9)] + [(0.6, 0.5)]
     worst = -math.inf
-    for s in (0.2, 0.5, 0.8):
-        for frac in (0.1, 0.5, 0.9):
-            beta = frac * s
-            pts = []
-            while sum(len(p) for p in pts) < 2 * trials:
-                cand = rng.uniform(0.0, 1.0, (4 * trials, 2))
-                ok = _residual_arr(cand[:, 0], cand[:, 1], s, beta) >= -1e-12
-                pts.append(cand[ok])
-            feas = np.concatenate(pts)[: 2 * trials]
-            lam = rng.uniform(0.0, 1.0, trials)[:, None]
-            mix = lam * feas[:trials] + (1.0 - lam) * feas[trials:]
-            res = _residual_arr(mix[:, 0], mix[:, 1], s, beta)
-            worst = max(worst, float(np.max(-res)))
+    for s, frac in pairs:
+        beta = frac * s
+        pts = []
+        while sum(len(p) for p in pts) < 2 * trials:
+            cand = rng.uniform(0.0, 1.0, (4 * trials, 2))
+            ok = _residual_arr(cand[:, 0], cand[:, 1], s, beta) >= -1e-12
+            pts.append(cand[ok])
+        feas = np.concatenate(pts)[: 2 * trials]
+        lam = rng.uniform(0.0, 1.0, trials)[:, None]
+        mix = lam * feas[:trials] + (1.0 - lam) * feas[trials:]
+        res = _residual_arr(mix[:, 0], mix[:, 1], s, beta)
+        worst = max(worst, float(np.max(-res)))
     return _result("lemma-convexity", worst, 1e-12)
 
 
@@ -159,15 +165,15 @@ def check_oracle_agreement(grid: int) -> CheckResult:
     return _result("oracle-agreement", worst, 1e-6)
 
 
-def check_round_trip(n: int, seed: int) -> CheckResult:
+def check_round_trip(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
-    for _ in range(n):
+    for _ in range(1000):
         s = float(rng.uniform(0.15, 0.9))
         sp = float(rng.uniform(0.05, 0.95) * s)
         ov = OverlapSpec(s, sp)
         t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
-        t = float(rng.uniform(t_lo + 0.02 * (t_hi - t_lo), t_hi - 0.02 * (t_hi - t_lo)))
+        t = float(rng.uniform(t_lo + 0.01 * (t_hi - t_lo), t_hi - 0.01 * (t_hi - t_lo)))
         eta1 = solvers._eta1_at(t, ov)
         pt = solvers.curve_point(t, ov)
         q_min = eta1 * pt.q1 + (1.0 - eta1) * pt.q2
@@ -178,10 +184,10 @@ def check_round_trip(n: int, seed: int) -> CheckResult:
     return _result("round-trip-consistency", worst, 1e-6)
 
 
-def check_conic_consistency(n: int, seed: int) -> CheckResult:
+def check_conic_consistency(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
-    for _ in range(n):
+    for _ in range(200):
         eta1 = float(rng.uniform(0.05, 0.45))
         s = float(rng.uniform(0.2, 0.9))
         pr = Priors.of(eta1)
@@ -216,11 +222,11 @@ def check_separation_onset(seed: int) -> CheckResult:
     return _result("full-separation-onset", worst, 1e-9)
 
 
-def check_optics_exact(n: int, seed: int) -> CheckResult:
+def check_optics_exact(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
-    for _ in range(n):
-        s = float(rng.uniform(0.05, 0.95))
+    for _ in range(100):
+        s = float(rng.uniform(0.02, 0.98))
         sp = float(rng.uniform(0.0, 1.0) * s)
         itf = optics.build_interferometer(s, sp)
         worst = max(worst, float(np.max(np.abs(itf.u.T @ itf.u - np.eye(3)))))
@@ -255,24 +261,22 @@ def check_optics_statistics(shots: int, seed: int) -> CheckResult:
 
 def run_all(
     oracle_grid: int = 10,
-    trials: int = 10_000,
-    round_trips: int = 1000,
     shots: int = 1_000_000,
     seed: int = 20250810,
 ) -> list[CheckResult]:
     """Run every check; returns one result per contract."""
     return [
         check_endpoint_identities(),
-        check_set_nesting(trials, seed),
-        check_convexity(trials, seed + 1),
+        check_set_nesting(seed),
+        check_convexity(seed + 1),
         check_hyperbola_degeneration(),
         check_curve_on_constraint(seed + 2),
         check_slope_range(seed + 3),
         check_qmin_monotonicity(seed + 4),
         check_oracle_agreement(oracle_grid),
-        check_round_trip(round_trips, seed + 5),
-        check_conic_consistency(200, seed + 6),
+        check_round_trip(seed + 5),
+        check_conic_consistency(seed + 6),
         check_separation_onset(seed + 7),
-        check_optics_exact(100, seed + 8),
+        check_optics_exact(seed + 8),
         check_optics_statistics(shots, seed + 9),
     ]

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from statesep import (
-    OverlapSpec,
     Priors,
     apply,
     build_interferometer,
@@ -18,12 +17,9 @@ from statesep import (
     protocol_input,
     q_ud,
     simulate,
-    tradeoff_at,
 )
 from statesep import verify
 from statesep.cli import main
-from statesep.solvers import _eta1_at, t_slope_minus_one, t_slope_zero
-from statesep import curve_point
 
 import helpers
 
@@ -67,63 +63,19 @@ def test_criterion_3_oracle_equivalence_grid():
 
 
 def test_criterion_4_round_trip_families():
-    rng = np.random.Generator(np.random.Philox(key=20250810))
-    worst_maxsep = worst_tradeoff = 0.0
-    for _ in range(1000):
-        s = float(rng.uniform(0.15, 0.9))
-        sp = float(rng.uniform(0.05, 0.95) * s)
-        ov = OverlapSpec(s, sp)
-        t_lo, t_hi = t_slope_minus_one(ov), t_slope_zero(ov)
-        t = float(rng.uniform(t_lo + 0.01 * (t_hi - t_lo), t_hi - 0.01 * (t_hi - t_lo)))
-        eta1 = _eta1_at(t, ov)
-        pt = curve_point(t, ov)
-        q_min = eta1 * pt.q1 + (1.0 - eta1) * pt.q2
-        pr = Priors.of(eta1)
-        sp_back, _ = max_separation(pr, s, q_min)
-        worst_maxsep = max(worst_maxsep, abs(sp_back - sp))
-        trade = tradeoff_at(pr, s, q_min)
-        worst_tradeoff = max(
-            worst_tradeoff, abs(trade.s_prime - sp), abs(float(trade.q) - q_min)
-        )
-    ok = worst_maxsep <= 1e-6 and worst_tradeoff <= 1e-6
-    _report(4, "round-trip across solution families", ok,
-            f"maxsep worst={worst_maxsep:.2e}, tradeoff worst={worst_tradeoff:.2e}")
+    worst = verify.check_round_trip(20250810).worst
+    ok = worst <= 1e-6
+    _report(4, "round-trip across solution families", ok, f"worst={worst:.2e}")
 
 
 def test_criterion_5_lemma_property_suite():
-    # Endpoint identities, exact.
-    worst_endpoint = 0.0
-    for s in np.linspace(0.05, 0.95, 19):
-        for beta in np.linspace(0.0, s, 21):
-            for q1, q2 in ((1.0, s * s), (s * s, 1.0)):
-                worst_endpoint = max(worst_endpoint, abs(helpers.residual(q1, q2, s, beta)))
-    # Nesting, 10^4 random triples.
-    rng = np.random.Generator(np.random.Philox(key=424242))
-    n = 10_000
-    q1 = rng.uniform(0, 1, n)
-    q2 = rng.uniform(0, 1, n)
-    s = rng.uniform(0.05, 0.95, n)
-    b = np.sort(rng.uniform(0, 1, (n, 2)), axis=1) * s[:, None]
-    inner = helpers.residual(q1, q2, s, b[:, 0]) >= -1e-12
-    outer = helpers.residual(q1, q2, s, b[:, 1]) >= -1e-12
-    nesting_violations = int(np.sum(inner & ~outer))
-    # Convexity, 10^4 random feasible pairs.
-    sv, bv = 0.6, 0.3
-    chunks = []
-    while sum(len(c) for c in chunks) < 20_000:
-        cand = rng.uniform(0, 1, (100_000, 2))
-        keep = helpers.residual(cand[:, 0], cand[:, 1], sv, bv) >= -1e-12
-        chunks.append(cand[keep])
-    feas = np.concatenate(chunks)
-    lam = rng.uniform(0, 1, 10_000)[:, None]
-    mix = lam * feas[:10_000] + (1 - lam) * feas[10_000:20_000]
-    convexity_violations = int(
-        np.sum(helpers.residual(mix[:, 0], mix[:, 1], sv, bv) < -1e-12)
-    )
-    ok = worst_endpoint <= 1e-12 and nesting_violations == 0 and convexity_violations == 0
+    endpoint = verify.check_endpoint_identities()
+    nesting = verify.check_set_nesting(424242)
+    convexity = verify.check_convexity(424243)
+    ok = endpoint.passed and nesting.passed and convexity.passed
     _report(5, "lemma property suite", ok,
-            f"endpoint worst={worst_endpoint:.2e}, nesting viol={nesting_violations}, "
-            f"convexity viol={convexity_violations}")
+            f"endpoint worst={endpoint.worst:.2e}, nesting worst={nesting.worst:.2e}, "
+            f"convexity worst={convexity.worst:.2e}")
 
 
 def test_criterion_6_phase_transition():
@@ -145,25 +97,7 @@ def test_criterion_6_phase_transition():
 
 
 def test_criterion_7_optics_exactness():
-    rng = np.random.Generator(np.random.Philox(key=777))
-    eye = np.eye(3)
-    worst = 0.0
-    for _ in range(100):
-        s = float(rng.uniform(0.02, 0.98))
-        sp = float(rng.uniform(0.0, 1.0) * s)
-        itf = build_interferometer(s, sp)
-        worst = max(worst, float(np.max(np.abs(itf.u.T @ itf.u - eye))))
-        worst = max(worst, float(np.max(np.abs(itf.bs1 @ itf.bs2 - itf.u))))
-        q = itf.q_expected
-        p = 1.0 - q
-        out1 = apply(itf, protocol_input(s, 1)).amplitudes
-        out2 = apply(itf, protocol_input(s, 2)).amplitudes
-        exp1 = np.array([math.sqrt(p), 0.0, math.sqrt(q)])
-        exp2 = np.array(
-            [math.sqrt(p) * sp, math.sqrt(p * (1.0 - sp * sp)), math.sqrt(q)]
-        )
-        worst = max(worst, float(np.max(np.abs(out1 - exp1))))
-        worst = max(worst, float(np.max(np.abs(out2 - exp2))))
+    worst = verify.check_optics_exact(777).worst
     ok = worst <= 1e-12
     _report(7, "optics exactness over 100 devices", ok, f"worst={worst:.2e}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -86,13 +87,15 @@ def test_maxsep_worked_example_row(capsys):
 
 
 def test_maxsep_zero_budget_identity(capsys):
-    code, out = run_cli(
-        capsys, "maxsep", "--eta1", "0.3", "--q-max", "0", "--samples", "9"
-    )
-    assert code == 0
-    _, rows = parse_csv(out)
-    for s, sp in rows:
-        assert sp == pytest.approx(s, abs=1e-9)
+    # eta1 = 1 (a certain state) once divided by zero in critical_overlap.
+    for eta1 in ("0.3", "1"):
+        code, out = run_cli(
+            capsys, "maxsep", "--eta1", eta1, "--q-max", "0", "--samples", "9"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        for s, sp in rows:
+            assert sp == pytest.approx(s, abs=1e-9)
 
 
 def test_tradeoff_rows(capsys):
@@ -234,19 +237,57 @@ def test_verify_small_run_passes(capsys):
     assert any(row[0] == "oracle-agreement" for row in rows)
 
 
-def test_verify_catches_injected_sign_error(capsys, monkeypatch):
-    # Mutation smoke test: flip the sign of the parametric overlap formula
-    # and the round-trip check must fail, driving a nonzero exit.
+def _flip_maxsep_sign(monkeypatch):
     import statesep.solvers as solvers
 
     original = solvers._maxsep_s_prime
     monkeypatch.setattr(
         solvers, "_maxsep_s_prime", lambda th, q, d: -original(th, q, d)
     )
+
+
+def _flip_residual_beta_sign(monkeypatch):
+    import statesep.verify as verify
+
+    original = verify._residual_arr
+    monkeypatch.setattr(
+        verify, "_residual_arr", lambda q1, q2, s, beta: original(q1, q2, s, -beta)
+    )
+
+
+def _offset_interferometer(monkeypatch):
+    import statesep.optics as optics
+
+    original = optics.build_interferometer
+
+    def built(s, s_prime):
+        itf = original(s, s_prime)
+        u = itf.u.copy()
+        # The third column never meets a protocol input, so apply() still
+        # gets normalized states and verify runs to the end.
+        u[2, 2] += 1e-9
+        return dataclasses.replace(itf, u=u)
+
+    monkeypatch.setattr(optics, "build_interferometer", built)
+
+
+@pytest.mark.parametrize(
+    "inject, failing_rows",
+    [
+        (_flip_maxsep_sign, {"round-trip-consistency"}),
+        (_flip_residual_beta_sign, {"lemma-set-nesting", "lemma-convexity"}),
+        (_offset_interferometer, {"optics-exactness"}),
+    ],
+    ids=["maxsep-sign", "residual-beta-sign", "interferometer-offset"],
+)
+def test_verify_catches_injected_sign_error(capsys, monkeypatch, inject, failing_rows):
+    # Mutation smoke test: corrupt what a check measures, and that check
+    # must fail, driving a nonzero exit.
+    inject(monkeypatch)
     code, out = run_cli(
         capsys, "verify", "--samples", "2", "--shots", "20000", "--seed", "903"
     )
     assert code == 4
     _, rows = parse_csv(out)
     failing = {row[0] for row in rows if row[3] == "FAIL"}
-    assert "round-trip-consistency" in failing
+    assert failing_rows <= failing

@@ -16,6 +16,7 @@ from statesep import (
     sqrt_clamped,
     unitarity_residual,
 )
+from statesep import verify
 
 import helpers
 
@@ -126,15 +127,8 @@ def test_feasibility_trivial():
 
 
 def test_set_nesting_random():
-    rng = np.random.Generator(np.random.Philox(key=1001))
-    n = 10_000
-    q1 = rng.uniform(0, 1, n)
-    q2 = rng.uniform(0, 1, n)
-    s = rng.uniform(0.05, 0.95, n)
-    b = np.sort(rng.uniform(0, 1, (n, 2)), axis=1) * s[:, None]
-    inner = helpers.residual(q1, q2, s, b[:, 0]) >= -1e-12
-    outer = helpers.residual(q1, q2, s, b[:, 1]) >= -1e-12
-    assert np.all(outer[inner]), "membership at smaller beta must imply it at larger"
+    # Membership at a smaller beta must imply it at a larger one.
+    assert verify.check_set_nesting(1001).passed
 
 
 def test_convexity_random():

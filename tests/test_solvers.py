@@ -260,6 +260,8 @@ def test_critical_overlap_values():
     assert critical_overlap(Priors.of(0.1), 0.4) == pytest.approx(
         math.sqrt((0.4 - 0.1) / 0.9), abs=1e-15
     )
+    # A certain state with no budget: no division by sqrt(0).
+    assert critical_overlap(Priors.of(1.0), 0.0) == 0.0
 
 
 def test_critical_overlap_is_the_onset():
