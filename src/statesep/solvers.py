@@ -20,6 +20,12 @@ No closed form eliminating the sweep parameter exists (it would require
 solving a sixth-degree polynomial), so everything beyond the special cases
 is parametric plus bracketed root finding by Brent's method at 1e-14
 parameter tolerance; a bracket without a sign change raises NumericError.
+
+The point queries (``qmin_at``, ``tradeoff_at``, ``curve_point``) evaluate
+the parametric formulas one float at a time with ``math``.  The sweeps
+(``qmin_curve``, ``tradeoff_curve``) evaluate the same formulas over their
+whole grid in one numpy pass, operation for operation, so each sample has
+the bits the scalar helpers give at its grid point.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .core import (
     NumericError,
     OverlapSpec,
     Priors,
+    SQRT_CLAMP_TOL,
     sqrt_clamped,
 )
 
@@ -73,6 +80,7 @@ _DEGENERATE_PRIOR_TOL = 1e-9
 _MONOTONE_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4.0 * _EPS
 _ROOT_MAXITER = 100
@@ -242,8 +250,14 @@ def t_slope_minus_one(ov: OverlapSpec) -> float:
 def t_slope_zero(ov: OverlapSpec) -> float:
     """Parameter value where the lower-half curve slope vanishes."""
     _require_curve_overlaps(ov)
+    s2 = ov.s * ov.s
+    if s2 < _TINY:
+        raise NumericError(
+            f"curve parametrization needs s*s to be a normal float, got s*s={s2!r} "
+            f"at s={ov.s!r}, s_prime={ov.s_prime!r}"
+        )
     sp2 = ov.s_prime * ov.s_prime
-    return (1.0 - sp2 / (ov.s * ov.s)) / (1.0 - sp2)
+    return (1.0 - sp2 / s2) / (1.0 - sp2)
 
 
 def _xy(t: float, ov: OverlapSpec) -> tuple[float, float]:
@@ -253,10 +267,42 @@ def _xy(t: float, ov: OverlapSpec) -> tuple[float, float]:
     return x, y
 
 
+# The curve's guards.  Each builds the error that the scalar helpers below
+# raise and that qmin_curve raises at the first offending grid t.
+
+
+def _clamp_error(arg: float, t: float, ov: OverlapSpec) -> NumericError:
+    return NumericError(
+        f"square root argument {arg!r} below clamp tolerance {-SQRT_CLAMP_TOL!r} "
+        f"on the constraint curve at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}"
+    )
+
+
+def _flat_error(t: float, ov: OverlapSpec) -> NumericError:
+    return NumericError(
+        f"curve derivatives undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
+        "1 - x^2 rounds to 0 away from the vertex"
+    )
+
+
+def _equal_derivatives_error(d: float, t: float, ov: OverlapSpec) -> NumericError:
+    return NumericError(
+        f"tangent prior undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
+        f"equal curve derivatives dq1/dt = dq2/dt = {d!r}"
+    )
+
+
+def _curve_sqrt(arg: float, t: float, ov: OverlapSpec) -> float:
+    """``sqrt_clamped`` on the curve: the input is valid, so a failed clamp is numeric."""
+    if arg < -SQRT_CLAMP_TOL:
+        raise _clamp_error(arg, t, ov)
+    return math.sqrt(arg) if arg > 0.0 else 0.0
+
+
 def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
     x, y = _xy(t, ov)
-    rx = sqrt_clamped(1.0 - x * x)
-    ry = sqrt_clamped(1.0 - y * y)
+    rx = _curve_sqrt(1.0 - x * x, t, ov)
+    ry = _curve_sqrt(1.0 - y * y, t, ov)
     q1 = 0.5 * (1.0 - x * y + rx * ry)
     q2 = 0.5 * (1.0 - x * y - rx * ry)
     return min(q1, 1.0), max(q2, 0.0)
@@ -265,16 +311,18 @@ def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
 def _curve_dq(t: float, ov: OverlapSpec) -> tuple[float, float]:
     """Derivatives (dq1/dt, dq2/dt); infinite at the slope -1 vertex."""
     x, y = _xy(t, ov)
-    rx = sqrt_clamped(1.0 - x * x)
-    ry = sqrt_clamped(1.0 - y * y)
+    rx = _curve_sqrt(1.0 - x * x, t, ov)
+    ry = _curve_sqrt(1.0 - y * y, t, ov)
     q1, q2 = _curve_q(t, ov)
     scale = ov.s_prime / ov.s
     if ry == 0.0:
         return math.inf, -math.inf
+    if rx == 0.0:
+        raise _flat_error(t, ov)
     a = (1.0 + ov.s_prime) / rx
     b = (1.0 - ov.s_prime) / ry
-    d1 = sqrt_clamped(q1 * (1.0 - q1)) / scale * (a + b)
-    d2 = sqrt_clamped(q2 * (1.0 - q2)) / scale * (a - b)
+    d1 = _curve_sqrt(q1 * (1.0 - q1), t, ov) / scale * (a + b)
+    d2 = _curve_sqrt(q2 * (1.0 - q2), t, ov) / scale * (a - b)
     return d1, d2
 
 
@@ -283,10 +331,7 @@ def _tangent_eta1(d1: float, d2: float, t: float, ov: OverlapSpec) -> float:
     if math.isinf(d1):
         return 0.5
     if d2 == d1:
-        raise NumericError(
-            f"tangent prior undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
-            f"equal curve derivatives dq1/dt = dq2/dt = {d1!r}"
-        )
+        raise _equal_derivatives_error(d1, t, ov)
     return d2 / (d2 - d1)
 
 
@@ -315,6 +360,90 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     return FailurePoint(q1, q2)
 
 
+# ---------------------------------------------------------------------------
+# array forms of the scalar helpers, for the sweeps
+#
+# Elementwise, each array expression performs the IEEE operations of its
+# scalar counterpart in the same order, so every sample has the scalar
+# helpers' bits.  Only + - * / and sqrt run in numpy, which rounds them as
+# math does; sin and cos stay per element in math, and so does x ** 2, which
+# goes through libm pow and differs from x * x by an ulp on some inputs.
+
+
+def _sqrt0(arg: np.ndarray) -> np.ndarray:
+    """``sqrt_clamped`` without its guard: sqrt where arg > 0, else +0.0."""
+    return np.sqrt(np.where(arg > 0.0, arg, 0.0))
+
+
+def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(v, lo), hi)`` elementwise, keeping Python's -0.0 and NaN."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
+def _first_failure(
+    checks: list[tuple[np.ndarray, Callable[[int], Exception]]],
+) -> tuple[int, Exception | None]:
+    """Index of the first sample failing a check, and that check's error.
+
+    ``checks`` lists (mask, error) pairs in the order the scalar helpers
+    test one sample, so a sweep stops at the sample, and with the error, a
+    sample-by-sample loop would.  Without a failure: (number of samples,
+    None).
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return len(bad), None
+    i = int(bad.argmax())
+    return i, next(error(i) for mask, error in checks if mask[i])
+
+
+def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> tuple[list[np.ndarray], int, Exception | None]:
+    """Columns (q1, q2, dq1/dt, dq2/dt, eta1, Q) of the sweep at the grid t.
+
+    ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1`` in one array pass,
+    with eta1 clamped to [0, 1/2] and Q to [0, 1].  Also returns the first
+    failing sample and its error, from ``_first_failure``.
+    """
+    sp, scale = ov.s_prime, ov.s_prime / ov.s
+    tol = SQRT_CLAMP_TOL
+    # Vertex samples divide by ry = 0 and are then overwritten, as the
+    # scalar helpers branch around them.
+    with np.errstate(all="ignore"):
+        x = (1.0 - (1.0 + sp) * t) / scale
+        y = (1.0 - (1.0 - sp) * t) / scale
+        x_arg, y_arg = 1.0 - x * x, 1.0 - y * y
+        rx, ry = _sqrt0(x_arg), _sqrt0(y_arg)
+        q1 = 0.5 * (1.0 - x * y + rx * ry)
+        q2 = 0.5 * (1.0 - x * y - rx * ry)
+        q1, q2 = np.where(1.0 < q1, 1.0, q1), np.where(0.0 > q2, 0.0, q2)
+        a = (1.0 + sp) / rx
+        b = (1.0 - sp) / ry
+        d1_arg, d2_arg = q1 * (1.0 - q1), q2 * (1.0 - q2)
+        vertex = ry == 0.0
+        d1 = np.where(vertex, math.inf, _sqrt0(d1_arg) / scale * (a + b))
+        d2 = np.where(vertex, -math.inf, _sqrt0(d2_arg) / scale * (a - b))
+        steep = np.isinf(d1)
+        eta1 = _clip(np.where(steep, 0.5, d2 / (d2 - d1)), 0.0, 0.5)
+        q_min = _clip(eta1 * q1 + (1.0 - eta1) * q2, 0.0, 1.0)
+
+    def clamp(arg: np.ndarray) -> Callable[[int], Exception]:
+        return lambda i: _clamp_error(arg.item(i), t.item(i), ov)
+
+    off_vertex = ~vertex
+    stop, error = _first_failure(
+        [
+            (x_arg < -tol, clamp(x_arg)),
+            (y_arg < -tol, clamp(y_arg)),
+            (off_vertex & (rx == 0.0), lambda i: _flat_error(t.item(i), ov)),
+            (off_vertex & (d1_arg < -tol), clamp(d1_arg)),
+            (off_vertex & (d2_arg < -tol), clamp(d2_arg)),
+            (~steep & (d2 == d1), lambda i: _equal_derivatives_error(d1.item(i), t.item(i), ov)),
+        ]
+    )
+    return [q1, q2, d1, d2, eta1, q_min], stop, error
+
+
 def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     """Sweep of the minimum failure probability against the prior.
 
@@ -324,21 +453,25 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     monotonically from 1/2 (curve vertex) to 0; a monotonicity violation
     beyond 1e-10 aborts with diagnostics rather than return a wrong
     branch.
+
+    The whole grid is computed in one numpy pass with the bits of the
+    scalar helpers ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1``; a
+    failed guard raises NumericError naming the first offending t.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
-    t_lo, t_hi = t_slope_minus_one(ov), t_slope_zero(ov)
-    samples: list[QminSample] = []
-    for t in np.linspace(t_lo, t_hi, n_samples):
-        t = float(t)
-        q1, q2 = _curve_q(t, ov)
-        d1, d2 = _curve_dq(t, ov)
-        eta1 = min(max(_tangent_eta1(d1, d2, t, ov), 0.0), 0.5)
-        q_min = min(max(eta1 * q1 + (1.0 - eta1) * q2, 0.0), 1.0)
-        samples.append(QminSample(t, eta1, q_min, FailurePoint(q1, q2), d1, d2))
-    etas = [smp.eta1 for smp in samples]
-    worst = max(b - a for a, b in zip(etas, etas[1:]))
+    t = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
+    cols, stop, error = _qmin_grid(t, ov)
+    # Samples before the first failed guard are built first: FailurePoint's
+    # own range check fires there, as it would in a sample-by-sample loop.
+    samples = [
+        QminSample(tt, e, qm, FailurePoint(a, b), d1, d2)
+        for tt, a, b, d1, d2, e, qm in zip(t[:stop].tolist(), *(c[:stop].tolist() for c in cols))
+    ]
+    if error is not None:
+        raise error
+    worst = max(np.diff(cols[4]).tolist())
     if worst > _MONOTONE_TOL:
         raise NumericError(
             f"eta1 failed to decrease monotonically along the sweep "
@@ -509,14 +642,24 @@ def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
 # tradeoff curve s'(Q) at fixed initial overlap
 
 
+def _singular_error(theta: float, s: float, delta: float, st: float, ct: float) -> NumericError:
+    return NumericError(
+        f"tradeoff formulas singular at theta={theta!r}, s={s!r}, delta={delta!r}: "
+        f"delta + sin(theta) = {delta + st!r}, cos(theta) = {ct!r}"
+    )
+
+
+def _negative_sp2_error(sp2: float, theta: float, s: float, delta: float) -> NumericError:
+    return NumericError(
+        f"negative squared overlap {sp2!r} at theta={theta!r}, s={s!r}, delta={delta!r}"
+    )
+
+
 def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
     """(s_prime, Q) on the tradeoff curve at angle theta < 0."""
     st, ct = math.sin(theta), math.cos(theta)
     if delta + st == 0.0 or ct == 0.0:
-        raise NumericError(
-            f"tradeoff formulas singular at theta={theta!r}, s={s!r}, delta={delta!r}: "
-            f"delta + sin(theta) = {delta + st!r}, cos(theta) = {ct!r}"
-        )
+        raise _singular_error(theta, s, delta, st, ct)
     one = 1.0 - delta * delta
     gain = math.sqrt(one) * (st / (delta + st)) ** 2 / ct
     term_envelope = math.sqrt(one) * (1.0 + s * s) * ct
@@ -528,9 +671,7 @@ def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
     # floor indicate a real bug.
     noise = max(1e-12, 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget)))
     if sp2 < -noise:
-        raise NumericError(
-            f"negative squared overlap {sp2!r} at theta={theta!r}, s={s!r}, delta={delta!r}"
-        )
+        raise _negative_sp2_error(sp2, theta, s, delta)
     sp2 = max(sp2, 0.0)
     q = (s * math.sqrt(one) + delta * sp2 * (ct / st)) / ((1.0 - sp2) * ct)
     return math.sqrt(sp2), min(max(q, 0.0), 1.0)
@@ -556,6 +697,55 @@ def _tradeoff_sample(theta: float, s: float, delta: float) -> tuple[float, float
     return _tradeoff_eval(theta, s, delta)
 
 
+def _tradeoff_grid(
+    thetas: list[float], s: float, delta: float
+) -> tuple[list[np.ndarray], int, Exception | None]:
+    """Columns (s_prime, Q) of ``_tradeoff_sample`` at each angle, in one array pass.
+
+    Also returns the first failing sample and its error, from
+    ``_first_failure``.
+    """
+    st = np.array([math.sin(th) for th in thetas])
+    ct = np.array([math.cos(th) for th in thetas])
+    root = math.sqrt(1.0 - delta * delta)
+    endpoint = np.array(thetas) == 0.0
+    with np.errstate(all="ignore"):
+        ratio = (st / (delta + st)).tolist()
+        gain = root * np.array([r**2 for r in ratio]) / ct
+        term_envelope = root * (1.0 + s * s) * ct
+        term_budget = 2.0 * s * (1.0 + delta * st)
+        sp2 = gain * (term_envelope - term_budget)
+        noise = 32.0 * _EPS * np.abs(gain) * (np.abs(term_envelope) + np.abs(term_budget))
+        noise = np.where(noise > 1e-12, noise, 1e-12)
+        sp2_floor = np.where(0.0 > sp2, 0.0, sp2)
+        q = (s * root + delta * sp2_floor * (ct / st)) / ((1.0 - sp2_floor) * ct)
+        s_prime = np.where(endpoint, 0.0, np.sqrt(sp2_floor))
+        q = np.where(endpoint, s * root, _clip(q, 0.0, 1.0))
+    live = ~endpoint
+    stop, error = _first_failure(
+        [
+            (
+                live & ((delta + st == 0.0) | (ct == 0.0)),
+                lambda i: _singular_error(thetas[i], s, delta, st.item(i), ct.item(i)),
+            ),
+            (
+                live & (sp2 < -noise),
+                lambda i: _negative_sp2_error(sp2.item(i), thetas[i], s, delta),
+            ),
+        ]
+    )
+    return [s_prime, q], stop, error
+
+
+def _tradeoff_samples(
+    thetas: list[float], s: float, s_primes: list[float], qs: list[float]
+) -> list[TradeoffSample]:
+    return [
+        TradeoffSample(PolarAngle(th), s, sp, FailureBudget(q))
+        for th, sp, q in zip(thetas, s_primes, qs)
+    ]
+
+
 def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffSample]:
     """Parametric sweep of the separation/failure tradeoff at fixed s.
 
@@ -565,50 +755,42 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 
     Equal priors and certainty priors bypass the angle sweep and use their
     explicit closed forms; their samples carry theta = 0 and theta = NaN
-    respectively.
+    respectively.  The angle sweep's interior is computed in one numpy pass
+    with the bits of the scalar ``_tradeoff_sample``; a failed guard raises
+    NumericError naming the first offending theta.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
+    s = float(s)
     prn, _ = pr.normalized()
     delta = prn.delta
 
     if delta <= _DEGENERATE_PRIOR_TOL:
         qs = np.linspace(0.0, s, n_samples)
-        return [
-            TradeoffSample(PolarAngle(0.0), s, (s - q) / (1.0 - q), FailureBudget(float(q)))
-            for q in qs
-        ]
+        return _tradeoff_samples(
+            [0.0] * n_samples, s, ((s - qs) / (1.0 - qs)).tolist(), qs.tolist()
+        )
     if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
         qs = np.linspace(0.0, s * s, n_samples)
-        return [
-            TradeoffSample(
-                PolarAngle(math.nan),
-                s,
-                sqrt_clamped((s * s - q) / (1.0 - q)),
-                FailureBudget(float(q)),
-            )
-            for q in qs
-        ]
+        s_primes = [sqrt_clamped(v) for v in ((s * s - qs) / (1.0 - qs)).tolist()]
+        return _tradeoff_samples([math.nan] * n_samples, s, s_primes, qs.tolist())
 
     theta_lo, theta_hi = _tradeoff_range(s, delta, prn.eta1)
-    samples: list[TradeoffSample] = []
-    grid = np.linspace(theta_lo, theta_hi, n_samples)
-    for i, theta in enumerate(grid):
-        if i == 0:
-            # The sweep starts at the trivial protocol and ends at full
-            # separation; both endpoint values are exact identities, so
-            # emit them directly instead of through the cancellation-prone
-            # generic formulas.
-            s_prime, q = s, 0.0
-        elif i == n_samples - 1:
-            s_prime, q = 0.0, float(q_ud(prn, s))
-        else:
-            s_prime, q = _tradeoff_sample(float(theta), s, delta)
-        samples.append(
-            TradeoffSample(PolarAngle(float(theta)), s, min(s_prime, s), FailureBudget(q))
-        )
+    thetas = np.linspace(theta_lo, theta_hi, n_samples).tolist()
+    (s_prime, q), stop, error = _tradeoff_grid(thetas[1:-1], s, delta)
+    # The sweep starts at the trivial protocol and ends at full separation;
+    # both endpoint values are exact identities, so they are emitted
+    # directly instead of through the cancellation-prone generic formulas.
+    # Samples before the first failed guard are built first, so that
+    # FailureBudget's own range check fires where a sample loop's would.
+    s_primes = [s] + np.where(s < s_prime, s, s_prime)[:stop].tolist()
+    qs = [0.0] + q[:stop].tolist()
+    samples = _tradeoff_samples(thetas, s, s_primes, qs)
+    if error is not None:
+        raise error
+    samples += _tradeoff_samples(thetas[-1:], s, [0.0], [float(q_ud(prn, s))])
     return samples
 
 

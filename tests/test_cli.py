@@ -199,6 +199,19 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "s, s_prime, message",
+    [("0.6", "1e-9", "below clamp tolerance"), ("1e-300", "5e-301", "normal float")],
+    ids=["clamp-at-small-sprime", "s-squared-underflow"],
+)
+def test_valid_qmin_inputs_exit_3(capsys, s, s_prime, message):
+    # Valid overlaps the curve cannot resolve are numeric failures, not
+    # usage errors (exit 2) or tracebacks (exit 1).
+    assert main(["qmin", "--s", s, "--s-prime", s_prime]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and message in err
+
+
 def test_singular_tradeoff_exits_3(capsys):
     # delta + sin(theta) rounds to zero inside the root finder's bracket.
     code = main(["tradeoff", "--eta1", "4.13e-6", "--s", "0.9999999999977576"])

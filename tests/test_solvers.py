@@ -6,6 +6,7 @@ import pytest
 from statesep import (
     UNBOUNDED,
     DomainError,
+    FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
@@ -482,3 +483,183 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
 def test_singular_formulas_raise_numeric_error(solve, message):
     with pytest.raises(NumericError, match=message):
         solve()
+
+
+# ---------------------------------------------------------------------------
+# the array sweeps against the scalar helpers
+
+
+def _outcome(fn):
+    """``("ok", value)`` or ``("raised", exception type, message)``."""
+    try:
+        return ("ok", fn())
+    except (DomainError, NumericError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _hex_rows(rows):
+    return [tuple(float.hex(v) for v in row) for row in rows]
+
+
+def _qmin_rows_scalar(ov, n):
+    """qmin_curve's samples, one scalar helper call at a time."""
+    rows = []
+    for t in np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist():
+        q1, q2 = solvers._curve_q(t, ov)
+        d1, d2 = solvers._curve_dq(t, ov)
+        eta1 = min(max(solvers._tangent_eta1(d1, d2, t, ov), 0.0), 0.5)
+        q_min = min(max(eta1 * q1 + (1.0 - eta1) * q2, 0.0), 1.0)
+        FailurePoint(q1, q2)
+        rows.append((t, eta1, q_min, q1, q2, d1, d2))
+    return rows
+
+
+def _qmin_rows(ov, n):
+    return [
+        (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
+        for m in qmin_curve(ov, n)
+    ]
+
+
+def _tradeoff_rows_scalar(pr, s, n):
+    """tradeoff_curve's samples on the angle sweep, one _tradeoff_sample at a time."""
+    prn, _ = pr.normalized()
+    thetas = np.linspace(*solvers._tradeoff_range(s, prn.delta, prn.eta1), n).tolist()
+    rows = [(thetas[0], s, 0.0)]
+    for theta in thetas[1:-1]:
+        s_prime, q = solvers._tradeoff_sample(theta, s, prn.delta)
+        FailureBudget(q)
+        rows.append((theta, min(s_prime, s), q))
+    return rows + [(thetas[-1], 0.0, float(q_ud(prn, s)))]
+
+
+def _tradeoff_rows(pr, s, n):
+    return [(m.theta.theta, m.s_prime, m.q.q_avg) for m in tradeoff_curve(pr, s, n)]
+
+
+def _decade(rng, lo, hi):
+    return 10 ** rng.uniform(lo, hi)
+
+
+def _sweep_cases(seed, count):
+    """Seeded (eta1, s, s', n_samples) reaching s'/s -> 1e-8, s -> 0, s -> 1,
+    eta1 -> 0 and eta1 -> 1/2, at every sample count."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        s = (rng.uniform(0.05, 0.95), _decade(rng, -6, -1), 1 - _decade(rng, -9, -1))[i % 3]
+        frac = _decade(rng, -8, 0) if i % 4 else 1 - _decade(rng, -9, -1)
+        eta1 = (rng.uniform(0.01, 0.49), _decade(rng, -8, -2), 0.5 - _decade(rng, -8, -2))
+        eta1 = eta1[i // 3 % 3]
+        cases.append((float(eta1), float(s), float(frac * s), (2, 7, 200, 512)[i % 4]))
+    return cases
+
+
+# A tiny-s curve whose q1 rounds to -2.2e-16 at the vertex: no guard of the
+# sweep fires, but FailurePoint's range check does.
+_NEGATIVE_Q1_CASE = (0.3, 8.002035938234122e-30, 3.197006282588512e-30, 7)
+
+
+@pytest.mark.parametrize(
+    "eta1, s, s_prime, n",
+    _sweep_cases(20261018, 48) + [_NEGATIVE_Q1_CASE],
+    ids=[f"case{i}" for i in range(48)] + ["negative-q1"],
+)
+def test_sweeps_match_scalar_helpers_in_hex(eta1, s, s_prime, n):
+    # Every sample (or the error raised) of the array sweeps is what the
+    # scalar helpers give at the same grid t / theta, bit for bit.
+    ov = OverlapSpec(s, s_prime)
+    want = _outcome(lambda: _qmin_rows_scalar(ov, n))
+    got = _outcome(lambda: _qmin_rows(ov, n))
+    if want[0] == "raised":
+        assert got == want
+    elif got[0] == "raised":
+        # Only the sweep-level guard may reject samples the helpers accept.
+        etas = [row[1] for row in want[1]]
+        assert got[1] is NumericError and "monotonically" in got[2]
+        assert max(b - a for a, b in zip(etas, etas[1:])) > solvers._MONOTONE_TOL
+    else:
+        assert _hex_rows(got[1]) == _hex_rows(want[1])
+
+    pr = Priors.of(eta1)
+    want = _outcome(lambda: _tradeoff_rows_scalar(pr, s, n))
+    got = _outcome(lambda: _tradeoff_rows(pr, s, n))
+    if want[0] == "raised":
+        assert got == want
+    else:
+        assert _hex_rows(got[1]) == _hex_rows(want[1])
+
+
+def test_sweep_cases_reach_the_guards():
+    # The hex comparison above must see failing sweeps as well as clean ones.
+    raised = set()
+    for eta1, s, s_prime, n in _sweep_cases(20261018, 48):
+        for fn in (
+            lambda: _qmin_rows_scalar(OverlapSpec(s, s_prime), n),
+            lambda: _tradeoff_rows_scalar(Priors.of(eta1), s, n),
+        ):
+            out = _outcome(fn)
+            raised.add(out[2].split(" ")[0] if out[0] == "raised" else "ok")
+    assert {"ok", "square", "negative"} <= raised
+
+
+def test_first_failure_takes_the_earliest_sample():
+    # Sample 1 fails only the second check and sample 2 only the first: a
+    # sample loop stops at sample 1 with the second check's error.
+    masks = [np.array([False, False, True]), np.array([False, True, False])]
+    errors = [
+        lambda i: NumericError(f"first check at {i}"),
+        lambda i: NumericError(f"second check at {i}"),
+    ]
+    stop, error = solvers._first_failure(list(zip(masks, errors)))
+    assert stop == 1 and str(error) == "second check at 1"
+    assert solvers._first_failure([(np.zeros(4, bool), errors[0])]) == (4, None)
+
+
+def test_qmin_curve_vertex_and_flat_end_bits():
+    samples = qmin_curve(OverlapSpec(0.8, 0.4), 512)
+    assert samples[0].eta1 == 0.5 and math.isinf(samples[0].dq1_dt)
+    # At the flat end dq2/dt is 0.0, so the tangent prior 0/(0 - dq1/dt) is
+    # -0.0, which the clamp to [0, 1/2] keeps, as max(-0.0, 0.0) does.
+    assert samples[-1].dq2_dt == 0.0
+    assert math.copysign(1.0, samples[-1].eta1) == -1.0
+
+
+def test_qmin_curve_monotonicity_guard_fires(monkeypatch):
+    monkeypatch.setattr(solvers, "_MONOTONE_TOL", -1.0)
+    with pytest.raises(NumericError, match="failed to decrease monotonically"):
+        qmin_curve(OverlapSpec(0.6, 0.3), 65)
+
+
+@pytest.mark.parametrize(
+    "pr, s",
+    [(Priors.of(0.2), 0.6), (Priors.of(0.5), 0.6), (Priors.of(0.0), 0.6), (Priors.of(1.0), 0.3)],
+    ids=["generic", "equal-priors", "certainty", "certainty-swapped"],
+)
+def test_sweeps_return_plain_floats(pr, s):
+    for smp in tradeoff_curve(pr, s, 9):
+        for v in (smp.theta.theta, smp.s, smp.s_prime, smp.q.q_avg):
+            assert type(v) is float
+    for smp in qmin_curve(OverlapSpec(s, s / 2), 9):
+        for v in (smp.t, smp.eta1, smp.q_min, smp.point.q1, smp.point.q2, smp.dq1_dt, smp.dq2_dt):
+            assert type(v) is float
+
+
+@pytest.mark.parametrize(
+    "ov, message",
+    [
+        (
+            OverlapSpec(0.6, 1e-9),
+            r"below clamp tolerance .* at t=0\.99999999933\d*, s=0\.6, s_prime=1e-09",
+        ),
+        (OverlapSpec(1e-300, 5e-301), r"s\*s to be a normal float, got s\*s=0\.0 at s=1e-300"),
+    ],
+    ids=["clamp-at-small-sprime", "s-squared-underflow"],
+)
+def test_valid_curve_inputs_raise_numeric_error(ov, message):
+    # A valid OverlapSpec that the curve cannot resolve is a numeric failure,
+    # never a DomainError (a usage error) or a leaked ZeroDivisionError.
+    with pytest.raises(NumericError, match=message):
+        qmin_curve(ov, 512)
+    with pytest.raises(NumericError, match=message):
+        qmin_at(Priors.of(0.3), ov)
