@@ -54,7 +54,7 @@ class ConicPoint:
             raise DomainError(f"geometric mean exceeds arithmetic mean: {self!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarAngle:
     """Polar angle on an objective ellipse, measured from its center."""
 

@@ -67,10 +67,14 @@ def sqrt_clamped(x: float, tol: float = SQRT_CLAMP_TOL) -> float:
     return math.sqrt(x) if x > 0.0 else 0.0
 
 
+def _prob_error(name: str, value: float) -> DomainError:
+    return DomainError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise _prob_error(name, value)
     return value
 
 
@@ -142,7 +146,7 @@ class OverlapSpec:
         return self.s_prime * self.kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailurePoint:
     """Conditional failure probabilities (q1, q2) of a protocol."""
 
@@ -165,7 +169,7 @@ class FailurePoint:
         return FailurePoint(self.q2, self.q1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureBudget:
     """An average failure probability, either achieved (Q) or allowed (Q_max)."""
 

@@ -25,7 +25,9 @@ The point queries (``qmin_at``, ``tradeoff_at``, ``curve_point``) evaluate
 the parametric formulas one float at a time with ``math``.  The sweeps
 (``qmin_curve``, ``tradeoff_curve``) evaluate the same formulas over their
 whole grid in one numpy pass, operation for operation, so each sample has
-the bits the scalar helpers give at its grid point.
+the bits the scalar helpers give at its grid point.  The same pass
+range-checks every record field that a constructor would check, once per
+column; the records are then built without re-running those checks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .core import (
     OverlapSpec,
     Priors,
     SQRT_CLAMP_TOL,
+    _prob_error,
     sqrt_clamped,
 )
 
@@ -86,7 +89,7 @@ _ROOT_RTOL = 4.0 * _EPS
 _ROOT_MAXITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QminSample:
     """One point of the minimum-failure curve Q_min(eta1) at fixed overlaps."""
 
@@ -98,7 +101,7 @@ class QminSample:
     dq2_dt: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeoffSample:
     """One point of a separation/failure tradeoff sweep."""
 
@@ -260,13 +263,6 @@ def t_slope_zero(ov: OverlapSpec) -> float:
     return (1.0 - sp2 / s2) / (1.0 - sp2)
 
 
-def _xy(t: float, ov: OverlapSpec) -> tuple[float, float]:
-    scale = ov.s_prime / ov.s
-    x = (1.0 - (1.0 + ov.s_prime) * t) / scale
-    y = (1.0 - (1.0 - ov.s_prime) * t) / scale
-    return x, y
-
-
 # The curve's guards.  Each builds the error that the scalar helpers below
 # raise and that qmin_curve raises at the first offending grid t.
 
@@ -275,6 +271,13 @@ def _clamp_error(arg: float, t: float, ov: OverlapSpec) -> NumericError:
     return NumericError(
         f"square root argument {arg!r} below clamp tolerance {-SQRT_CLAMP_TOL!r} "
         f"on the constraint curve at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}"
+    )
+
+
+def _negative_q1_error(q1: float, t: float, ov: OverlapSpec) -> NumericError:
+    return NumericError(
+        f"q1 = {q1!r} rounds below 0 on the constraint curve "
+        f"at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}"
     )
 
 
@@ -299,21 +302,32 @@ def _curve_sqrt(arg: float, t: float, ov: OverlapSpec) -> float:
     return math.sqrt(arg) if arg > 0.0 else 0.0
 
 
-def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
-    x, y = _xy(t, ov)
+def _q_pair(x, y, rx, ry):
+    """Unclamped (q1, q2) at curve coordinates (x, y), for floats or arrays alike."""
+    return 0.5 * (1.0 - x * y + rx * ry), 0.5 * (1.0 - x * y - rx * ry)
+
+
+def _curve_rq(t: float, ov: OverlapSpec) -> tuple[float, float, float, float]:
+    """Square roots (rx, ry) and the clamped point (q1, q2) at parameter t."""
+    scale = ov.s_prime / ov.s
+    x = (1.0 - (1.0 + ov.s_prime) * t) / scale
+    y = (1.0 - (1.0 - ov.s_prime) * t) / scale
     rx = _curve_sqrt(1.0 - x * x, t, ov)
     ry = _curve_sqrt(1.0 - y * y, t, ov)
-    q1 = 0.5 * (1.0 - x * y + rx * ry)
-    q2 = 0.5 * (1.0 - x * y - rx * ry)
-    return min(q1, 1.0), max(q2, 0.0)
+    q1, q2 = _q_pair(x, y, rx, ry)
+    if q1 < 0.0:
+        raise _negative_q1_error(q1, t, ov)
+    # min(q1, 1.0) and max(q2, 0.0), without two builtin calls.
+    return rx, ry, (1.0 if 1.0 < q1 else q1), (0.0 if 0.0 > q2 else q2)
+
+
+def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
+    return _curve_rq(t, ov)[2:]
 
 
 def _curve_dq(t: float, ov: OverlapSpec) -> tuple[float, float]:
     """Derivatives (dq1/dt, dq2/dt); infinite at the slope -1 vertex."""
-    x, y = _xy(t, ov)
-    rx = _curve_sqrt(1.0 - x * x, t, ov)
-    ry = _curve_sqrt(1.0 - y * y, t, ov)
-    q1, q2 = _curve_q(t, ov)
+    rx, ry, q1, q2 = _curve_rq(t, ov)
     scale = ov.s_prime / ov.s
     if ry == 0.0:
         return math.inf, -math.inf
@@ -381,29 +395,31 @@ def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < v, hi, v)
 
 
-def _first_failure(
-    checks: list[tuple[np.ndarray, Callable[[int], Exception]]],
-) -> tuple[int, Exception | None]:
-    """Index of the first sample failing a check, and that check's error.
+def _range_check(name: str, col: np.ndarray) -> tuple[np.ndarray, Callable[[int], Exception]]:
+    """The [0, 1] check that a record's constructor makes on field ``name``, per sample."""
+    return ~((0.0 <= col) & (col <= 1.0)), lambda i: _prob_error(name, col.item(i))
+
+
+def _raise_first_failure(checks: list[tuple[np.ndarray, Callable[[int], Exception]]]) -> None:
+    """Raise the error of the first sample failing a check, if any does.
 
     ``checks`` lists (mask, error) pairs in the order the scalar helpers
-    test one sample, so a sweep stops at the sample, and with the error, a
-    sample-by-sample loop would.  Without a failure: (number of samples,
-    None).
+    and the record constructors test one sample, so a sweep stops at the
+    sample, and with the error, a sample-by-sample loop would.
     """
     bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return len(bad), None
-    i = int(bad.argmax())
-    return i, next(error(i) for mask, error in checks if mask[i])
+    if bad.any():
+        i = int(bad.argmax())
+        raise next(error(i) for mask, error in checks if mask[i])
 
 
-def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> tuple[list[np.ndarray], int, Exception | None]:
+def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> list[np.ndarray]:
     """Columns (q1, q2, dq1/dt, dq2/dt, eta1, Q) of the sweep at the grid t.
 
     ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1`` in one array pass,
-    with eta1 clamped to [0, 1/2] and Q to [0, 1].  Also returns the first
-    failing sample and its error, from ``_first_failure``.
+    with eta1 clamped to [0, 1/2] and Q to [0, 1].  Raises the error of the
+    first failing sample; after the helpers' guards, the checks include
+    ``FailurePoint``'s range check.
     """
     sp, scale = ov.s_prime, ov.s_prime / ov.s
     tol = SQRT_CLAMP_TOL
@@ -414,8 +430,7 @@ def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> tuple[list[np.ndarray], int, E
         y = (1.0 - (1.0 - sp) * t) / scale
         x_arg, y_arg = 1.0 - x * x, 1.0 - y * y
         rx, ry = _sqrt0(x_arg), _sqrt0(y_arg)
-        q1 = 0.5 * (1.0 - x * y + rx * ry)
-        q2 = 0.5 * (1.0 - x * y - rx * ry)
+        q1, q2 = _q_pair(x, y, rx, ry)
         q1, q2 = np.where(1.0 < q1, 1.0, q1), np.where(0.0 > q2, 0.0, q2)
         a = (1.0 + sp) / rx
         b = (1.0 - sp) / ry
@@ -431,17 +446,63 @@ def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> tuple[list[np.ndarray], int, E
         return lambda i: _clamp_error(arg.item(i), t.item(i), ov)
 
     off_vertex = ~vertex
-    stop, error = _first_failure(
+    _raise_first_failure(
         [
             (x_arg < -tol, clamp(x_arg)),
             (y_arg < -tol, clamp(y_arg)),
+            # The clamp to 1 leaves a negative q1 as it is.
+            (q1 < 0.0, lambda i: _negative_q1_error(q1.item(i), t.item(i), ov)),
             (off_vertex & (rx == 0.0), lambda i: _flat_error(t.item(i), ov)),
             (off_vertex & (d1_arg < -tol), clamp(d1_arg)),
             (off_vertex & (d2_arg < -tol), clamp(d2_arg)),
             (~steep & (d2 == d1), lambda i: _equal_derivatives_error(d1.item(i), t.item(i), ov)),
+            _range_check("q1", q1),
+            _range_check("q2", q2),
         ]
     )
-    return [q1, q2, d1, d2, eta1, q_min], stop, error
+    return [q1, q2, d1, d2, eta1, q_min]
+
+
+def _qmin_records(
+    t: np.ndarray,
+    q1: np.ndarray,
+    q2: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    eta1: np.ndarray,
+    q_min: np.ndarray,
+) -> list[QminSample]:
+    """The sweep's records from range-checked columns.
+
+    Each record is the one ``QminSample(t, eta1, q_min, FailurePoint(q1,
+    q2), dq1/dt, dq2/dt)`` builds, but its slots are written directly
+    (``object.__new__`` and each field's slot descriptor), so
+    ``FailurePoint``'s per-field checks do not run a second time.
+    """
+    new = object.__new__
+    set_q1, set_q2 = FailurePoint.q1.__set__, FailurePoint.q2.__set__
+    set_t, set_eta1, set_q_min, set_point, set_d1, set_d2 = (
+        QminSample.t.__set__,
+        QminSample.eta1.__set__,
+        QminSample.q_min.__set__,
+        QminSample.point.__set__,
+        QminSample.dq1_dt.__set__,
+        QminSample.dq2_dt.__set__,
+    )
+    samples = []
+    for tt, a, b, da, db, e, qm in zip(*(c.tolist() for c in (t, q1, q2, d1, d2, eta1, q_min))):
+        point = new(FailurePoint)
+        set_q1(point, a)
+        set_q2(point, b)
+        smp = new(QminSample)
+        set_t(smp, tt)
+        set_eta1(smp, e)
+        set_q_min(smp, qm)
+        set_point(smp, point)
+        set_d1(smp, da)
+        set_d2(smp, db)
+        samples.append(smp)
+    return samples
 
 
 def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
@@ -456,29 +517,23 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
 
     The whole grid is computed in one numpy pass with the bits of the
     scalar helpers ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1``; a
-    failed guard raises NumericError naming the first offending t.
+    failed guard raises NumericError naming the first offending t.  The
+    same pass range-checks the q1 and q2 columns once, as ``FailurePoint``
+    would per sample, and the records are built after that bulk check.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
     t = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
-    cols, stop, error = _qmin_grid(t, ov)
-    # Samples before the first failed guard are built first: FailurePoint's
-    # own range check fires there, as it would in a sample-by-sample loop.
-    samples = [
-        QminSample(tt, e, qm, FailurePoint(a, b), d1, d2)
-        for tt, a, b, d1, d2, e, qm in zip(t[:stop].tolist(), *(c[:stop].tolist() for c in cols))
-    ]
-    if error is not None:
-        raise error
-    worst = max(np.diff(cols[4]).tolist())
+    q1, q2, d1, d2, eta1, q_min = _qmin_grid(t, ov)
+    worst = max(np.diff(eta1).tolist())
     if worst > _MONOTONE_TOL:
         raise NumericError(
             f"eta1 failed to decrease monotonically along the sweep "
             f"(worst increase {worst!r} at s={ov.s!r}, s_prime={ov.s_prime!r}); "
             "the tangency branch cannot be trusted"
         )
-    return samples
+    return _qmin_records(t, q1, q2, d1, d2, eta1, q_min)
 
 
 def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
@@ -697,13 +752,11 @@ def _tradeoff_sample(theta: float, s: float, delta: float) -> tuple[float, float
     return _tradeoff_eval(theta, s, delta)
 
 
-def _tradeoff_grid(
-    thetas: list[float], s: float, delta: float
-) -> tuple[list[np.ndarray], int, Exception | None]:
+def _tradeoff_grid(thetas: list[float], s: float, delta: float) -> list[np.ndarray]:
     """Columns (s_prime, Q) of ``_tradeoff_sample`` at each angle, in one array pass.
 
-    Also returns the first failing sample and its error, from
-    ``_first_failure``.
+    Raises the error of the first failing sample; after the formulas'
+    guards, the checks include ``FailureBudget``'s range check on Q.
     """
     st = np.array([math.sin(th) for th in thetas])
     ct = np.array([math.cos(th) for th in thetas])
@@ -722,7 +775,7 @@ def _tradeoff_grid(
         s_prime = np.where(endpoint, 0.0, np.sqrt(sp2_floor))
         q = np.where(endpoint, s * root, _clip(q, 0.0, 1.0))
     live = ~endpoint
-    stop, error = _first_failure(
+    _raise_first_failure(
         [
             (
                 live & ((delta + st == 0.0) | (ct == 0.0)),
@@ -732,18 +785,43 @@ def _tradeoff_grid(
                 live & (sp2 < -noise),
                 lambda i: _negative_sp2_error(sp2.item(i), thetas[i], s, delta),
             ),
+            _range_check("q_avg", q),
         ]
     )
-    return [s_prime, q], stop, error
+    return [s_prime, q]
 
 
-def _tradeoff_samples(
+def _tradeoff_records(
     thetas: list[float], s: float, s_primes: list[float], qs: list[float]
 ) -> list[TradeoffSample]:
-    return [
-        TradeoffSample(PolarAngle(th), s, sp, FailureBudget(q))
-        for th, sp, q in zip(thetas, s_primes, qs)
-    ]
+    """The sweep's records from a range-checked Q column.
+
+    Each record is the one ``TradeoffSample(PolarAngle(theta), s, s_prime,
+    FailureBudget(Q))`` builds, but its slots are written directly
+    (``object.__new__`` and each field's slot descriptor), so
+    ``FailureBudget``'s check does not run a second time.
+    """
+    new = object.__new__
+    set_theta, set_q_avg = PolarAngle.theta.__set__, FailureBudget.q_avg.__set__
+    set_angle, set_s, set_s_prime, set_q = (
+        TradeoffSample.theta.__set__,
+        TradeoffSample.s.__set__,
+        TradeoffSample.s_prime.__set__,
+        TradeoffSample.q.__set__,
+    )
+    samples = []
+    for th, sp, q in zip(thetas, s_primes, qs):
+        angle = new(PolarAngle)
+        set_theta(angle, th)
+        budget = new(FailureBudget)
+        set_q_avg(budget, q)
+        smp = new(TradeoffSample)
+        set_angle(smp, angle)
+        set_s(smp, s)
+        set_s_prime(smp, sp)
+        set_q(smp, budget)
+        samples.append(smp)
+    return samples
 
 
 def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffSample]:
@@ -757,7 +835,9 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     explicit closed forms; their samples carry theta = 0 and theta = NaN
     respectively.  The angle sweep's interior is computed in one numpy pass
     with the bits of the scalar ``_tradeoff_sample``; a failed guard raises
-    NumericError naming the first offending theta.
+    NumericError naming the first offending theta.  Every branch
+    range-checks its Q column once, as ``FailureBudget`` would per sample,
+    and the records are built after that bulk check.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -769,29 +849,24 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 
     if delta <= _DEGENERATE_PRIOR_TOL:
         qs = np.linspace(0.0, s, n_samples)
-        return _tradeoff_samples(
-            [0.0] * n_samples, s, ((s - qs) / (1.0 - qs)).tolist(), qs.tolist()
-        )
+        _raise_first_failure([_range_check("q_avg", qs)])
+        s_primes = ((s - qs) / (1.0 - qs)).tolist()
+        return _tradeoff_records([0.0] * n_samples, s, s_primes, qs.tolist())
     if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
         qs = np.linspace(0.0, s * s, n_samples)
         s_primes = [sqrt_clamped(v) for v in ((s * s - qs) / (1.0 - qs)).tolist()]
-        return _tradeoff_samples([math.nan] * n_samples, s, s_primes, qs.tolist())
+        _raise_first_failure([_range_check("q_avg", qs)])
+        return _tradeoff_records([math.nan] * n_samples, s, s_primes, qs.tolist())
 
     theta_lo, theta_hi = _tradeoff_range(s, delta, prn.eta1)
     thetas = np.linspace(theta_lo, theta_hi, n_samples).tolist()
-    (s_prime, q), stop, error = _tradeoff_grid(thetas[1:-1], s, delta)
+    s_prime, q = _tradeoff_grid(thetas[1:-1], s, delta)
     # The sweep starts at the trivial protocol and ends at full separation;
     # both endpoint values are exact identities, so they are emitted
     # directly instead of through the cancellation-prone generic formulas.
-    # Samples before the first failed guard are built first, so that
-    # FailureBudget's own range check fires where a sample loop's would.
-    s_primes = [s] + np.where(s < s_prime, s, s_prime)[:stop].tolist()
-    qs = [0.0] + q[:stop].tolist()
-    samples = _tradeoff_samples(thetas, s, s_primes, qs)
-    if error is not None:
-        raise error
-    samples += _tradeoff_samples(thetas[-1:], s, [0.0], [float(q_ud(prn, s))])
-    return samples
+    s_primes = [s] + np.where(s < s_prime, s, s_prime).tolist() + [0.0]
+    qs = [0.0] + q.tolist() + [float(q_ud(prn, s))]
+    return _tradeoff_records(thetas, s, s_primes, qs)
 
 
 def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSample:

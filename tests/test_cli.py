@@ -200,14 +200,18 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "s, s_prime, message",
-    [("0.6", "1e-9", "below clamp tolerance"), ("1e-300", "5e-301", "normal float")],
-    ids=["clamp-at-small-sprime", "s-squared-underflow"],
+    "s, s_prime, samples, message",
+    [
+        ("0.6", "1e-9", "512", "below clamp tolerance"),
+        ("1e-300", "5e-301", "512", "normal float"),
+        ("8.002035938234122e-30", "3.197006282588512e-30", "7", "rounds below 0"),
+    ],
+    ids=["clamp-at-small-sprime", "s-squared-underflow", "negative-q1-at-tiny-s"],
 )
-def test_valid_qmin_inputs_exit_3(capsys, s, s_prime, message):
+def test_valid_qmin_inputs_exit_3(capsys, s, s_prime, samples, message):
     # Valid overlaps the curve cannot resolve are numeric failures, not
     # usage errors (exit 2) or tracebacks (exit 1).
-    assert main(["qmin", "--s", s, "--s-prime", s_prime]) == 3
+    assert main(["qmin", "--s", s, "--s-prime", s_prime, "--samples", samples]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and message in err
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ from statesep import (
     FailurePoint,
     NumericError,
     OverlapSpec,
+    PolarAngle,
     Priors,
+    QminSample,
+    TradeoffSample,
     critical_overlap,
     curve_point,
     max_clones,
@@ -555,8 +561,8 @@ def _sweep_cases(seed, count):
     return cases
 
 
-# A tiny-s curve whose q1 rounds to -2.2e-16 at the vertex: no guard of the
-# sweep fires, but FailurePoint's range check does.
+# A tiny-s curve whose q1 rounds to -2.2e-16 at the vertex: the sweep and the
+# scalar helpers both raise the negative-q1 NumericError there.
 _NEGATIVE_Q1_CASE = (0.3, 8.002035938234122e-30, 3.197006282588512e-30, 7)
 
 
@@ -611,9 +617,9 @@ def test_first_failure_takes_the_earliest_sample():
         lambda i: NumericError(f"first check at {i}"),
         lambda i: NumericError(f"second check at {i}"),
     ]
-    stop, error = solvers._first_failure(list(zip(masks, errors)))
-    assert stop == 1 and str(error) == "second check at 1"
-    assert solvers._first_failure([(np.zeros(4, bool), errors[0])]) == (4, None)
+    with pytest.raises(NumericError, match="^second check at 1$"):
+        solvers._raise_first_failure(list(zip(masks, errors)))
+    solvers._raise_first_failure([(np.zeros(4, bool), errors[0])])
 
 
 def test_qmin_curve_vertex_and_flat_end_bits():
@@ -663,3 +669,179 @@ def test_valid_curve_inputs_raise_numeric_error(ov, message):
         qmin_curve(ov, 512)
     with pytest.raises(NumericError, match=message):
         qmin_at(Priors.of(0.3), ov)
+
+
+def test_negative_q1_at_tiny_s_is_numeric_error():
+    _, s, s_prime, n = _NEGATIVE_Q1_CASE
+    ov = OverlapSpec(s, s_prime)
+    message = r"q1 = -2\.220446049250313e-16 rounds below 0 .* at t=0\.600475\d*, s=8\.00"
+    with pytest.raises(NumericError, match=message):
+        qmin_curve(ov, n)
+    with pytest.raises(NumericError, match=message):
+        solvers._curve_q(t_slope_minus_one(ov), ov)
+
+
+# ---------------------------------------------------------------------------
+# the sweeps' records, built without the constructors
+
+
+def _rebuilt(smp):
+    """The record the public constructors build from ``smp``'s fields."""
+    if isinstance(smp, QminSample):
+        point = FailurePoint(smp.point.q1, smp.point.q2)
+        return QminSample(smp.t, smp.eta1, smp.q_min, point, smp.dq1_dt, smp.dq2_dt)
+    angle, budget = PolarAngle(smp.theta.theta), FailureBudget(smp.q.q_avg)
+    return TradeoffSample(angle, smp.s, smp.s_prime, budget)
+
+
+def _frozen_fields(rec):
+    """(record, field name) of every field of ``rec`` and of its nested records."""
+    out = []
+    for f in dataclasses.fields(rec):
+        out.append((rec, f.name))
+        v = getattr(rec, f.name)
+        if dataclasses.is_dataclass(v):
+            out += _frozen_fields(v)
+    return out
+
+
+def _leaves(rec):
+    """(class, field, type, float hex) of every float inside a record."""
+    return [
+        (type(r).__name__, name, type(v).__name__, float.hex(v))
+        for r, name in _frozen_fields(rec)
+        if not dataclasses.is_dataclass(v := getattr(r, name))
+    ]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: qmin_curve(OverlapSpec(0.6, 0.3), 33),
+        lambda: qmin_curve(OverlapSpec(0.8, 0.4), 9),
+        lambda: tradeoff_curve(Priors.of(0.2), 0.6, 33),
+        lambda: tradeoff_curve(Priors.of(0.5), 0.6, 33),
+        lambda: tradeoff_curve(Priors.of(0.0), 0.6, 33),
+        lambda: tradeoff_curve(Priors.of(1.0), 0.3, 9),
+    ],
+    ids=["qmin", "qmin-vertex", "generic", "equal-priors", "certainty", "certainty-swapped"],
+)
+def test_sweep_records_match_the_public_constructors(sweep):
+    for smp in sweep():
+        ref = _rebuilt(smp)
+        assert smp == ref and hash(smp) == hash(ref) and repr(smp) == repr(ref)
+        assert _leaves(smp) == _leaves(ref)
+        # Slots only: no instance dict per record.
+        assert not hasattr(smp, "__dict__")
+        for rec, name in _frozen_fields(smp):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, 0.25)
+        # Certainty sweeps carry theta = NaN, which only compares equal to
+        # itself, so the round trips are checked field by field.
+        for twin in (pickle.loads(pickle.dumps(smp)), copy.deepcopy(smp)):
+            assert type(twin) is type(smp) and repr(twin) == repr(smp)
+            assert _leaves(twin) == _leaves(smp)
+        assert copy.deepcopy(smp) == smp
+
+
+def _inject(column, values):
+    """A copy of ``column`` with ``values`` ({index: value}) written in."""
+    column = column.copy()
+    for i, v in values.items():
+        column[i] = v
+    return column
+
+
+def _patch_q_pair(monkeypatch, q1_values, q2_values):
+    """Make the qmin sweep's q1/q2 columns carry the given values."""
+    original = solvers._q_pair
+
+    def patched(x, y, rx, ry):
+        q1, q2 = original(x, y, rx, ry)
+        if isinstance(q1, np.ndarray):
+            return _inject(q1, q1_values), _inject(q2, q2_values)
+        return q1, q2
+
+    monkeypatch.setattr(solvers, "_q_pair", patched)
+
+
+@pytest.mark.parametrize("k", [0, 5, 32])
+def test_qmin_curve_nan_in_q2_raises_the_constructor_error(monkeypatch, k):
+    ov = OverlapSpec(0.6, 0.3)
+    q1_k = qmin_curve(ov, 33)[k].point.q1
+    with pytest.raises(DomainError) as want:
+        FailurePoint(q1_k, math.nan)
+    # A second bad value after k shows that the error is k's.
+    _patch_q_pair(monkeypatch, {}, {k: math.nan, k + 1: 2.0} if k < 32 else {k: math.nan})
+    with pytest.raises(DomainError) as got:
+        qmin_curve(ov, 33)
+    assert str(got.value) == str(want.value) == "q2 must lie in [0, 1], got nan"
+
+
+@pytest.mark.parametrize("k, wins", [(3, "q2"), (5, "guard"), (8, "guard")])
+def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
+    # A negative q1 at sample 5 trips the sweep's own guard there; a NaN q2
+    # at sample k trips FailurePoint's range check.  The earlier sample
+    # wins, and within one sample the guard comes first.
+    _patch_q_pair(monkeypatch, {5: -0.25}, {k: math.nan})
+    if wins == "q2":
+        with pytest.raises(DomainError, match="q2 must lie in"):
+            qmin_curve(OverlapSpec(0.6, 0.3), 33)
+    else:
+        with pytest.raises(NumericError, match=r"q1 = -0\.25 rounds below 0"):
+            qmin_curve(OverlapSpec(0.6, 0.3), 33)
+
+
+def _patch_clip(monkeypatch, k):
+    """Make the tradeoff sweep's clamped Q column NaN at grid index k."""
+    original = solvers._clip
+
+    def patched(v, lo, hi):
+        return _inject(original(v, lo, hi), {k: math.nan})
+
+    monkeypatch.setattr(solvers, "_clip", patched)
+
+
+class _NumpyWithNaN:
+    """numpy, except that ``linspace`` puts a NaN at index k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def linspace(self, *args, **kwargs):
+        return _inject(np.linspace(*args, **kwargs), {self.k: math.nan})
+
+
+@pytest.mark.parametrize("branch", ["generic", "equal-priors", "certainty"])
+def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branch):
+    with pytest.raises(DomainError) as want:
+        FailureBudget(math.nan)
+    eta1 = {"generic": 0.2, "equal-priors": 0.5, "certainty": 0.0}[branch]
+    if branch == "generic":
+        _patch_clip(monkeypatch, 6)  # grid index 6 is sample 7
+    else:
+        monkeypatch.setattr(solvers, "np", _NumpyWithNaN(7))
+    with pytest.raises(DomainError) as got:
+        tradeoff_curve(Priors.of(eta1), 0.6, 33)
+    assert str(got.value) == str(want.value) == "q_avg must lie in [0, 1], got nan"
+
+
+# This sweep's negative-s'^2 guard fires at sample 269 (grid index 268).
+_NEGATIVE_SP2_CASE = (1.9302922127230343e-08, 0.9710224874752635, 512)
+
+
+@pytest.mark.parametrize("k, wins", [(99, "q"), (268, "guard"), (300, "guard")])
+def test_tradeoff_curve_earlier_failure_wins(monkeypatch, k, wins):
+    eta1, s, n = _NEGATIVE_SP2_CASE
+    with pytest.raises(NumericError, match="negative squared overlap"):
+        tradeoff_curve(Priors.of(eta1), s, n)
+    _patch_clip(monkeypatch, k)
+    if wins == "q":
+        with pytest.raises(DomainError, match="q_avg must lie in"):
+            tradeoff_curve(Priors.of(eta1), s, n)
+    else:
+        with pytest.raises(NumericError, match="negative squared overlap"):
+            tradeoff_curve(Priors.of(eta1), s, n)
