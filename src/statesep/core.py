@@ -35,7 +35,7 @@ __all__ = [
     "average_failure",
     "unitarity_residual",
     "in_feasible_set",
-    "bisect_lower_half",
+    "lower_half_q2",
     "endpoint_tangency_check",
 ]
 
@@ -207,42 +207,38 @@ def in_feasible_set(pt: FailurePoint, ov: OverlapSpec, tol: float = RESIDUAL_TOL
     return unitarity_residual(pt, ov) >= -tol
 
 
-def bisect_lower_half(q1: float, s: float, beta: float, iters: int = 80) -> float:
-    """Bisection for the smaller root q2 of the unitarity curve at fixed q1.
-
-    At fixed q1 the residual increases in q2 up to
-    ``turn = q1/(q1 + beta^2*(1-q1))`` and decreases after, so the
-    lower-half branch is the unique root on ``[0, turn]`` when one exists.
-    Whether it does is the caller's check: an off-curve q1 just drives the
-    bracket to one of its ends.  This is the one bisection of the curve in
-    the package; the oracle's vectorized grid is its array twin.
-    """
-    turn = q1 / (q1 + beta * beta * (1.0 - q1))
-    lo, hi = 0.0, turn
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if beta * math.sqrt((1.0 - q1) * (1.0 - mid)) + math.sqrt(q1 * mid) - s < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _off_range_error(q1: float, s: float, beta: float) -> NumericError:
+    return NumericError(
+        f"no unitarity-curve point at q1={q1!r} (s={s!r}, beta={beta!r}); "
+        "q1 is outside the curve's range"
+    )
 
 
-def _lower_half_q2(q1: float, s: float, beta: float, iters: int = 80) -> float:
-    """Smaller root q2 of the unitarity curve at fixed q1.
+def lower_half_q2(q1: float, s: float, beta: float) -> float:
+    """Smaller root q2 of the unitarity curve at fixed q1, in closed form.
+
+    With ``q2 = sin(phi)**2``, ``a = beta*sqrt(1-q1)`` and ``b = sqrt(q1)``
+    the constraint reads ``a*cos(phi) + b*sin(phi) = s``; for
+    ``R**2 = a**2 + b**2`` its lower root is
+
+        q2 = ((b*s - a*sqrt(R**2 - s**2)) / R**2)**2,
+
+    with ``R**2 - s**2`` expanded as ``q1*(1-beta)*(1+beta) - (s-beta)*(s+beta)``
+    so that it does not cancel as beta -> s.  Only ``+ - * /`` and ``sqrt``
+    are used, so the oracle's numpy twin rounds identically.  There is no
+    beta = 0 shortcut: at beta = 0 this is the general formula on the
+    hyperbola q1*q2 = s**2.
 
     Raises :class:`NumericError` when q1 lies outside the curve's range,
-    i.e. the residual is still negative at the turning point.
+    i.e. ``R < s`` beyond rounding.
     """
-    if beta == 0.0:
-        return s * s / q1
-    turn = q1 / (q1 + beta * beta * (1.0 - q1))
-    if beta * math.sqrt((1.0 - q1) * (1.0 - turn)) + math.sqrt(q1 * turn) - s < 0.0:
-        raise NumericError(
-            f"no unitarity-curve point at q1={q1!r} (s={s!r}, beta={beta!r}); "
-            "q1 is outside the curve's range"
-        )
-    return bisect_lower_half(q1, s, beta, iters)
+    d = q1 * (1.0 - beta) * (1.0 + beta) - (s - beta) * (s + beta)
+    if d < -SQRT_CLAMP_TOL:
+        raise _off_range_error(q1, s, beta)
+    root = math.sqrt(d) if d > 0.0 else 0.0
+    r2 = q1 + beta * beta * (1.0 - q1)
+    y = (math.sqrt(q1) * s - beta * math.sqrt(1.0 - q1) * root) / r2
+    return y * y
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def endpoint_tangency_check(
     """Probe the curve's tangency to q1=1 and q2=1 at its endpoints.
 
     Estimates dq2/dq1 at q1 = 1 - offset for each offset by central
-    differences on the bisected lower-half branch; the mirror image gives
+    differences on the closed-form lower-half branch; the mirror image gives
     the slopes near (s^2, 1).  Requires beta > 0: at beta = 0 the curve is
     an arc of the hyperbola q1*q2 = s^2 whose endpoint slopes are finite,
     so there is no tangency to detect.
@@ -289,8 +285,8 @@ def endpoint_tangency_check(
     for delta in offsets:
         a = 1.0 - delta
         h = delta / 4.0
-        q2_hi = _lower_half_q2(a + h, ov.s, ov.beta)
-        q2_lo = _lower_half_q2(a - h, ov.s, ov.beta)
+        q2_hi = lower_half_q2(a + h, ov.s, ov.beta)
+        q2_lo = lower_half_q2(a - h, ov.s, ov.beta)
         slopes.append((q2_hi - q2_lo) / (2.0 * h))
     slopes_lower = tuple(slopes)
     # The curve is symmetric under q1 <-> q2, so the slope near (s^2, 1) is

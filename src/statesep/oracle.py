@@ -2,39 +2,40 @@
 
 Minimizes the average failure probability directly over the unitarity
 curve, without touching any of the parametric machinery the closed-form
-solvers are built on: the curve is recovered pointwise by bisecting the
-constraint residual in q2 at fixed q1, swept on a dense grid, and the
-best bracket is polished by golden-section search.  Used in tests and in
-``statesep verify`` as the independent check on every solver.  The curve
-depends only on the overlaps, so it is sampled once per
-``(s, s', grid_size)``: the vectorized bisection over the dense grid (4096
-points by default) runs when the overlaps change and is reused across
-priors.  With the curve at hand, most of a call is the polish, which
-bisects one plain float at a time.
+solvers are built on: at fixed q1 the constraint is ``a*cos(phi) +
+b*sin(phi) = s`` in ``q2 = sin(phi)**2``, whose lower root has a closed
+form (:func:`statesep.core.lower_half_q2`).  A dense grid of that lower
+half (4096 points by default, from the diagonal crossing to q1 = 1) picks
+the best bracket, and golden-section search polishes it one plain float
+at a time.  Every ordinate is checked back against the constraint
+residual.  Used in tests and in ``statesep verify`` as the independent
+check on every solver.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    SQRT_CLAMP_TOL,
     DomainError,
     FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
     Priors,
-    bisect_lower_half,
+    _off_range_error,
+    lower_half_q2,
 )
 
 __all__ = ["OracleConfig", "oracle_qmin", "oracle_max_separation"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BISECT_ITERS = 80
+# Largest constraint residual accepted at a computed curve ordinate.
+_RESIDUAL_CHECK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,73 +56,61 @@ class OracleConfig:
 
 
 def _diagonal_q(s: float, beta: float) -> float:
-    """Point where the constraint curve crosses q1 = q2, by bisection.
+    """Point where the constraint curve crosses q1 = q2.
 
-    The on-diagonal residual beta*(1-q) + q - s is strictly increasing in
-    q (beta < 1), so plain bisection is safe.
+    On the diagonal the residual is beta*(1-q) + q - s, linear in q.
     """
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if beta * (1.0 - mid) + mid - s < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (s - beta) / (1.0 - beta)
+
+
+def _off_curve_error(residual: float, q1: float, s: float, beta: float) -> NumericError:
+    return NumericError(
+        f"curve ordinate off the constraint: residual {residual!r} above "
+        f"{_RESIDUAL_CHECK!r} at q1={q1!r} (s={s!r}, beta={beta!r})"
+    )
 
 
 def _lower_q2_grid(q1: np.ndarray, s: float, beta: float) -> np.ndarray:
-    """Lower-half curve ordinates q2(q1), vectorized bisection."""
+    """Lower-half curve ordinates q2(q1): numpy twin of ``core.lower_half_q2``.
+
+    The operations and their order are the scalar's, so each element has
+    its bits; beta = 0 takes the exact hyperbola ``s*s/q1`` instead.
+    """
     if beta == 0.0:
         return s * s / q1
-    turn = q1 / (q1 + beta * beta * (1.0 - q1))
-    lo = np.zeros_like(q1)
-    hi = turn.copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        f = beta * np.sqrt((1.0 - q1) * (1.0 - mid)) + np.sqrt(q1 * mid) - s
-        below = f < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    q2 = 0.5 * (lo + hi)
-    # The root must exist on the increasing stretch for every grid q1.
-    worst = np.max(
-        np.abs(beta * np.sqrt((1.0 - q1) * (1.0 - q2)) + np.sqrt(q1 * q2) - s)
-    )
-    if worst > 1e-9:
-        raise NumericError(
-            f"curve bisection failed: worst residual {worst!r} at s={s!r}, beta={beta!r}"
-        )
+    d = q1 * (1.0 - beta) * (1.0 + beta) - (s - beta) * (s + beta)
+    off = d < -SQRT_CLAMP_TOL
+    if off.any():
+        raise _off_range_error(float(q1[np.argmax(off)]), s, beta)
+    root = np.sqrt(np.where(d > 0.0, d, 0.0))
+    r2 = q1 + beta * beta * (1.0 - q1)
+    y = (np.sqrt(q1) * s - beta * np.sqrt(1.0 - q1) * root) / r2
+    q2 = y * y
+    residual = np.abs(beta * np.sqrt((1.0 - q1) * (1.0 - q2)) + np.sqrt(q1 * q2) - s)
+    i = int(np.argmax(residual))
+    if not residual[i] <= _RESIDUAL_CHECK:
+        raise _off_curve_error(float(residual[i]), float(q1[i]), s, beta)
     return q2
-
-
-@functools.lru_cache(maxsize=1)
-def _lower_curve(s: float, beta: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower half of the constraint curve, from its diagonal crossing to q1 = 1.
-
-    The curve does not depend on the priors, so the last one sampled is
-    kept: a sweep over eta1 at fixed overlaps bisects the grid once.  The
-    arrays are shared between calls and therefore read-only.
-    """
-    q1 = np.linspace(_diagonal_q(s, beta), 1.0, grid_size)
-    q2 = _lower_q2_grid(q1, s, beta)
-    q1.flags.writeable = False
-    q2.flags.writeable = False
-    return q1, q2
 
 
 def _lower_q2_scalar(q1: float, s: float, beta: float) -> float:
     """One lower-half ordinate, bit-identical to ``_lower_q2_grid`` at q1."""
     if beta == 0.0:
         return s * s / q1
-    q2 = bisect_lower_half(q1, s, beta, _BISECT_ITERS)
+    q2 = lower_half_q2(q1, s, beta)
     residual = abs(beta * math.sqrt((1.0 - q1) * (1.0 - q2)) + math.sqrt(q1 * q2) - s)
-    if residual > 1e-9:
-        raise NumericError(
-            f"curve bisection failed: residual {residual!r} at q1={q1!r}, "
-            f"s={s!r}, beta={beta!r}"
-        )
+    if not residual <= _RESIDUAL_CHECK:
+        raise _off_curve_error(residual, q1, s, beta)
     return q2
+
+
+def _best_candidate(cand_q: np.ndarray, cand_q1: np.ndarray) -> int:
+    """Index of the smallest Q; among ties, the first with the smallest q1.
+
+    That is the head of a stable sort by (Q, q1), found in O(n).
+    """
+    ties = np.flatnonzero(cand_q == cand_q.min())
+    return int(ties[np.argmin(cand_q1[ties])])
 
 
 def oracle_qmin(
@@ -148,7 +137,8 @@ def oracle_qmin(
     if s == 1.0:
         return _ret(1.0, 1.0, 1.0)
 
-    q1, q2 = _lower_curve(s, beta, cfg.grid_size)
+    q1 = np.linspace(_diagonal_q(s, beta), 1.0, cfg.grid_size)
+    q2 = _lower_q2_grid(q1, s, beta)
 
     # Both halves of the curve plus its endpoints are candidates.
     q_lower = prn.eta1 * q1 + prn.eta2 * q2
@@ -162,8 +152,7 @@ def oracle_qmin(
     cand_q1 = np.concatenate([cand_q1, ends_q1])
     cand_q2 = np.concatenate([cand_q2, ends_q2])
 
-    order = np.lexsort((cand_q1, cand_q))
-    best = order[0]
+    best = _best_candidate(cand_q, cand_q1)
     best_q = float(cand_q[best])
     best_point = (float(cand_q1[best]), float(cand_q2[best]))
 

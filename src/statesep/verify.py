@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conics, optics, solvers
-from .core import OverlapSpec, Priors, bisect_lower_half
+from .core import OverlapSpec, Priors, lower_half_q2
 from .oracle import OracleConfig, oracle_qmin
 
 __all__ = ["CheckResult", "run_all"]
@@ -87,11 +87,11 @@ def check_hyperbola_degeneration() -> CheckResult:
     worst = 0.0
     for s in (0.2, 0.6, 0.9):
         q1 = np.linspace(s * s, 1.0, 501)
-        # Residual must vanish on the hyperbola, and the beta=0 curve
-        # recovered by bisection (no s*s/q1 shortcut) must land back on it.
+        # Residual must vanish on the hyperbola, and the general closed-form
+        # lower half at beta=0 (no s*s/q1 shortcut) must land back on it.
         worst = max(worst, float(np.max(np.abs(_residual_arr(q1, s * s / q1, s, 0.0)))))
         for q in q1[:: max(len(q1) // 50, 1)]:
-            worst = max(worst, abs(q * bisect_lower_half(float(q), s, 0.0) - s * s))
+            worst = max(worst, abs(q * lower_half_q2(float(q), s, 0.0) - s * s))
     return _result("lemma-hyperbola-degeneration", worst, 1e-12)
 
 
@@ -150,8 +150,8 @@ def check_qmin_monotonicity(seed: int) -> CheckResult:
 
 
 def check_oracle_agreement(grid: int) -> CheckResult:
-    # eta1 innermost: the oracle samples the constraint curve once per
-    # overlap pair and reuses it across the priors.
+    # Each oracle call samples its own curve, so the loop order does not
+    # matter: the worst is a max over the same cases in any order.
     cfg = OracleConfig()
     worst = 0.0
     for s in np.linspace(0.1, 0.9, grid):

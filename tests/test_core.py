@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from statesep import (
     unitarity_residual,
 )
 from statesep import verify
+from statesep.core import NumericError, lower_half_q2
 
 import helpers
 
@@ -184,6 +186,40 @@ def test_endpoint_tangency_divergence():
 def test_endpoint_tangency_near_s():
     report = endpoint_tangency_check(OverlapSpec(0.6, 0.59))
     assert report.vertical_divergence and report.horizontal_flattening
+
+
+def test_lower_half_refuses_q1_below_the_curve_range():
+    # The lower half exists for R >= s, i.e. q1 >= (s^2 - beta^2)/(1 - beta^2).
+    s, beta = 0.6, 0.3
+    q1_min = (s - beta) * (s + beta) / ((1.0 - beta) * (1.0 + beta))
+    with pytest.raises(NumericError, match="q1 is outside the curve's range"):
+        lower_half_q2(1e-3, s, beta)
+    with pytest.raises(NumericError, match="q1 is outside the curve's range"):
+        lower_half_q2(q1_min - 1e-12, s, beta)
+    # At the range's end D is zero up to rounding.  Two ulps below it D
+    # rounds to -5.6e-17, which is clamped, not refused.  The root there is
+    # the turning point q1/R^2.
+    below = q1_min - 2 * math.ulp(q1_min)
+    assert below * (1.0 - beta) * (1.0 + beta) - (s - beta) * (s + beta) < 0.0
+    for q1 in (q1_min, below):
+        q2 = lower_half_q2(q1, s, beta)
+        assert q2 == pytest.approx(q1 / (q1 + beta * beta * (1.0 - q1)), rel=1e-12)
+
+
+def test_endpoint_tangency_at_s_prime_next_to_s():
+    # s' one ulp below s: the closed form's D holds the factor (s - beta),
+    # here a single ulp.  The slopes must match central differences of the
+    # bisection referee at the same probes.
+    s = 0.6
+    sp = math.nextafter(s, 0.0)
+    report = endpoint_tangency_check(OverlapSpec(s, sp))
+    assert report.vertical_divergence and report.horizontal_flattening
+    for delta, slope in zip(report.offsets, report.slopes_lower):
+        a, h = 1.0 - delta, delta / 4.0
+        ref = (helpers.lower_q2_bisect(a + h, s, sp) - helpers.lower_q2_bisect(a - h, s, sp)) / (
+            2.0 * h
+        )
+        assert slope == pytest.approx(ref, rel=1e-9)
 
 
 def test_endpoint_tangency_rejects_beta_zero():

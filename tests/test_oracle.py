@@ -12,8 +12,8 @@ from statesep import (
     q_ud,
     qmin_at,
 )
-from statesep import verify
-from statesep.oracle import _diagonal_q, _lower_curve, _lower_q2_grid, _lower_q2_scalar
+from statesep import oracle, verify
+from statesep.oracle import _best_candidate, _diagonal_q, _lower_q2_grid, _lower_q2_scalar
 
 
 def test_config_validation():
@@ -106,54 +106,9 @@ def test_oracle_agreement_small_grid():
     assert worst <= 1e-6
 
 
-def _result_hex(result):
-    q, pt = result
-    return float(q).hex(), pt.q1.hex(), pt.q2.hex()
-
-
-def test_curve_memo_is_bit_identical():
-    # The oracle keeps the last sampled curve; calls that hit it must return
-    # exactly what a freshly sampled curve gives, in any call order.  Cases
-    # cover beta = 0, beta == s (early return, no curve), swapped priors
-    # (eta1 > 1/2), the smallest grid, and consecutive pairs sharing s.
-    rng = np.random.Generator(np.random.Philox(key=53))
-    overlaps = [(0.6, 0.0), (0.6, 0.3), (0.45, 0.45)]
-    overlaps += [(float(s), float(f * s)) for s, f in rng.uniform(0.05, 0.95, (4, 2))]
-    cases = [
-        (eta1, s, sp, grid)
-        for s, sp in overlaps
-        for grid in (100, 4096)
-        for eta1 in (0.17, 0.5, 0.83, float(rng.uniform(0.0, 1.0)))
-    ]
-
-    def run(case):
-        eta1, s, sp, grid = case
-        return _result_hex(
-            oracle_qmin(Priors.of(eta1), OverlapSpec(s, sp), OracleConfig(grid_size=grid))
-        )
-
-    fresh = {}
-    for k in rng.permutation(len(cases)):
-        _lower_curve.cache_clear()
-        fresh[int(k)] = run(cases[k])
-    _lower_curve.cache_clear()
-    for k, case in enumerate(cases):  # grouped by (s, s', grid_size)
-        assert run(case) == fresh[k], case
-
-    info = _lower_curve.cache_info()
-    assert info.maxsize == 1
-    # Six curved overlap pairs times two grids, four priors each.
-    assert (info.misses, info.hits) == (12, 36)
-    q1, q2 = _lower_curve(0.6, 0.25, 100)
-    assert not q1.flags.writeable and not q2.flags.writeable
-    with pytest.raises(ValueError):
-        q2[0] = 0.5
-
-
 def test_oracle_agreement_worst_is_order_independent():
-    # check_oracle_agreement walks eta1 innermost so that the curve memo
-    # hits; its worst deviation must match, bit for bit, the eta1-outermost
-    # walk with a freshly sampled curve for every call.
+    # check_oracle_agreement walks eta1 innermost; its worst deviation must
+    # match, bit for bit, the eta1-outermost walk.
     grid = 4
     cfg = OracleConfig()
     worst = 0.0
@@ -162,11 +117,21 @@ def test_oracle_agreement_worst_is_order_independent():
         for s in np.linspace(0.1, 0.9, grid):
             for frac in np.linspace(0.0, 1.0, grid):
                 ov = OverlapSpec(float(s), float(frac * s))
-                _lower_curve.cache_clear()
                 q_oracle = float(oracle_qmin(pr, ov, cfg)[0])
                 worst = max(worst, abs(float(qmin_at(pr, ov)[0]) - q_oracle))
     assert worst > 0.0
     assert verify.check_oracle_agreement(grid).worst.hex() == worst.hex()
+
+
+def test_best_candidate_matches_lexsort_order():
+    # Smallest Q first, then smallest q1, then the earliest index.  Values
+    # are drawn from a few levels so that ties in Q and in (Q, q1) occur.
+    rng = np.random.Generator(np.random.Philox(key=59))
+    for n in (1, 2, 3, 8, 100, 8194):
+        for _ in range(50):
+            cand_q = rng.integers(0, 3, n) * 0.25
+            cand_q1 = rng.integers(0, 3, n) * 0.5
+            assert _best_candidate(cand_q, cand_q1) == np.lexsort((cand_q1, cand_q))[0]
 
 
 def test_oracle_max_separation_examples():
@@ -199,10 +164,21 @@ def test_scalar_lower_half_is_bit_identical_to_grid():
                 assert scalar.hex() == grid.hex(), (q1, s, beta)
 
 
+def test_residual_post_check_refuses_off_curve_ordinates(monkeypatch):
+    # The closed form lands on the constraint, so the 1e-9 residual check is
+    # reached only by a NaN or a wrong ordinate; both paths must refuse.
+    with pytest.raises(NumericError, match="off the constraint"):
+        _lower_q2_grid(np.array([0.8, float("nan")]), 0.6, 0.3)
+    with pytest.raises(NumericError, match="off the constraint"):
+        _lower_q2_scalar(float("nan"), 0.6, 0.3)
+    monkeypatch.setattr(oracle, "lower_half_q2", lambda q1, s, beta: 0.5)
+    with pytest.raises(NumericError, match="off the constraint"):
+        _lower_q2_scalar(0.7, 0.6, 0.3)
+
+
 def test_scalar_lower_half_rejects_off_curve_q1():
-    # q1 < s**2 has no lower-half point: the bisection runs into the turning
-    # point and the residual post-check must refuse, as the grid does.
-    with pytest.raises(NumericError, match="curve bisection failed"):
+    # q1 = 1e-3 is below the curve's range (R < s): both refuse.
+    with pytest.raises(NumericError, match="q1 is outside the curve's range"):
         _lower_q2_scalar(1e-3, 0.6, 0.3)
-    with pytest.raises(NumericError, match="curve bisection failed"):
+    with pytest.raises(NumericError, match="q1 is outside the curve's range"):
         _lower_q2_grid(np.array([1e-3]), 0.6, 0.3)
