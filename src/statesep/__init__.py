@@ -45,7 +45,7 @@ from .optics import (
     protocol_input,
     simulate,
 )
-from .oracle import OracleConfig, oracle_max_separation, oracle_qmin
+from .oracle import oracle_max_separation, oracle_qmin
 from .solvers import (
     UNBOUNDED,
     QminSample,
@@ -107,7 +107,6 @@ __all__ = [
     "max_clones",
     "phase_transition_probe",
     # oracle
-    "OracleConfig",
     "oracle_qmin",
     "oracle_max_separation",
     # optics

@@ -171,10 +171,13 @@ def _output_intensities(itf: Interferometer, input_index: int) -> np.ndarray:
 
     Skips ModeState validation and renormalizes, the way real detectors
     report relative intensities; certification needs this to keep running
-    on corrupted devices it is about to flag.
+    on corrupted devices it is about to flag.  An intensity at or below
+    ``_MATRIX_TOL**2`` is rounding residue of a zero amplitude, as the
+    exact checks count it, so it is set to exactly zero.
     """
     out = itf.u @ protocol_input(itf.s, input_index).amplitudes
-    probs = np.clip(np.abs(out) ** 2, 0.0, None)
+    probs = np.abs(out) ** 2
+    probs = np.where(probs <= _MATRIX_TOL**2, 0.0, probs)
     return probs / probs.sum()
 
 

@@ -5,7 +5,7 @@ curve, without touching any of the parametric machinery the closed-form
 solvers are built on: at fixed q1 the constraint is ``a*cos(phi) +
 b*sin(phi) = s`` in ``q2 = sin(phi)**2``, whose lower root has a closed
 form (:func:`statesep.core.lower_half_q2`).  A dense grid of that lower
-half (4096 points by default, from the diagonal crossing to q1 = 1) picks
+half (4096 points, from the diagonal crossing to q1 = 1) picks
 the best bracket, and golden-section search polishes it one plain float
 at a time.  Every ordinate is checked back against the constraint
 residual.  Used in tests and in ``statesep verify`` as the independent
@@ -15,7 +15,6 @@ check on every solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +30,17 @@ from .core import (
     lower_half_q2,
 )
 
-__all__ = ["OracleConfig", "oracle_qmin", "oracle_max_separation"]
+__all__ = ["oracle_qmin", "oracle_max_separation"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest constraint residual accepted at a computed curve ordinate.
 _RESIDUAL_CHECK = 1e-9
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search effort knobs for the brute-force minimizer."""
-
-    grid_size: int = 4096
-    refine_iters: int = 60
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.grid_size < 100:
-            raise DomainError(f"grid_size must be at least 100, got {self.grid_size!r}")
-        if self.tolerance <= 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.refine_iters < 0:
-            raise DomainError(f"refine_iters must be nonnegative, got {self.refine_iters!r}")
+# Search effort: lower-half grid points, golden-section steps (which stop
+# once the bracket in q1 is below 1e-2 of the tolerance), and the tolerance
+# on s' of the max-separation bisection.
+_GRID_SIZE = 4096
+_REFINE_ITERS = 60
+_TOLERANCE = 1e-8
 
 
 def _diagonal_q(s: float, beta: float) -> float:
@@ -113,16 +101,14 @@ def _best_candidate(cand_q: np.ndarray, cand_q1: np.ndarray) -> int:
     return int(ties[np.argmin(cand_q1[ties])])
 
 
-def oracle_qmin(
-    pr: Priors, ov: OverlapSpec, cfg: OracleConfig = OracleConfig()
-) -> tuple[FailureBudget, FailurePoint]:
+def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     """Minimum average failure probability by exhaustive search on the curve.
 
     Sweeps the lower half of the constraint curve from its diagonal
-    crossing to the endpoint (1, s^2) on a ``cfg.grid_size`` grid in q1,
+    crossing to the endpoint (1, s^2) on a 4096-point grid in q1,
     evaluates the objective on both halves (mirror symmetry) plus the two
-    endpoints, and golden-sections the best bracket down to
-    ``cfg.tolerance``.
+    endpoints, and golden-sections the best bracket (at most 60 steps, down
+    to a width of 1e-10).
     """
     s, beta = ov.s, ov.beta
     prn, swapped = pr.normalized()
@@ -137,7 +123,7 @@ def oracle_qmin(
     if s == 1.0:
         return _ret(1.0, 1.0, 1.0)
 
-    q1 = np.linspace(_diagonal_q(s, beta), 1.0, cfg.grid_size)
+    q1 = np.linspace(_diagonal_q(s, beta), 1.0, _GRID_SIZE)
     q2 = _lower_q2_grid(q1, s, beta)
 
     # Both halves of the curve plus its endpoints are candidates.
@@ -173,8 +159,8 @@ def oracle_qmin(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     (fc, yc), (fd, yd) = objective(c), objective(d)
-    for _ in range(cfg.refine_iters):
-        if b - a < cfg.tolerance * 1e-2:
+    for _ in range(_REFINE_ITERS):
+        if b - a < _TOLERANCE * 1e-2:
             break
         if fc < fd:
             b, d, fd, yd = d, c, fc, yc
@@ -192,12 +178,7 @@ def oracle_qmin(
     return _ret(best_q, *best_point)
 
 
-def oracle_max_separation(
-    pr: Priors,
-    s: float,
-    q_max: float | FailureBudget,
-    cfg: OracleConfig = OracleConfig(),
-) -> float:
+def oracle_max_separation(pr: Priors, s: float, q_max: float | FailureBudget) -> float:
     """Smallest final overlap whose minimum failure fits the budget.
 
     Bisects on s_prime, relying on the (test-verified) monotonicity of the
@@ -208,13 +189,13 @@ def oracle_max_separation(
     q_cap = float(q_max)
 
     def fits(s_prime: float) -> bool:
-        q, _ = oracle_qmin(pr, OverlapSpec(s, s_prime), cfg)
+        q, _ = oracle_qmin(pr, OverlapSpec(s, s_prime))
         return float(q) <= q_cap
 
     if fits(0.0):
         return 0.0
     lo, hi = 0.0, s  # fits(s) is trivially true: zero failure at s' = s
-    while hi - lo > cfg.tolerance:
+    while hi - lo > _TOLERANCE:
         mid = 0.5 * (lo + hi)
         if fits(mid):
             hi = mid

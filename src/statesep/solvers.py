@@ -11,7 +11,8 @@ separation problem:
 * ``max_separation`` / ``critical_overlap`` -- smallest reachable final
   overlap under a failure budget, via the conic tangency system.
 * ``tradeoff_curve`` / ``tradeoff_at`` -- the full (Q, s') tradeoff for a
-  fixed initial overlap.
+  fixed initial overlap; ``tradeoff_at`` is ``max_separation`` plus the
+  achieved budget, so every budget query shares one root-find.
 * ``max_clones`` -- how many perfect clones a failure budget admits.
 * ``phase_transition_probe`` -- finite-difference detector for the kink in
   d^2Q/deta1^2 that appears only at full separation.
@@ -21,11 +22,13 @@ solving a sixth-degree polynomial), so everything beyond the special cases
 is parametric plus bracketed root finding by Brent's method at 1e-14
 parameter tolerance; a bracket without a sign change raises NumericError.
 
-The point queries (``qmin_at``, ``tradeoff_at``, ``curve_point``) evaluate
-the parametric formulas one float at a time with ``math``.  The sweeps
-(``qmin_curve``, ``tradeoff_curve``) evaluate the same formulas over their
-whole grid in one numpy pass, operation for operation, so each sample has
-the bits the scalar helpers give at its grid point.  The same pass
+The point queries (``qmin_at``, ``curve_point``) evaluate the curve's
+parametric formulas one float at a time with ``math``.  The sweeps
+(``qmin_curve``, ``tradeoff_curve``) evaluate their formulas over the whole
+grid in one numpy pass, operation for operation with the scalar forms, so
+each sample has the bits a scalar evaluation gives at its grid point.  The
+scalar form of the tradeoff formulas is kept in the tests as the referee of
+that pass, since no point query uses it.  The same pass
 range-checks every record field that a constructor would check, once per
 column; the records are then built without re-running those checks.
 """
@@ -665,7 +668,15 @@ def max_separation(
     if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
         # Certainty on state 2: only q2 matters and the curve minimum of
         # q2 is (s^2 - s'^2)/(1 - s'^2); invert it at the budget.
-        return sqrt_clamped((s * s - q) / (1.0 - q)), PolarAngle(math.nan)
+        sp2 = (s * s - q) / (1.0 - q)
+        if sp2 < -SQRT_CLAMP_TOL:
+            # A budget between s^2 and q_ud = eta1 + s^2*eta2 is beyond
+            # what the certainty closed form covers.
+            raise NumericError(
+                f"certainty closed form gives a negative squared overlap {sp2!r} "
+                f"at eta1={prn.eta1!r}, s={s!r}, q_max={q!r}"
+            )
+        return sqrt_clamped(sp2), PolarAngle(math.nan)
 
     theta_lo = -math.asin(delta)
     theta_hi = 0.0 if q <= 1.0 - delta else math.asin((1.0 - q - delta) / q)
@@ -710,28 +721,6 @@ def _negative_sp2_error(sp2: float, theta: float, s: float, delta: float) -> Num
     )
 
 
-def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
-    """(s_prime, Q) on the tradeoff curve at angle theta < 0."""
-    st, ct = math.sin(theta), math.cos(theta)
-    if delta + st == 0.0 or ct == 0.0:
-        raise _singular_error(theta, s, delta, st, ct)
-    one = 1.0 - delta * delta
-    gain = math.sqrt(one) * (st / (delta + st)) ** 2 / ct
-    term_envelope = math.sqrt(one) * (1.0 + s * s) * ct
-    term_budget = 2.0 * s * (1.0 + delta * st)
-    sp2 = gain * (term_envelope - term_budget)
-    # Where the two terms cancel (the full-separation end of the sweep,
-    # severe for near-certainty priors) rounding leaves a negative residue
-    # of order eps times the amplification; only values beyond that noise
-    # floor indicate a real bug.
-    noise = max(1e-12, 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget)))
-    if sp2 < -noise:
-        raise _negative_sp2_error(sp2, theta, s, delta)
-    sp2 = max(sp2, 0.0)
-    q = (s * math.sqrt(one) + delta * sp2 * (ct / st)) / ((1.0 - sp2) * ct)
-    return math.sqrt(sp2), min(max(q, 0.0), 1.0)
-
-
 def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     theta_lo = -math.atan(s * delta / math.sqrt(1.0 - delta * delta))
     if eta1 >= s * s / (1.0 + s * s):
@@ -744,16 +733,8 @@ def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     return theta_lo, theta_hi
 
 
-def _tradeoff_sample(theta: float, s: float, delta: float) -> tuple[float, float]:
-    if theta == 0.0:
-        # Upper endpoint of the equal-slope family: full separation at the
-        # tangency-regime discrimination cost.
-        return 0.0, s * math.sqrt(1.0 - delta * delta)
-    return _tradeoff_eval(theta, s, delta)
-
-
 def _tradeoff_grid(thetas: list[float], s: float, delta: float) -> list[np.ndarray]:
-    """Columns (s_prime, Q) of ``_tradeoff_sample`` at each angle, in one array pass.
+    """Columns (s_prime, Q) of the tradeoff formulas at each angle, in one array pass.
 
     Raises the error of the first failing sample; after the formulas'
     guards, the checks include ``FailureBudget``'s range check on Q.
@@ -761,6 +742,8 @@ def _tradeoff_grid(thetas: list[float], s: float, delta: float) -> list[np.ndarr
     st = np.array([math.sin(th) for th in thetas])
     ct = np.array([math.cos(th) for th in thetas])
     root = math.sqrt(1.0 - delta * delta)
+    # theta = 0 is the upper endpoint of the equal-slope family: full
+    # separation at the tangency-regime discrimination cost.
     endpoint = np.array(thetas) == 0.0
     with np.errstate(all="ignore"):
         ratio = (st / (delta + st)).tolist()
@@ -768,6 +751,10 @@ def _tradeoff_grid(thetas: list[float], s: float, delta: float) -> list[np.ndarr
         term_envelope = root * (1.0 + s * s) * ct
         term_budget = 2.0 * s * (1.0 + delta * st)
         sp2 = gain * (term_envelope - term_budget)
+        # Where the two terms cancel (the full-separation end of the sweep,
+        # severe for near-certainty priors) rounding leaves a negative
+        # residue of order eps times the amplification; only values beyond
+        # that noise floor indicate a real bug.
         noise = 32.0 * _EPS * np.abs(gain) * (np.abs(term_envelope) + np.abs(term_budget))
         noise = np.where(noise > 1e-12, noise, 1e-12)
         sp2_floor = np.where(0.0 > sp2, 0.0, sp2)
@@ -834,7 +821,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     Equal priors and certainty priors bypass the angle sweep and use their
     explicit closed forms; their samples carry theta = 0 and theta = NaN
     respectively.  The angle sweep's interior is computed in one numpy pass
-    with the bits of the scalar ``_tradeoff_sample``; a failed guard raises
+    with the bits of the scalar formulas; a failed guard raises
     NumericError naming the first offending theta.  Every branch
     range-checks its Q column once, as ``FailureBudget`` would per sample,
     and the records are built after that bulk check.
@@ -872,42 +859,22 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSample:
     """Tradeoff point at a specific failure budget.
 
-    Root-finds the sweep angle whose budget matches ``q``; budgets at or
-    above the discrimination cost return the full-separation endpoint
-    (whose achieved budget is the discrimination cost itself, since larger
-    margins are never saturated).
+    Below the discrimination cost the budget is saturated, so the point is
+    ``max_separation``'s answer (s', theta) at budget ``q``, with ``q`` as
+    the achieved budget.  Budgets at or above the discrimination cost
+    return the full-separation endpoint (whose achieved budget is the
+    discrimination cost itself, since larger margins are never saturated).
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    prn, _ = pr.normalized()
-    delta = prn.delta
-    qud = float(q_ud(prn, s))
-
+    qud = float(q_ud(pr.normalized()[0], s))
     if q >= qud - 1e-13:
         return TradeoffSample(PolarAngle(math.nan), s, 0.0, FailureBudget(qud))
-    if delta <= _DEGENERATE_PRIOR_TOL:
-        return TradeoffSample(PolarAngle(0.0), s, (s - q) / (1.0 - q), FailureBudget(q))
-    if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
-        return TradeoffSample(
-            PolarAngle(math.nan), s, sqrt_clamped((s * s - q) / (1.0 - q)), FailureBudget(q)
-        )
-
-    theta_lo, theta_hi = _tradeoff_range(s, delta, prn.eta1)
-    if q <= 1e-12:
-        # The sweep starts exactly at (s' = s, Q = 0); the generic formula
-        # only reproduces it up to cancellation noise.
-        return TradeoffSample(PolarAngle(theta_lo), s, s, FailureBudget(q))
-    theta = _bracketed_root(
-        lambda th: _tradeoff_sample(th, s, delta)[1] - q,
-        theta_lo,
-        theta_hi,
-        "tradeoff angle theta",
-    )
-    s_prime, q_found = _tradeoff_sample(theta, s, delta)
-    return TradeoffSample(PolarAngle(theta), s, min(s_prime, s), FailureBudget(q_found))
+    s_prime, theta = max_separation(pr, s, q)
+    return TradeoffSample(theta, s, s_prime, FailureBudget(q))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import conics, optics, solvers
 from .core import OverlapSpec, Priors, lower_half_q2
-from .oracle import OracleConfig, oracle_qmin
+from .oracle import oracle_qmin
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -152,7 +152,6 @@ def check_qmin_monotonicity(seed: int) -> CheckResult:
 def check_oracle_agreement(grid: int) -> CheckResult:
     # Each oracle call samples its own curve, so the loop order does not
     # matter: the worst is a max over the same cases in any order.
-    cfg = OracleConfig()
     worst = 0.0
     for s in np.linspace(0.1, 0.9, grid):
         for frac in np.linspace(0.0, 1.0, grid):
@@ -160,7 +159,7 @@ def check_oracle_agreement(grid: int) -> CheckResult:
             for eta1 in np.linspace(0.02, 0.5, grid):
                 pr = Priors.of(float(eta1))
                 q_solver = float(solvers.qmin_at(pr, ov)[0])
-                q_oracle = float(oracle_qmin(pr, ov, cfg)[0])
+                q_oracle = float(oracle_qmin(pr, ov)[0])
                 worst = max(worst, abs(q_solver - q_oracle))
     return _result("oracle-agreement", worst, 1e-6)
 

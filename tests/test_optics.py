@@ -207,7 +207,7 @@ def test_report_is_json_compatible():
 
 @pytest.mark.parametrize(
     "s_prime, input_index, dof",
-    [(0.0, 1, 1), (0.3, 1, 1), (0.3, 2, 2), (0.05, 2, 2)],
+    [(0.0, 1, 1), (0.0, 2, 1), (0.3, 1, 1), (0.3, 2, 2), (0.05, 2, 2)],
 )
 def test_chi2_pvalue_closed_form_matches_scipy(s_prime, input_index, dof):
     from scipy import stats

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from statesep import (
-    DomainError,
     NumericError,
-    OracleConfig,
     OverlapSpec,
     Priors,
     oracle_max_separation,
@@ -14,14 +12,6 @@ from statesep import (
 )
 from statesep import oracle, verify
 from statesep.oracle import _best_candidate, _diagonal_q, _lower_q2_grid, _lower_q2_scalar
-
-
-def test_config_validation():
-    OracleConfig()
-    with pytest.raises(DomainError):
-        OracleConfig(grid_size=10)
-    with pytest.raises(DomainError):
-        OracleConfig(tolerance=0.0)
 
 
 def test_oracle_equal_priors_diagonal():
@@ -93,7 +83,6 @@ def test_oracle_monotone_in_target_overlap():
 
 
 def test_oracle_agreement_small_grid():
-    cfg = OracleConfig()
     worst = 0.0
     for eta1 in (0.05, 0.25, 0.5):
         pr = Priors.of(eta1)
@@ -101,7 +90,7 @@ def test_oracle_agreement_small_grid():
             for frac in (0.0, 0.4, 0.95):
                 ov = OverlapSpec(s, frac * s)
                 a = float(qmin_at(pr, ov)[0])
-                b = float(oracle_qmin(pr, ov, cfg)[0])
+                b = float(oracle_qmin(pr, ov)[0])
                 worst = max(worst, abs(a - b))
     assert worst <= 1e-6
 
@@ -110,14 +99,13 @@ def test_oracle_agreement_worst_is_order_independent():
     # check_oracle_agreement walks eta1 innermost; its worst deviation must
     # match, bit for bit, the eta1-outermost walk.
     grid = 4
-    cfg = OracleConfig()
     worst = 0.0
     for eta1 in np.linspace(0.02, 0.5, grid):
         pr = Priors.of(float(eta1))
         for s in np.linspace(0.1, 0.9, grid):
             for frac in np.linspace(0.0, 1.0, grid):
                 ov = OverlapSpec(float(s), float(frac * s))
-                q_oracle = float(oracle_qmin(pr, ov, cfg)[0])
+                q_oracle = float(oracle_qmin(pr, ov)[0])
                 worst = max(worst, abs(float(qmin_at(pr, ov)[0]) - q_oracle))
     assert worst > 0.0
     assert verify.check_oracle_agreement(grid).worst.hex() == worst.hex()

@@ -34,7 +34,9 @@ from statesep import (
 )
 
 import helpers
+import test_lower_half_mpmath
 from statesep import solvers
+from statesep.solvers import _EPS, _negative_sp2_error, _singular_error
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +264,26 @@ def test_max_separation_certainty_prior():
     assert sp == pytest.approx(math.sqrt((s * s - q) / (1 - q)), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        max_separation,
+        lambda pr, s, q: max_clones(s, q, pr),
+        tradeoff_at,
+    ],
+    ids=["max_separation", "max_clones", "tradeoff_at"],
+)
+def test_certainty_branch_refuses_budgets_beyond_its_closed_form(solve):
+    # eta1 = 1.4e-10 takes the certainty closed form, but the budget lies
+    # between s^2 and q_ud = eta1 + s^2*eta2, where that form has no real
+    # root.  The input is valid, so the refusal is numeric, not a DomainError.
+    pr, s, q = Priors.of(0.9999999998638587), 8.31147688550587e-08, 7.185772627703329e-13
+    assert s * s < q < float(q_ud(pr, s))
+    message = r"negative squared overlap .* eta1=1\.36\d*e-10, s=8\.31147688550587e-08, q_max=7\.18"
+    with pytest.raises(NumericError, match=message):
+        solve(pr, s, q)
+
+
 def test_critical_overlap_values():
     assert critical_overlap(Priors.of(0.5), 0.2) == pytest.approx(0.2, abs=1e-15)
     assert critical_overlap(Priors.of(0.1), 0.4) == pytest.approx(
@@ -316,6 +338,63 @@ def test_tradeoff_interior_matches_qmin():
         smp = tradeoff_at(pr, s, q)
         assert smp.s_prime == pytest.approx(sp, abs=1e-8)
         assert float(smp.q) == pytest.approx(q, abs=1e-12)
+
+
+def test_tradeoff_at_is_max_separation_plus_the_budget():
+    # Below the discrimination cost, tradeoff_at is max_separation's
+    # (s', theta) with the requested budget as the achieved one.
+    rng = np.random.default_rng(9031)
+    for eta1, s, frac in rng.uniform([0.0, 0.02, 0.0], [1.0, 0.98, 0.999], (200, 3)).tolist():
+        pr = Priors.of(eta1)
+        budget = frac * float(q_ud(pr, s))
+        smp = tradeoff_at(pr, s, budget)
+        sp, theta = max_separation(pr, s, budget)
+        assert (smp.s_prime.hex(), float(smp.theta).hex()) == (sp.hex(), float(theta).hex())
+        assert smp.s == s and smp.q == FailureBudget(budget)
+
+
+def _qmin_50_digits(eta1, s, s_prime):
+    """Q_min independent of the package: the objective eta1*q1 + eta2*q2 is
+    convex along the lower half of the curve (eta1 <= 1/2), so a 50-digit
+    golden-section search over its 50-digit ordinates, from the diagonal
+    crossing to q1 = 1, finds the minimum."""
+    mp = test_lower_half_mpmath.mp
+    e1, sm, bm = mp.mpf(min(eta1, 1.0 - eta1)), mp.mpf(s), mp.mpf(s_prime)
+
+    def objective(q1):
+        return e1 * q1 + (1 - e1) * test_lower_half_mpmath._reference_q2(q1, s, s_prime)
+
+    golden = (mp.sqrt(5) - 1) / 2
+    lo, hi = (sm - bm) / (1 - bm), mp.mpf(1)
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    for _ in range(260):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = objective(d)
+    return min(fc, fd, objective(mp.mpf(1)))
+
+
+@pytest.mark.parametrize(
+    "eta1, s, q",
+    [
+        (0.9014816040240902, 0.9999999021727165, 0.5169815337229113),
+        (0.5931531112068931, 0.9999981380399001, 0.9946218333004341),
+        (0.3, 0.6, 0.2),
+    ],
+    ids=["s-near-1", "s-near-1-budget-near-q_ud", "interior"],
+)
+def test_tradeoff_at_budget_matches_50_digit_qmin(eta1, s, q):
+    # The first two have s within 1e-7 and 2e-6 of 1; at every case the
+    # returned s' must cost Q_min = q.
+    smp = tradeoff_at(Priors.of(eta1), s, q)
+    assert 0.0 < smp.s_prime < s and float(smp.q) == q
+    assert abs(_qmin_50_digits(eta1, s, smp.s_prime) - q) <= 1e-6
 
 
 def test_tradeoff_at_edges():
@@ -480,11 +559,11 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
             "equal curve derivatives",
         ),
         (
-            lambda: tradeoff_at(Priors.of(4.13e-6), 0.9999999999977576, 0.5),
+            lambda: tradeoff_curve(Priors.of(4.13e-6), 0.9999999999977576, 512),
             r"delta \+ sin\(theta\) = 0\.0",
         ),
     ],
-    ids=["qmin_at-equal-slopes", "tradeoff_at-singular-angle"],
+    ids=["qmin_at-equal-slopes", "tradeoff_curve-singular-angle"],
 )
 def test_singular_formulas_raise_numeric_error(solve, message):
     with pytest.raises(NumericError, match=message):
@@ -520,6 +599,36 @@ def _qmin_rows_scalar(ov, n):
     return rows
 
 
+def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
+    """(s_prime, Q) on the tradeoff curve at angle theta < 0."""
+    st, ct = math.sin(theta), math.cos(theta)
+    if delta + st == 0.0 or ct == 0.0:
+        raise _singular_error(theta, s, delta, st, ct)
+    one = 1.0 - delta * delta
+    gain = math.sqrt(one) * (st / (delta + st)) ** 2 / ct
+    term_envelope = math.sqrt(one) * (1.0 + s * s) * ct
+    term_budget = 2.0 * s * (1.0 + delta * st)
+    sp2 = gain * (term_envelope - term_budget)
+    # Where the two terms cancel (the full-separation end of the sweep,
+    # severe for near-certainty priors) rounding leaves a negative residue
+    # of order eps times the amplification; only values beyond that noise
+    # floor indicate a real bug.
+    noise = max(1e-12, 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget)))
+    if sp2 < -noise:
+        raise _negative_sp2_error(sp2, theta, s, delta)
+    sp2 = max(sp2, 0.0)
+    q = (s * math.sqrt(one) + delta * sp2 * (ct / st)) / ((1.0 - sp2) * ct)
+    return math.sqrt(sp2), min(max(q, 0.0), 1.0)
+
+
+def _tradeoff_sample(theta: float, s: float, delta: float) -> tuple[float, float]:
+    if theta == 0.0:
+        # Upper endpoint of the equal-slope family: full separation at the
+        # tangency-regime discrimination cost.
+        return 0.0, s * math.sqrt(1.0 - delta * delta)
+    return _tradeoff_eval(theta, s, delta)
+
+
 def _qmin_rows(ov, n):
     return [
         (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
@@ -533,7 +642,7 @@ def _tradeoff_rows_scalar(pr, s, n):
     thetas = np.linspace(*solvers._tradeoff_range(s, prn.delta, prn.eta1), n).tolist()
     rows = [(thetas[0], s, 0.0)]
     for theta in thetas[1:-1]:
-        s_prime, q = solvers._tradeoff_sample(theta, s, prn.delta)
+        s_prime, q = _tradeoff_sample(theta, s, prn.delta)
         FailureBudget(q)
         rows.append((theta, min(s_prime, s), q))
     return rows + [(thetas[-1], 0.0, float(q_ud(prn, s)))]
