@@ -7,115 +7,91 @@ reachable under a failure budget, and the full tradeoff curve between the
 two; cross-validates every closed form against a brute-force oracle; and
 simulates a three-port linear-optics implementation of the equal-prior
 protocol, photon counts included.
+
+``import statesep`` loads no NumPy: each public name is imported from its
+defining module on first access (PEP 562).  ``core``, ``conics`` and the
+point solvers in ``solvers`` use ``math`` alone; NumPy loads with the first
+curve sweep (``qmin_curve``, ``tradeoff_curve``) or the first use of
+``oracle``, ``optics`` or ``verify``.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .conics import (
-    ConicPoint,
-    PolarAngle,
-    conic_slopes,
-    ellipse_point,
-    from_conic,
-    parabola_v,
-    tangency_residuals,
-    to_conic,
-)
-from .core import (
-    DomainError,
-    EndpointTangencyReport,
-    FailureBudget,
-    FailurePoint,
-    NumericError,
-    OverlapSpec,
-    Priors,
-    average_failure,
-    endpoint_tangency_check,
-    in_feasible_set,
-    sqrt_clamped,
-    unitarity_residual,
-)
-from .optics import (
-    Interferometer,
-    ModeState,
-    ShotCounts,
-    apply,
-    build_interferometer,
-    certify_separation,
-    protocol_input,
-    simulate,
-)
-from .oracle import oracle_max_separation, oracle_qmin
-from .solvers import (
-    UNBOUNDED,
-    QminSample,
-    TradeoffSample,
-    critical_overlap,
-    curve_point,
-    max_clones,
-    max_separation,
-    phase_transition_probe,
-    q_ud,
-    qmin_at,
-    qmin_curve,
-    t_slope_minus_one,
-    t_slope_zero,
-    tradeoff_at,
-    tradeoff_curve,
-    ud_tangency_point,
-)
+# Public names by defining module.
+_EXPORTS = {
+    "core": (
+        "DomainError",
+        "NumericError",
+        "Priors",
+        "OverlapSpec",
+        "FailurePoint",
+        "FailureBudget",
+        "EndpointTangencyReport",
+        "sqrt_clamped",
+        "average_failure",
+        "unitarity_residual",
+        "in_feasible_set",
+        "endpoint_tangency_check",
+    ),
+    "conics": (
+        "ConicPoint",
+        "PolarAngle",
+        "to_conic",
+        "from_conic",
+        "parabola_v",
+        "ellipse_point",
+        "conic_slopes",
+        "tangency_residuals",
+    ),
+    "solvers": (
+        "QminSample",
+        "TradeoffSample",
+        "UNBOUNDED",
+        "t_slope_minus_one",
+        "t_slope_zero",
+        "q_ud",
+        "ud_tangency_point",
+        "curve_point",
+        "qmin_curve",
+        "qmin_at",
+        "max_separation",
+        "critical_overlap",
+        "tradeoff_curve",
+        "tradeoff_at",
+        "max_clones",
+        "phase_transition_probe",
+    ),
+    "oracle": ("oracle_qmin", "oracle_max_separation"),
+    "optics": (
+        "ModeState",
+        "Interferometer",
+        "ShotCounts",
+        "protocol_input",
+        "build_interferometer",
+        "apply",
+        "simulate",
+        "certify_separation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # core
-    "DomainError",
-    "NumericError",
-    "Priors",
-    "OverlapSpec",
-    "FailurePoint",
-    "FailureBudget",
-    "EndpointTangencyReport",
-    "sqrt_clamped",
-    "average_failure",
-    "unitarity_residual",
-    "in_feasible_set",
-    "endpoint_tangency_check",
-    # conics
-    "ConicPoint",
-    "PolarAngle",
-    "to_conic",
-    "from_conic",
-    "parabola_v",
-    "ellipse_point",
-    "conic_slopes",
-    "tangency_residuals",
-    # solvers
-    "QminSample",
-    "TradeoffSample",
-    "UNBOUNDED",
-    "t_slope_minus_one",
-    "t_slope_zero",
-    "q_ud",
-    "ud_tangency_point",
-    "curve_point",
-    "qmin_curve",
-    "qmin_at",
-    "max_separation",
-    "critical_overlap",
-    "tradeoff_curve",
-    "tradeoff_at",
-    "max_clones",
-    "phase_transition_probe",
-    # oracle
-    "oracle_qmin",
-    "oracle_max_separation",
-    # optics
-    "ModeState",
-    "Interferometer",
-    "ShotCounts",
-    "protocol_input",
-    "build_interferometer",
-    "apply",
-    "simulate",
-    "certify_separation",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    # Reached only for names not yet in the package namespace; the value is
+    # cached there, so each name pays for its lookup once.
+    if name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -26,9 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__, optics, solvers, verify
+from . import __version__, solvers
 from .core import DomainError, NumericError, OverlapSpec, Priors
 
 __all__ = ["RunConfig", "main"]
@@ -96,18 +94,26 @@ def _write(cfg: RunConfig, text: str) -> None:
             fh.write(text)
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.linspace(start, stop, n).tolist()``, bit for bit, for n >= 2 and a nonzero step.
+
+    The point commands build their grids with it, so they load no NumPy.
+    """
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_ud(cfg: RunConfig) -> str:
-    pr_grid = np.linspace(0.0, 1.0, cfg.samples)
     rows = []
-    for eta1 in pr_grid:
-        pr = Priors.of(float(eta1))
+    for eta1 in _linspace(0.0, 1.0, cfg.samples):
+        pr = Priors.of(eta1)
         q = float(solvers.q_ud(pr, cfg.s))
         pt = solvers.ud_tangency_point(pr, cfg.s)
-        rows.append((float(eta1), q, pt.q1, pt.q2))
+        rows.append((eta1, q, pt.q1, pt.q2))
     return _emit_rows(cfg, ["eta1", "q_ud", "q1", "q2"], rows, {"s": cfg.s})
 
 
@@ -116,14 +122,14 @@ def cmd_qmin(cfg: RunConfig) -> str:
     header = ["t", "eta1", "q_min", "q1", "q2"]
     rows: list[tuple] = []
     if cfg.s_prime == cfg.s:
-        for eta1 in np.linspace(0.5, 0.0, cfg.samples):
-            rows.append((None, float(eta1), 0.0, 0.0, 0.0))
+        for eta1 in _linspace(0.5, 0.0, cfg.samples):
+            rows.append((None, eta1, 0.0, 0.0, 0.0))
     elif cfg.s_prime == 0.0:
         # Full separation: the discrimination closed form is the curve.
-        for eta1 in np.linspace(0.5, 0.0, cfg.samples):
-            pr = Priors.of(float(eta1))
+        for eta1 in _linspace(0.5, 0.0, cfg.samples):
+            pr = Priors.of(eta1)
             pt = solvers.ud_tangency_point(pr, cfg.s)
-            rows.append((None, float(eta1), float(solvers.q_ud(pr, cfg.s)), pt.q1, pt.q2))
+            rows.append((None, eta1, float(solvers.q_ud(pr, cfg.s)), pt.q1, pt.q2))
     else:
         ov = OverlapSpec(cfg.s, cfg.s_prime)
         for smp in solvers.qmin_curve(ov, cfg.samples):
@@ -134,11 +140,11 @@ def cmd_qmin(cfg: RunConfig) -> str:
 def cmd_maxsep(cfg: RunConfig) -> str:
     pr = Priors.of(cfg.eta1)
     s_cr = solvers.critical_overlap(pr, cfg.q_max)
-    grid = list(np.linspace(0.0, 1.0, cfg.samples))
+    grid = _linspace(0.0, 1.0, cfg.samples)
     if 0.0 < s_cr < 1.0:
         grid.append(s_cr)  # breakpoint where full separation stops fitting
     rows = []
-    for s in sorted(set(float(x) for x in grid)):
+    for s in sorted(set(grid)):
         if s == 0.0:
             sp = 0.0
         elif s == 1.0:
@@ -161,6 +167,8 @@ def cmd_tradeoff(cfg: RunConfig) -> str:
 
 
 def cmd_optics(cfg: RunConfig) -> tuple[str, bool]:
+    from . import optics
+
     itf = optics.build_interferometer(cfg.s, cfg.s_prime)
     report = optics.certify_separation(itf, cfg.shots, cfg.seed)
     if cfg.format == "json":
@@ -192,6 +200,8 @@ def cmd_optics(cfg: RunConfig) -> tuple[str, bool]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, bool]:
+    from . import verify
+
     results = verify.run_all(oracle_grid=cfg.samples, shots=cfg.shots, seed=cfg.seed)
     rows = [
         (r.name, r.worst, r.tolerance, "pass" if r.passed else "FAIL") for r in results

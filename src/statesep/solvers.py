@@ -23,12 +23,13 @@ is parametric plus bracketed root finding by Brent's method at 1e-14
 parameter tolerance; a bracket without a sign change raises NumericError.
 
 The point queries (``qmin_at``, ``curve_point``) evaluate the curve's
-parametric formulas one float at a time with ``math``.  The sweeps
-(``qmin_curve``, ``tradeoff_curve``) evaluate their formulas over the whole
-grid in one numpy pass, operation for operation with the scalar forms, so
-each sample has the bits a scalar evaluation gives at its grid point.  The
-scalar form of the tradeoff formulas is kept in the tests as the referee of
-that pass, since no point query uses it.  The same pass
+parametric formulas one float at a time with ``math``; this module imports
+no NumPy.  The sweeps (``qmin_curve``, ``tradeoff_curve``) evaluate their
+formulas over the whole grid in one numpy pass, in the private module
+``_sweeps`` that they import when called, operation for operation with the
+scalar forms, so each sample has the bits a scalar evaluation gives at its
+grid point.  The scalar form of the tradeoff formulas is kept in the tests
+as the referee of that pass, since no point query uses it.  The same pass
 range-checks every record field that a constructor would check, once per
 column; the records are then built without re-running those checks.
 """
@@ -36,10 +37,9 @@ column; the records are then built without re-running those checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .conics import PolarAngle
 from .core import (
@@ -50,7 +50,6 @@ from .core import (
     OverlapSpec,
     Priors,
     SQRT_CLAMP_TOL,
-    _prob_error,
     sqrt_clamped,
 )
 
@@ -85,8 +84,8 @@ _DEGENERATE_PRIOR_TOL = 1e-9
 # Runtime guard on the monotonicity of eta1 along curve sweeps.
 _MONOTONE_TOL = 1e-10
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4.0 * _EPS
 _ROOT_MAXITER = 100
@@ -377,103 +376,14 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     return FailurePoint(q1, q2)
 
 
-# ---------------------------------------------------------------------------
-# array forms of the scalar helpers, for the sweeps
-#
-# Elementwise, each array expression performs the IEEE operations of its
-# scalar counterpart in the same order, so every sample has the scalar
-# helpers' bits.  Only + - * / and sqrt run in numpy, which rounds them as
-# math does; sin and cos stay per element in math, and so does x ** 2, which
-# goes through libm pow and differs from x * x by an ulp on some inputs.
-
-
-def _sqrt0(arg: np.ndarray) -> np.ndarray:
-    """``sqrt_clamped`` without its guard: sqrt where arg > 0, else +0.0."""
-    return np.sqrt(np.where(arg > 0.0, arg, 0.0))
-
-
-def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``min(max(v, lo), hi)`` elementwise, keeping Python's -0.0 and NaN."""
-    v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
-
-
-def _range_check(name: str, col: np.ndarray) -> tuple[np.ndarray, Callable[[int], Exception]]:
-    """The [0, 1] check that a record's constructor makes on field ``name``, per sample."""
-    return ~((0.0 <= col) & (col <= 1.0)), lambda i: _prob_error(name, col.item(i))
-
-
-def _raise_first_failure(checks: list[tuple[np.ndarray, Callable[[int], Exception]]]) -> None:
-    """Raise the error of the first sample failing a check, if any does.
-
-    ``checks`` lists (mask, error) pairs in the order the scalar helpers
-    and the record constructors test one sample, so a sweep stops at the
-    sample, and with the error, a sample-by-sample loop would.
-    """
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(bad.argmax())
-        raise next(error(i) for mask, error in checks if mask[i])
-
-
-def _qmin_grid(t: np.ndarray, ov: OverlapSpec) -> list[np.ndarray]:
-    """Columns (q1, q2, dq1/dt, dq2/dt, eta1, Q) of the sweep at the grid t.
-
-    ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1`` in one array pass,
-    with eta1 clamped to [0, 1/2] and Q to [0, 1].  Raises the error of the
-    first failing sample; after the helpers' guards, the checks include
-    ``FailurePoint``'s range check.
-    """
-    sp, scale = ov.s_prime, ov.s_prime / ov.s
-    tol = SQRT_CLAMP_TOL
-    # Vertex samples divide by ry = 0 and are then overwritten, as the
-    # scalar helpers branch around them.
-    with np.errstate(all="ignore"):
-        x = (1.0 - (1.0 + sp) * t) / scale
-        y = (1.0 - (1.0 - sp) * t) / scale
-        x_arg, y_arg = 1.0 - x * x, 1.0 - y * y
-        rx, ry = _sqrt0(x_arg), _sqrt0(y_arg)
-        q1, q2 = _q_pair(x, y, rx, ry)
-        q1, q2 = np.where(1.0 < q1, 1.0, q1), np.where(0.0 > q2, 0.0, q2)
-        a = (1.0 + sp) / rx
-        b = (1.0 - sp) / ry
-        d1_arg, d2_arg = q1 * (1.0 - q1), q2 * (1.0 - q2)
-        vertex = ry == 0.0
-        d1 = np.where(vertex, math.inf, _sqrt0(d1_arg) / scale * (a + b))
-        d2 = np.where(vertex, -math.inf, _sqrt0(d2_arg) / scale * (a - b))
-        steep = np.isinf(d1)
-        eta1 = _clip(np.where(steep, 0.5, d2 / (d2 - d1)), 0.0, 0.5)
-        q_min = _clip(eta1 * q1 + (1.0 - eta1) * q2, 0.0, 1.0)
-
-    def clamp(arg: np.ndarray) -> Callable[[int], Exception]:
-        return lambda i: _clamp_error(arg.item(i), t.item(i), ov)
-
-    off_vertex = ~vertex
-    _raise_first_failure(
-        [
-            (x_arg < -tol, clamp(x_arg)),
-            (y_arg < -tol, clamp(y_arg)),
-            # The clamp to 1 leaves a negative q1 as it is.
-            (q1 < 0.0, lambda i: _negative_q1_error(q1.item(i), t.item(i), ov)),
-            (off_vertex & (rx == 0.0), lambda i: _flat_error(t.item(i), ov)),
-            (off_vertex & (d1_arg < -tol), clamp(d1_arg)),
-            (off_vertex & (d2_arg < -tol), clamp(d2_arg)),
-            (~steep & (d2 == d1), lambda i: _equal_derivatives_error(d1.item(i), t.item(i), ov)),
-            _range_check("q1", q1),
-            _range_check("q2", q2),
-        ]
-    )
-    return [q1, q2, d1, d2, eta1, q_min]
-
-
 def _qmin_records(
-    t: np.ndarray,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    eta1: np.ndarray,
-    q_min: np.ndarray,
+    t: list[float],
+    q1: list[float],
+    q2: list[float],
+    d1: list[float],
+    d2: list[float],
+    eta1: list[float],
+    q_min: list[float],
 ) -> list[QminSample]:
     """The sweep's records from range-checked columns.
 
@@ -493,7 +403,7 @@ def _qmin_records(
         QminSample.dq2_dt.__set__,
     )
     samples = []
-    for tt, a, b, da, db, e, qm in zip(*(c.tolist() for c in (t, q1, q2, d1, d2, eta1, q_min))):
+    for tt, a, b, da, db, e, qm in zip(t, q1, q2, d1, d2, eta1, q_min):
         point = new(FailurePoint)
         set_q1(point, a)
         set_q2(point, b)
@@ -518,25 +428,26 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     beyond 1e-10 aborts with diagnostics rather than return a wrong
     branch.
 
-    The whole grid is computed in one numpy pass with the bits of the
-    scalar helpers ``_curve_q``, ``_curve_dq`` and ``_tangent_eta1``; a
-    failed guard raises NumericError naming the first offending t.  The
-    same pass range-checks the q1 and q2 columns once, as ``FailurePoint``
-    would per sample, and the records are built after that bulk check.
+    The whole grid is computed in one numpy pass (``_sweeps``) with the
+    bits of the scalar helpers ``_curve_q``, ``_curve_dq`` and
+    ``_tangent_eta1``; a failed guard raises NumericError naming the first
+    offending t.  The same pass range-checks the q1 and q2 columns once, as
+    ``FailurePoint`` would per sample, and the records are built after
+    that bulk check.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
-    t = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
-    q1, q2, d1, d2, eta1, q_min = _qmin_grid(t, ov)
-    worst = max(np.diff(eta1).tolist())
+    from . import _sweeps
+
+    columns, worst = _sweeps.qmin_columns(t_slope_minus_one(ov), t_slope_zero(ov), n_samples, ov)
     if worst > _MONOTONE_TOL:
         raise NumericError(
             f"eta1 failed to decrease monotonically along the sweep "
             f"(worst increase {worst!r} at s={ov.s!r}, s_prime={ov.s_prime!r}); "
             "the tangency branch cannot be trusted"
         )
-    return _qmin_records(t, q1, q2, d1, d2, eta1, q_min)
+    return _qmin_records(*columns)
 
 
 def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
@@ -733,51 +644,6 @@ def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     return theta_lo, theta_hi
 
 
-def _tradeoff_grid(thetas: list[float], s: float, delta: float) -> list[np.ndarray]:
-    """Columns (s_prime, Q) of the tradeoff formulas at each angle, in one array pass.
-
-    Raises the error of the first failing sample; after the formulas'
-    guards, the checks include ``FailureBudget``'s range check on Q.
-    """
-    st = np.array([math.sin(th) for th in thetas])
-    ct = np.array([math.cos(th) for th in thetas])
-    root = math.sqrt(1.0 - delta * delta)
-    # theta = 0 is the upper endpoint of the equal-slope family: full
-    # separation at the tangency-regime discrimination cost.
-    endpoint = np.array(thetas) == 0.0
-    with np.errstate(all="ignore"):
-        ratio = (st / (delta + st)).tolist()
-        gain = root * np.array([r**2 for r in ratio]) / ct
-        term_envelope = root * (1.0 + s * s) * ct
-        term_budget = 2.0 * s * (1.0 + delta * st)
-        sp2 = gain * (term_envelope - term_budget)
-        # Where the two terms cancel (the full-separation end of the sweep,
-        # severe for near-certainty priors) rounding leaves a negative
-        # residue of order eps times the amplification; only values beyond
-        # that noise floor indicate a real bug.
-        noise = 32.0 * _EPS * np.abs(gain) * (np.abs(term_envelope) + np.abs(term_budget))
-        noise = np.where(noise > 1e-12, noise, 1e-12)
-        sp2_floor = np.where(0.0 > sp2, 0.0, sp2)
-        q = (s * root + delta * sp2_floor * (ct / st)) / ((1.0 - sp2_floor) * ct)
-        s_prime = np.where(endpoint, 0.0, np.sqrt(sp2_floor))
-        q = np.where(endpoint, s * root, _clip(q, 0.0, 1.0))
-    live = ~endpoint
-    _raise_first_failure(
-        [
-            (
-                live & ((delta + st == 0.0) | (ct == 0.0)),
-                lambda i: _singular_error(thetas[i], s, delta, st.item(i), ct.item(i)),
-            ),
-            (
-                live & (sp2 < -noise),
-                lambda i: _negative_sp2_error(sp2.item(i), thetas[i], s, delta),
-            ),
-            _range_check("q_avg", q),
-        ]
-    )
-    return [s_prime, q]
-
-
 def _tradeoff_records(
     thetas: list[float], s: float, s_primes: list[float], qs: list[float]
 ) -> list[TradeoffSample]:
@@ -821,8 +687,8 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     Equal priors and certainty priors bypass the angle sweep and use their
     explicit closed forms; their samples carry theta = 0 and theta = NaN
     respectively.  The angle sweep's interior is computed in one numpy pass
-    with the bits of the scalar formulas; a failed guard raises
-    NumericError naming the first offending theta.  Every branch
+    (``_sweeps``) with the bits of the scalar formulas; a failed guard
+    raises NumericError naming the first offending theta.  Every branch
     range-checks its Q column once, as ``FailureBudget`` would per sample,
     and the records are built after that bulk check.
     """
@@ -834,25 +700,22 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     prn, _ = pr.normalized()
     delta = prn.delta
 
+    from . import _sweeps
+
     if delta <= _DEGENERATE_PRIOR_TOL:
-        qs = np.linspace(0.0, s, n_samples)
-        _raise_first_failure([_range_check("q_avg", qs)])
-        s_primes = ((s - qs) / (1.0 - qs)).tolist()
-        return _tradeoff_records([0.0] * n_samples, s, s_primes, qs.tolist())
+        s_primes, qs = _sweeps.equal_prior_columns(s, n_samples)
+        return _tradeoff_records([0.0] * n_samples, s, s_primes, qs)
     if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
-        qs = np.linspace(0.0, s * s, n_samples)
-        s_primes = [sqrt_clamped(v) for v in ((s * s - qs) / (1.0 - qs)).tolist()]
-        _raise_first_failure([_range_check("q_avg", qs)])
-        return _tradeoff_records([math.nan] * n_samples, s, s_primes, qs.tolist())
+        s_primes, qs = _sweeps.certainty_columns(s, n_samples)
+        return _tradeoff_records([math.nan] * n_samples, s, s_primes, qs)
 
     theta_lo, theta_hi = _tradeoff_range(s, delta, prn.eta1)
-    thetas = np.linspace(theta_lo, theta_hi, n_samples).tolist()
-    s_prime, q = _tradeoff_grid(thetas[1:-1], s, delta)
+    thetas, s_primes, qs = _sweeps.tradeoff_columns(theta_lo, theta_hi, n_samples, s, delta)
     # The sweep starts at the trivial protocol and ends at full separation;
     # both endpoint values are exact identities, so they are emitted
     # directly instead of through the cancellation-prone generic formulas.
-    s_primes = [s] + np.where(s < s_prime, s, s_prime).tolist() + [0.0]
-    qs = [0.0] + q.tolist() + [float(q_ud(prn, s))]
+    s_primes = [s] + s_primes + [0.0]
+    qs = [0.0] + qs + [float(q_ud(prn, s))]
     return _tradeoff_records(thetas, s, s_primes, qs)
 
 

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import statesep
 from statesep import NumericError, Priors, q_ud
-from statesep.cli import main
+from statesep.cli import _linspace, main
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,14 @@ def test_runtime_does_not_import_scipy(script):
         [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("start, stop", [(0.0, 1.0), (0.5, 0.0)])
+def test_cli_grid_matches_numpy_linspace_in_hex(start, stop):
+    # The point commands' grids, built without NumPy, carry np.linspace's bits.
+    for n in [*range(2, 601), 1000, 4097]:
+        want = [float.hex(v) for v in np.linspace(start, stop, n).tolist()]
+        assert [float.hex(v) for v in _linspace(start, stop, n)] == want, n
 
 
 def test_verify_small_run_passes(capsys):

@@ -35,7 +35,7 @@ from statesep import (
 
 import helpers
 import test_lower_half_mpmath
-from statesep import solvers
+from statesep import _sweeps, solvers
 from statesep.solvers import _EPS, _negative_sp2_error, _singular_error
 
 
@@ -718,6 +718,12 @@ def test_sweep_cases_reach_the_guards():
     assert {"ok", "square", "negative"} <= raised
 
 
+def test_float_constants_match_numpy_finfo():
+    # solvers takes them from sys.float_info, so that it loads no NumPy.
+    assert solvers._EPS == np.finfo(float).eps
+    assert solvers._TINY == np.finfo(float).tiny
+
+
 def test_first_failure_takes_the_earliest_sample():
     # Sample 1 fails only the second check and sample 2 only the first: a
     # sample loop stops at sample 1 with the second check's error.
@@ -727,8 +733,8 @@ def test_first_failure_takes_the_earliest_sample():
         lambda i: NumericError(f"second check at {i}"),
     ]
     with pytest.raises(NumericError, match="^second check at 1$"):
-        solvers._raise_first_failure(list(zip(masks, errors)))
-    solvers._raise_first_failure([(np.zeros(4, bool), errors[0])])
+        _sweeps._raise_first_failure(list(zip(masks, errors)))
+    _sweeps._raise_first_failure([(np.zeros(4, bool), errors[0])])
 
 
 def test_qmin_curve_vertex_and_flat_end_bits():
@@ -903,12 +909,12 @@ def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
 
 def _patch_clip(monkeypatch, k):
     """Make the tradeoff sweep's clamped Q column NaN at grid index k."""
-    original = solvers._clip
+    original = _sweeps._clip
 
     def patched(v, lo, hi):
         return _inject(original(v, lo, hi), {k: math.nan})
 
-    monkeypatch.setattr(solvers, "_clip", patched)
+    monkeypatch.setattr(_sweeps, "_clip", patched)
 
 
 class _NumpyWithNaN:
@@ -932,7 +938,7 @@ def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branc
     if branch == "generic":
         _patch_clip(monkeypatch, 6)  # grid index 6 is sample 7
     else:
-        monkeypatch.setattr(solvers, "np", _NumpyWithNaN(7))
+        monkeypatch.setattr(_sweeps, "np", _NumpyWithNaN(7))
     with pytest.raises(DomainError) as got:
         tradeoff_curve(Priors.of(eta1), 0.6, 33)
     assert str(got.value) == str(want.value) == "q_avg must lie in [0, 1], got nan"
