@@ -214,31 +214,46 @@ def _off_range_error(q1: float, s: float, beta: float) -> NumericError:
     )
 
 
+def _underflow_error(q1: float, s: float, beta: float) -> NumericError:
+    return NumericError(
+        f"unitarity-curve ordinate underflows at q1={q1!r} (s={s!r}, beta={beta!r})"
+    )
+
+
 def lower_half_q2(q1: float, s: float, beta: float) -> float:
     """Smaller root q2 of the unitarity curve at fixed q1, in closed form.
 
     With ``q2 = sin(phi)**2``, ``a = beta*sqrt(1-q1)`` and ``b = sqrt(q1)``
     the constraint reads ``a*cos(phi) + b*sin(phi) = s``; for
-    ``R**2 = a**2 + b**2`` its lower root is
+    ``R**2 = a**2 + b**2`` and ``D = R**2 - s**2`` its lower root is
+    ``sqrt(q2) = (b*s - a*sqrt(D)) / R**2``.  That difference cancels as
+    q2 -> 0 (by up to 1/s as beta -> s), so it is rationalized:
 
-        q2 = ((b*s - a*sqrt(R**2 - s**2)) / R**2)**2,
+        q2 = (((s-beta)*(s+beta) + beta**2*q1) / (b*s + a*sqrt(D)))**2,
 
-    with ``R**2 - s**2`` expanded as ``q1*(1-beta)*(1+beta) - (s-beta)*(s+beta)``
-    so that it does not cancel as beta -> s.  Only ``+ - * /`` and ``sqrt``
-    are used, so the oracle's numpy twin rounds identically.  There is no
-    beta = 0 shortcut: at beta = 0 this is the general formula on the
-    hyperbola q1*q2 = s**2.
+    a sum of nonnegative terms over another, accurate to a few ulps
+    relative at any q2 (and clamped to at most 1).  ``D`` is expanded as
+    ``q1*(1-beta)*(1+beta) - (s-beta)*(s+beta)`` so that it does not cancel
+    as beta -> s.  Only ``+ - * /`` and ``sqrt`` are used, so the oracle's
+    numpy twin rounds identically.  There is no beta = 0 shortcut: at
+    beta = 0 this is the general formula on the hyperbola q1*q2 = s**2.
 
     Raises :class:`NumericError` when q1 lies outside the curve's range,
-    i.e. ``R < s`` beyond rounding.
+    i.e. ``R < s`` beyond rounding, and when the denominator underflows to
+    0 (``s*sqrt(q1)`` below the smallest subnormal).
     """
-    d = q1 * (1.0 - beta) * (1.0 + beta) - (s - beta) * (s + beta)
+    n0 = (s - beta) * (s + beta)
+    d = q1 * (1.0 - beta) * (1.0 + beta) - n0
     if d < -SQRT_CLAMP_TOL:
         raise _off_range_error(q1, s, beta)
     root = math.sqrt(d) if d > 0.0 else 0.0
-    r2 = q1 + beta * beta * (1.0 - q1)
-    y = (math.sqrt(q1) * s - beta * math.sqrt(1.0 - q1) * root) / r2
-    return y * y
+    den = math.sqrt(q1) * s + beta * math.sqrt(1.0 - q1) * root
+    if den == 0.0:
+        raise _underflow_error(q1, s, beta)
+    y = (n0 + beta * beta * q1) / den
+    # Rounding can lift q2 an ulp or two above 1 when s is that close to 1.
+    q2 = y * y
+    return q2 if q2 < 1.0 else 1.0
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
     OverlapSpec,
     Priors,
     _off_range_error,
+    _underflow_error,
     lower_half_q2,
 )
 
@@ -66,14 +67,18 @@ def _lower_q2_grid(q1: np.ndarray, s: float, beta: float) -> np.ndarray:
     """
     if beta == 0.0:
         return s * s / q1
-    d = q1 * (1.0 - beta) * (1.0 + beta) - (s - beta) * (s + beta)
+    n0 = (s - beta) * (s + beta)
+    d = q1 * (1.0 - beta) * (1.0 + beta) - n0
     off = d < -SQRT_CLAMP_TOL
     if off.any():
         raise _off_range_error(float(q1[np.argmax(off)]), s, beta)
     root = np.sqrt(np.where(d > 0.0, d, 0.0))
-    r2 = q1 + beta * beta * (1.0 - q1)
-    y = (np.sqrt(q1) * s - beta * np.sqrt(1.0 - q1) * root) / r2
-    q2 = y * y
+    den = np.sqrt(q1) * s + beta * np.sqrt(1.0 - q1) * root
+    under = den == 0.0
+    if under.any():
+        raise _underflow_error(float(q1[np.argmax(under)]), s, beta)
+    y = (n0 + beta * beta * q1) / den
+    q2 = np.minimum(y * y, 1.0)
     residual = np.abs(beta * np.sqrt((1.0 - q1) * (1.0 - q2)) + np.sqrt(q1 * q2) - s)
     i = int(np.argmax(residual))
     if not residual[i] <= _RESIDUAL_CHECK:

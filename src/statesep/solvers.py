@@ -6,8 +6,8 @@ separation problem:
 * ``q_ud`` -- minimum average failure probability of unambiguous
   discrimination (equivalently, full separation), in closed form.
 * ``qmin_curve`` / ``qmin_at`` -- minimum failure probability at a fixed
-  target overlap, parametrized along the constraint curve or root-found
-  for a specific prior.
+  target overlap, parametrized along the constraint curve, or root-found
+  for a specific prior as the tangency point on the curve's lower half.
 * ``max_separation`` / ``critical_overlap`` -- smallest reachable final
   overlap under a failure budget, via the conic tangency system.
 * ``tradeoff_curve`` / ``tradeoff_at`` -- the full (Q, s') tradeoff for a
@@ -17,14 +17,16 @@ separation problem:
 * ``phase_transition_probe`` -- finite-difference detector for the kink in
   d^2Q/deta1^2 that appears only at full separation.
 
-No closed form eliminating the sweep parameter exists (it would require
-solving a sixth-degree polynomial), so everything beyond the special cases
-is parametric plus bracketed root finding by Brent's method at 1e-14
-parameter tolerance; a bracket without a sign change raises NumericError.
+No closed form for the tangency point exists (it would require solving a
+sixth-degree polynomial), so everything beyond the special cases is
+bracketed root finding by Brent's method at 1e-14 tolerance; a bracket
+without a sign change raises NumericError.
 
-The point queries (``qmin_at``, ``curve_point``) evaluate the curve's
-parametric formulas one float at a time with ``math``; this module imports
-no NumPy.  The sweeps (``qmin_curve``, ``tradeoff_curve``) evaluate their
+The point queries use ``math`` alone; this module imports no NumPy.
+``qmin_at`` root-finds the tangency condition in q1 along the curve's
+lower half, whose ordinate is in closed form (``core.lower_half_q2``);
+``curve_point`` evaluates the parametric formulas at one parameter value.
+The sweeps (``qmin_curve``, ``tradeoff_curve``) evaluate their
 formulas over the whole grid in one numpy pass, in the private module
 ``_sweeps`` that they import when called, operation for operation with the
 scalar forms, so each sample has the bits a scalar evaluation gives at its
@@ -50,6 +52,7 @@ from .core import (
     OverlapSpec,
     Priors,
     SQRT_CLAMP_TOL,
+    lower_half_q2,
     sqrt_clamped,
 )
 
@@ -162,13 +165,16 @@ def _bracketed_root(f: Callable[[float], float], lo: float, hi: float, what: str
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # secant (linear interpolation)
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
             else:
                 # inverse quadratic extrapolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # A denominator that underflows to 0 makes brentq's step inf or
+            # NaN, which fails the test below; here it would raise instead.
+            if den != 0.0 and 2 * abs(stry := num / den) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
@@ -470,10 +476,22 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     Notes
     -----
     Degenerate targets dispatch to closed forms: s_prime = s costs
-    nothing, s_prime = 0 is unambiguous discrimination.  In between, the
-    tangency parameter is root-found from the equal-slope condition; the
-    budget is evaluated directly on the objective so its error is second
-    order in the root tolerance.
+    nothing, s = 1 cannot be separated, s_prime = 0 is unambiguous
+    discrimination.  Otherwise the objective line touches the curve's
+    lower half q2(q1) (``core.lower_half_q2``) where, with A = sqrt(q1*q2)
+    and B = sqrt((1-q1)*(1-q2)),
+
+        f(q1) = eta1*(q1*B - beta*(1-q1)*A) - eta2*(q2*B - beta*(1-q2)*A)
+
+    vanishes; f is 2*A*B*(eta1*dF/dq2 - eta2*dF/dq1) for the constraint F.
+    Brent finds that root (1e-14 in q1) between the vertex
+    q1 = q2 = (s-beta)/(1-beta), where f <= 0, and the zero-slope end,
+    where f >= 0; an end where f has the other sign is itself the answer.
+    Q is evaluated on the objective at the root, so its error is second
+    order in the root tolerance.  When (s-beta)(s+beta) is below the
+    normal float range (s below about 1e-146), the lower half cannot be
+    resolved and the vertex is returned: it lies on the curve, and its Q,
+    below 1.5e-154, is within that of the minimum.
     """
     if ov.s_prime > 0.0 and ov.kappa != 1.0:
         raise DomainError(
@@ -492,24 +510,40 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     if ov.s_prime == 0.0:
         return _ret(float(q_ud(prn, ov.s)), ud_tangency_point(prn, ov.s))
 
-    t_lo, t_hi = t_slope_minus_one(ov), t_slope_zero(ov)
-    eps = 1e-12 * (t_hi - t_lo)
-    eta_lo = _eta1_at(t_lo + eps, ov)  # just below 1/2
-    eta_hi = _eta1_at(t_hi, ov)  # 0 up to rounding
-    if prn.eta1 >= eta_lo:
-        # At the curve vertex dQ/deta1 vanishes, so snapping priors this
-        # close to 1/2 onto the vertex costs O(eps) in Q.
-        q = (ov.s - ov.s_prime) / (1.0 - ov.s_prime)
-        return _ret(q, FailurePoint(q, q))
-    if prn.eta1 <= eta_hi:
-        q1, q2 = _curve_q(t_hi, ov)
-        return _ret(prn.eta1 * q1 + prn.eta2 * q2, FailurePoint(q1, q2))
+    s, beta = ov.s, ov.beta
+    eta1, eta2 = prn.eta1, prn.eta2
+    vertex = (s - beta) / (1.0 - beta)
+    n0 = (s - beta) * (s + beta)
+    if n0 < _TINY:
+        return _ret(vertex, FailurePoint(vertex, vertex))
+    q2_zero = n0 / ((1.0 - beta) * (1.0 + beta))
+    hi = q2_zero / (q2_zero + beta * beta * (1.0 - q2_zero))
+    if hi == 1.0:
+        # At q1 = 1, f keeps only its beta*A terms, which underflow to 0
+        # for tiny beta; the float below 1 is within rounding of q1z.
+        hi = 1.0 - _EPS / 2.0
 
-    t = _bracketed_root(
-        lambda tt: _eta1_at(tt, ov) - prn.eta1, t_lo + eps, t_hi, "tangency parameter t"
-    )
-    q1, q2 = _curve_q(t, ov)
-    return _ret(prn.eta1 * q1 + prn.eta2 * q2, FailurePoint(q1, q2))
+    def tangency(q1: float) -> float:
+        q2 = lower_half_q2(q1, s, beta)
+        a = math.sqrt(q1 * q2)
+        b = math.sqrt((1.0 - q1) * (1.0 - q2))
+        return eta1 * (q1 * b - beta * (1.0 - q1) * a) - eta2 * (q2 * b - beta * (1.0 - q2) * a)
+
+    # Each end is evaluated once: Brent gets these values back.
+    f_lo, f_hi = tangency(vertex), tangency(hi)
+    if f_lo >= 0.0:
+        return _ret(vertex, FailurePoint(vertex, vertex))
+    if f_hi <= 0.0:
+        q1 = hi
+    else:
+        q1 = _bracketed_root(
+            lambda x: f_lo if x == vertex else (f_hi if x == hi else tangency(x)),
+            vertex,
+            hi,
+            "tangency abscissa q1",
+        )
+    q2 = lower_half_q2(q1, s, beta)
+    return _ret(eta1 * q1 + eta2 * q2, FailurePoint(q1, q2))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,9 @@ def check_oracle_agreement(grid: int) -> CheckResult:
 
 
 def check_round_trip(seed: int) -> CheckResult:
+    # A cycle through three kernels: the t-curve gives (eta1, Q_min) at s',
+    # max_separation takes Q_min back to s', and qmin_at's q1 tangency
+    # takes that s' back to Q_min.
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     for _ in range(1000):
@@ -178,8 +181,8 @@ def check_round_trip(seed: int) -> CheckResult:
         q_min = eta1 * pt.q1 + (1.0 - eta1) * pt.q2
         pr = Priors.of(eta1)
         sp_back, _ = solvers.max_separation(pr, s, q_min)
-        trade = solvers.tradeoff_at(pr, s, q_min)
-        worst = max(worst, abs(sp_back - sp), abs(trade.s_prime - sp), abs(float(trade.q) - q_min))
+        q_back, _ = solvers.qmin_at(pr, OverlapSpec(s, sp_back))
+        worst = max(worst, abs(sp_back - sp), abs(float(q_back) - q_min))
     return _result("round-trip-consistency", worst, 1e-6)
 
 

@@ -20,6 +20,9 @@ from statesep.oracle import _lower_q2_grid
 
 # Absolute error allowed on q2, fixed before the first run.
 BOUND = 2e-15
+# Relative error allowed on q2: the rationalized form has no cancellation,
+# so small ordinates keep the accuracy of large ones.
+RELATIVE_BOUND = 2e-15
 
 # A private context, so the working precision of other tests is untouched.
 mp = mpmath.MPContext()
@@ -60,30 +63,30 @@ def _cases():
 
 def test_closed_form_lower_half_matches_50_digit_reference():
     n = 0
-    worst_scalar = worst_grid = 0.0
+    worst_scalar = worst_grid = worst_relative = 0.0
     for s, beta, q1s in _cases():
         grid = _lower_q2_grid(np.array(q1s), s, beta)
         for q1, q2_grid in zip(q1s, grid.tolist()):
             ref = _reference_q2(q1, s, beta)
-            worst_scalar = max(worst_scalar, float(abs(lower_half_q2(q1, s, beta) - ref)))
+            q2 = lower_half_q2(q1, s, beta)
+            worst_scalar = max(worst_scalar, float(abs(q2 - ref)))
             worst_grid = max(worst_grid, float(abs(q2_grid - ref)))
+            worst_relative = max(worst_relative, float(abs(q2 - ref) / ref))
             n += 1
     assert n >= 3000
     assert worst_scalar <= BOUND
     assert worst_grid <= BOUND
+    assert worst_relative <= RELATIVE_BOUND
 
 
 def test_lower_half_returns_the_diagonal_at_the_crossing():
     # At q1 = (s - beta)/(1 - beta) the curve crosses q1 = q2.  The float
     # crossing carries about 1 ulp of rounding, which the slope -1 there
-    # doubles on q2 - q1, and the closed form adds a few more.  Its
-    # subtraction b*s - a*sqrt(D) also cancels: at the crossing b*s is
-    # s/R**2 times the difference, a factor that grows to 1/s as beta -> s.
-    # So the bound is 8 ulps times that factor.
+    # doubles on q2 - q1, and the closed form adds a few more.  The form
+    # is rationalized, so nothing cancels as beta -> s: 8 ulps flat.
     for s, beta, q1s in _cases():
         q_diag = q1s[0]
-        cancel = max(1.0, s / (q_diag + beta * beta * (1.0 - q_diag)))
         grid = float(_lower_q2_grid(np.array([q_diag]), s, beta)[0])
         for q2 in (lower_half_q2(q_diag, s, beta), grid):
             ulps = abs(q2 - q_diag) / math.ulp(q_diag)
-            assert ulps <= 8 * cancel, (s, beta, q_diag, q2)
+            assert ulps <= 8, (s, beta, q_diag, q2)

@@ -170,3 +170,19 @@ def test_scalar_lower_half_rejects_off_curve_q1():
         _lower_q2_scalar(1e-3, 0.6, 0.3)
     with pytest.raises(NumericError, match="q1 is outside the curve's range"):
         _lower_q2_grid(np.array([1e-3]), 0.6, 0.3)
+
+
+def test_lower_half_at_the_ends_of_the_float_range():
+    # s one ulp below 1: at the vertex the rationalized ordinate rounds to
+    # 1 + 2 ulps, which both paths clamp to 1.
+    s = 0.9999999999999999
+    beta = s * 6.795039231553378e-13
+    q_diag = _diagonal_q(s, beta)
+    assert _lower_q2_scalar(q_diag, s, beta) == 1.0
+    assert float(_lower_q2_grid(np.array([q_diag]), s, beta)[0]) == 1.0
+    # s = 1e-300: s*sqrt(q1) and the numerator both underflow to 0, so the
+    # ordinate would be 0/0; both paths refuse.
+    with pytest.raises(NumericError, match="ordinate underflows at q1=1e-300"):
+        _lower_q2_scalar(1e-300, 1e-300, 5e-301)
+    with pytest.raises(NumericError, match="ordinate underflows at q1=1e-300"):
+        _lower_q2_grid(np.array([0.5, 1e-300]), 1e-300, 5e-301)

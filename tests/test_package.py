@@ -57,6 +57,19 @@ def test_point_commands_load_no_numpy():
     assert _fresh(script) == "[]\n"
 
 
+def test_point_solvers_load_no_numpy():
+    script = "\n".join(
+        [
+            "import sys",
+            "import statesep",
+            "statesep.qmin_at(statesep.Priors.of(0.3), statesep.OverlapSpec(0.6, 0.3))",
+            "statesep.max_separation(statesep.Priors.of(0.3), 0.6, 0.3)",
+            _loaded(*_HEAVY),
+        ]
+    )
+    assert _fresh(script) == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv, header",
     [

@@ -34,7 +34,8 @@ from statesep import (
 )
 
 import helpers
-import test_lower_half_mpmath
+import qmin_referee
+import test_qmin_at_edges
 from statesep import _sweeps, solvers
 from statesep.solvers import _EPS, _negative_sp2_error, _singular_error
 
@@ -207,6 +208,21 @@ def test_qmin_bounded_by_ud_and_decreasing_in_target():
         assert float(qmin_at(pr, OverlapSpec(s, 0.0))[0]) == pytest.approx(qud, abs=1e-15)
 
 
+@pytest.mark.parametrize("eta1", [1e-9, 0.05, 0.3, 0.5])
+@pytest.mark.parametrize("s", [1e-6, 0.5, 0.99])
+def test_qmin_at_reaches_the_discrimination_cost(eta1, s):
+    # Every protocol at s' satisfies sqrt(q1*q2) >= s - s', so
+    # q_ud(s - s') <= Q_min(s') <= q_ud(s), and q_ud's slope in s is at
+    # most 2: Q_min must reach the Jaeger-Shimony cost q_ud(s) linearly as
+    # s' -> 0.
+    pr = Priors.of(eta1)
+    qud = float(q_ud(pr, s))
+    for frac in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-100, 1e-300, 5e-324):
+        sp = frac * s
+        q = float(qmin_at(pr, OverlapSpec(s, sp))[0])
+        assert qud - 2.0 * sp - 4.0 * _EPS * qud <= q <= qud + 4.0 * _EPS * qud, (frac, q, qud)
+
+
 # ---------------------------------------------------------------------------
 # maximum separation under a budget
 
@@ -353,33 +369,6 @@ def test_tradeoff_at_is_max_separation_plus_the_budget():
         assert smp.s == s and smp.q == FailureBudget(budget)
 
 
-def _qmin_50_digits(eta1, s, s_prime):
-    """Q_min independent of the package: the objective eta1*q1 + eta2*q2 is
-    convex along the lower half of the curve (eta1 <= 1/2), so a 50-digit
-    golden-section search over its 50-digit ordinates, from the diagonal
-    crossing to q1 = 1, finds the minimum."""
-    mp = test_lower_half_mpmath.mp
-    e1, sm, bm = mp.mpf(min(eta1, 1.0 - eta1)), mp.mpf(s), mp.mpf(s_prime)
-
-    def objective(q1):
-        return e1 * q1 + (1 - e1) * test_lower_half_mpmath._reference_q2(q1, s, s_prime)
-
-    golden = (mp.sqrt(5) - 1) / 2
-    lo, hi = (sm - bm) / (1 - bm), mp.mpf(1)
-    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    for _ in range(260):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - golden * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + golden * (hi - lo)
-            fd = objective(d)
-    return min(fc, fd, objective(mp.mpf(1)))
-
-
 @pytest.mark.parametrize(
     "eta1, s, q",
     [
@@ -394,7 +383,7 @@ def test_tradeoff_at_budget_matches_50_digit_qmin(eta1, s, q):
     # returned s' must cost Q_min = q.
     smp = tradeoff_at(Priors.of(eta1), s, q)
     assert 0.0 < smp.s_prime < s and float(smp.q) == q
-    assert abs(_qmin_50_digits(eta1, s, smp.s_prime) - q) <= 1e-6
+    assert abs(qmin_referee.qmin(eta1, s, smp.s_prime)[0] - q) <= 1e-6
 
 
 def test_tradeoff_at_edges():
@@ -523,6 +512,21 @@ def test_bracketed_root_is_bit_identical_to_brentq(monkeypatch):
         assert ours == ref, (lo, hi, ours, ref)
 
 
+@pytest.mark.parametrize("scale", [1e-110, 1e-150, 1e-200])
+def test_bracketed_root_bisects_where_the_interpolation_underflows(scale):
+    # The extrapolation's denominator is a product of three differences of
+    # f, which underflows to 0 for f this small.  brentq's C division then
+    # gives inf or NaN and it bisects; the port must do the same, not raise
+    # ZeroDivisionError.
+    from scipy.optimize import brentq
+
+    def f(x):
+        return scale * (x**3 - 0.2)
+
+    ref = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+
+
 def _step(x):
     return -1.0 if x < 1.0 / 3.0 else 1.0
 
@@ -552,9 +556,8 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
     "solve, message",
     [
         (
-            lambda: qmin_at(
-                Priors.of(0.10320780595864278),
-                OverlapSpec(1.101634294509729e-08, 1.5447711670666384e-18),
+            lambda: qmin_curve(
+                OverlapSpec(1.101634294509729e-08, 1.5447711670666384e-18), 512
             ),
             "equal curve derivatives",
         ),
@@ -563,7 +566,7 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
             r"delta \+ sin\(theta\) = 0\.0",
         ),
     ],
-    ids=["qmin_at-equal-slopes", "tradeoff_curve-singular-angle"],
+    ids=["qmin_curve-equal-slopes", "tradeoff_curve-singular-angle"],
 )
 def test_singular_formulas_raise_numeric_error(solve, message):
     with pytest.raises(NumericError, match=message):
@@ -778,12 +781,13 @@ def test_sweeps_return_plain_floats(pr, s):
     ids=["clamp-at-small-sprime", "s-squared-underflow"],
 )
 def test_valid_curve_inputs_raise_numeric_error(ov, message):
-    # A valid OverlapSpec that the curve cannot resolve is a numeric failure,
-    # never a DomainError (a usage error) or a leaked ZeroDivisionError.
+    # A valid OverlapSpec that the t-curve cannot resolve is a numeric
+    # failure, never a DomainError (a usage error) or a leaked
+    # ZeroDivisionError.  qmin_at does not walk the t-curve: it answers, and
+    # the 50-digit referee confirms the answer.
     with pytest.raises(NumericError, match=message):
         qmin_curve(ov, 512)
-    with pytest.raises(NumericError, match=message):
-        qmin_at(Priors.of(0.3), ov)
+    assert test_qmin_at_edges.check_qmin_at(0.3, ov.s, ov.s_prime) == "answered"
 
 
 def test_negative_q1_at_tiny_s_is_numeric_error():
