@@ -94,22 +94,13 @@ def _write(cfg: RunConfig, text: str) -> None:
             fh.write(text)
 
 
-def _linspace(start: float, stop: float, n: int) -> list[float]:
-    """``numpy.linspace(start, stop, n).tolist()``, bit for bit, for n >= 2 and a nonzero step.
-
-    The point commands build their grids with it, so they load no NumPy.
-    """
-    step = (stop - start) / (n - 1)
-    return [i * step + start for i in range(n - 1)] + [stop]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_ud(cfg: RunConfig) -> str:
     rows = []
-    for eta1 in _linspace(0.0, 1.0, cfg.samples):
+    for eta1 in solvers._linspace(0.0, 1.0, cfg.samples):
         pr = Priors.of(eta1)
         q = float(solvers.q_ud(pr, cfg.s))
         pt = solvers.ud_tangency_point(pr, cfg.s)
@@ -122,11 +113,11 @@ def cmd_qmin(cfg: RunConfig) -> str:
     header = ["t", "eta1", "q_min", "q1", "q2"]
     rows: list[tuple] = []
     if cfg.s_prime == cfg.s:
-        for eta1 in _linspace(0.5, 0.0, cfg.samples):
+        for eta1 in solvers._linspace(0.5, 0.0, cfg.samples):
             rows.append((None, eta1, 0.0, 0.0, 0.0))
     elif cfg.s_prime == 0.0:
         # Full separation: the discrimination closed form is the curve.
-        for eta1 in _linspace(0.5, 0.0, cfg.samples):
+        for eta1 in solvers._linspace(0.5, 0.0, cfg.samples):
             pr = Priors.of(eta1)
             pt = solvers.ud_tangency_point(pr, cfg.s)
             rows.append((None, eta1, float(solvers.q_ud(pr, cfg.s)), pt.q1, pt.q2))
@@ -140,7 +131,7 @@ def cmd_qmin(cfg: RunConfig) -> str:
 def cmd_maxsep(cfg: RunConfig) -> str:
     pr = Priors.of(cfg.eta1)
     s_cr = solvers.critical_overlap(pr, cfg.q_max)
-    grid = _linspace(0.0, 1.0, cfg.samples)
+    grid = solvers._linspace(0.0, 1.0, cfg.samples)
     if 0.0 < s_cr < 1.0:
         grid.append(s_cr)  # breakpoint where full separation stops fitting
     rows = []

@@ -22,26 +22,30 @@ sixth-degree polynomial), so everything beyond the special cases is
 bracketed root finding by Brent's method at 1e-14 tolerance; a bracket
 without a sign change raises NumericError.
 
-The point queries use ``math`` alone; this module imports no NumPy.
-``qmin_at`` root-finds the tangency condition in q1 along the curve's
-lower half, whose ordinate is in closed form (``core.lower_half_q2``);
-``curve_point`` evaluates the parametric formulas at one parameter value.
-The sweeps (``qmin_curve``, ``tradeoff_curve``) evaluate their
-formulas over the whole grid in one numpy pass, in the private module
-``_sweeps`` that they import when called, operation for operation with the
-scalar forms, so each sample has the bits a scalar evaluation gives at its
-grid point.  The scalar form of the tradeoff formulas is kept in the tests
-as the referee of that pass, since no point query uses it.  The same pass
-range-checks every record field that a constructor would check, once per
-column; the records are then built without re-running those checks.
+Everything here runs on ``math`` one float at a time; this module imports
+no NumPy.  ``qmin_at`` root-finds the tangency condition in q1 along the
+curve's lower half, whose ordinate is in closed form
+(``core.lower_half_q2``).  The sweeps (``qmin_curve``, ``tradeoff_curve``)
+walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
+sample at a time.  ``_t_curve`` is the one implementation of the
+parametric curve formulas: ``qmin_curve`` runs it over the grid, and
+``curve_point`` and the scalar helpers that ``verify`` uses run it on one
+parameter value.  ``_tradeoff_rows`` is the one implementation of the
+tradeoff formulas; an independent scalar form is kept in the tests as its
+referee.  Each loop raises at the first failing sample, guards first, and
+then makes the range checks that a record's constructor would make; the
+records are then built column by column without re-running those checks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from operator import sub
+from typing import Callable, Iterable
 
 from .conics import PolarAngle
 from .core import (
@@ -52,6 +56,7 @@ from .core import (
     OverlapSpec,
     Priors,
     SQRT_CLAMP_TOL,
+    _prob_error,
     lower_half_q2,
     sqrt_clamped,
 )
@@ -92,6 +97,11 @@ _TINY = sys.float_info.min
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4.0 * _EPS
 _ROOT_MAXITER = 100
+# Below this lower-half vertex, qmin_at root-finds in log(q1) instead of
+# q1: Brent's absolute 1e-14 in q1 would leave a root of that size with few
+# relative digits, and a tolerance scaled down with the vertex can need more
+# than Brent's 100 steps when the bracket spans many decades.
+_SMALL_VERTEX = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,22 +130,31 @@ class TradeoffSample:
 # root finding
 
 
-def _bracketed_root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+def _bracketed_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    what: str,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
+) -> float:
     """Root of f on [lo, hi] by Brent's method.
 
     Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4,
     in the step order of SciPy's ``brentq`` (same interpolate, extrapolate
     and bisect choices, xtol 1e-14, rtol 4*eps, 100 iterations), so the
-    roots are bit-identical to it.  Raises NumericError when f does not
-    change sign between lo and hi, when f returns NaN, or when the
-    iteration does not converge.
+    roots are bit-identical to it.  A caller that has already evaluated
+    f(lo) or f(hi) passes the value as ``f_lo`` or ``f_hi``.  Raises
+    NumericError when f does not change sign between lo and hi, when f
+    returns NaN, or when the iteration does not converge.
     """
 
     def failed(reason: str) -> NumericError:
         return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
 
     xpre, xcur = lo, hi
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if f_lo is None else f_lo
+    fcur = f(xcur) if f_hi is None else f_hi
     if math.isnan(fpre) or math.isnan(fcur):
         raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
     if fpre == 0.0:
@@ -236,6 +255,41 @@ def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
 
 
 # ---------------------------------------------------------------------------
+# grids and records
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.linspace(start, stop, n).tolist()``, bit for bit, for n >= 2.
+
+    ``i*step + start`` with ``step = (stop - start)/(n - 1)`` and the last
+    point set to ``stop``; where the step underflows to 0, NumPy's
+    ``(i/(n - 1))*(stop - start) + start`` instead.  The sweeps and the CLI
+    build their grids with it, so neither loads NumPy.
+    """
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
+def _blank(cls: type, n: int) -> list:
+    """``n`` instances of the slotted record ``cls``, none of whose slots is set yet."""
+    return list(map(object.__new__, repeat(cls, n)))
+
+
+def _fill(field, records: list, values: Iterable) -> None:
+    """Write one value per record into slot ``field``, bypassing the record's checks.
+
+    The slot descriptor's ``__set__`` is mapped over the whole column, so
+    the loop runs in C; the sweeps call this only with values that have
+    passed the checks the record's constructor makes.
+    """
+    deque(map(field.__set__, records, values), maxlen=0)
+
+
+# ---------------------------------------------------------------------------
 # the parametrized constraint curve (identical success flags, kappa = 1)
 
 
@@ -271,8 +325,8 @@ def t_slope_zero(ov: OverlapSpec) -> float:
     return (1.0 - sp2 / s2) / (1.0 - sp2)
 
 
-# The curve's guards.  Each builds the error that the scalar helpers below
-# raise and that qmin_curve raises at the first offending grid t.
+# The curve's guards: the errors that _t_curve raises at the first
+# offending t.
 
 
 def _clamp_error(arg: float, t: float, ov: OverlapSpec) -> NumericError:
@@ -303,63 +357,121 @@ def _equal_derivatives_error(d: float, t: float, ov: OverlapSpec) -> NumericErro
     )
 
 
-def _curve_sqrt(arg: float, t: float, ov: OverlapSpec) -> float:
-    """``sqrt_clamped`` on the curve: the input is valid, so a failed clamp is numeric."""
-    if arg < -SQRT_CLAMP_TOL:
-        raise _clamp_error(arg, t, ov)
-    return math.sqrt(arg) if arg > 0.0 else 0.0
+def _t_curve(ts: Iterable[float], ov: OverlapSpec, derivatives: bool = True) -> list[tuple]:
+    """The constraint curve at each parameter value in ``ts``, one row per t.
 
+    A row is ``(t, q1, q2)``; with ``derivatives`` it is ``(t, eta1, Q,
+    q1, q2, dq1/dt, dq2/dt)``, in ``QminSample``'s field order, where eta1
+    is the prior whose objective line is tangent at the point, clamped to
+    [0, 1/2], and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].  At the
+    slope -1 vertex (ry = 0) the derivatives are infinite and eta1 is 1/2.
 
-def _q_pair(x, y, rx, ry):
-    """Unclamped (q1, q2) at curve coordinates (x, y), for floats or arrays alike."""
-    return 0.5 * (1.0 - x * y + rx * ry), 0.5 * (1.0 - x * y - rx * ry)
-
-
-def _curve_rq(t: float, ov: OverlapSpec) -> tuple[float, float, float, float]:
-    """Square roots (rx, ry) and the clamped point (q1, q2) at parameter t."""
-    scale = ov.s_prime / ov.s
-    x = (1.0 - (1.0 + ov.s_prime) * t) / scale
-    y = (1.0 - (1.0 - ov.s_prime) * t) / scale
-    rx = _curve_sqrt(1.0 - x * x, t, ov)
-    ry = _curve_sqrt(1.0 - y * y, t, ov)
-    q1, q2 = _q_pair(x, y, rx, ry)
-    if q1 < 0.0:
-        raise _negative_q1_error(q1, t, ov)
-    # min(q1, 1.0) and max(q2, 0.0), without two builtin calls.
-    return rx, ry, (1.0 if 1.0 < q1 else q1), (0.0 if 0.0 > q2 else q2)
+    This is the one implementation of the parametric formulas: the sweep
+    runs it over its grid and the scalar helpers over a single t.  The
+    samples are taken in order, and each raises at its first failed check:
+    the guards (a square root argument below the clamp tolerance, q1
+    rounding below 0, a flat point off the vertex, equal derivatives) as
+    NumericError, then, with ``derivatives``, ``FailurePoint``'s range
+    checks of q1 and q2 as DomainError.
+    """
+    sp = ov.s_prime
+    scale = sp / ov.s
+    up, down = 1.0 + sp, 1.0 - sp
+    tol = -SQRT_CLAMP_TOL
+    sqrt, inf = math.sqrt, math.inf
+    rows: list[tuple] = []
+    add = rows.append
+    for t in ts:
+        x = (1.0 - up * t) / scale
+        y = (1.0 - down * t) / scale
+        # Each square root is sqrt_clamped's: a positive argument is taken
+        # as it is, one below the clamp tolerance fails, and the rest is 0.
+        arg = 1.0 - x * x
+        if arg > 0.0:
+            rx = sqrt(arg)
+        elif arg < tol:
+            raise _clamp_error(arg, t, ov)
+        else:
+            rx = 0.0
+        arg = 1.0 - y * y
+        if arg > 0.0:
+            ry = sqrt(arg)
+        elif arg < tol:
+            raise _clamp_error(arg, t, ov)
+        else:
+            ry = 0.0
+        c, rr = 1.0 - x * y, rx * ry
+        q1, q2 = 0.5 * (c + rr), 0.5 * (c - rr)
+        if q1 < 0.0:
+            raise _negative_q1_error(q1, t, ov)
+        # min(q1, 1.0) and max(q2, 0.0), keeping NaN, without builtin calls.
+        if q1 > 1.0:
+            q1 = 1.0
+        if q2 < 0.0:
+            q2 = 0.0
+        if not derivatives:
+            add((t, q1, q2))
+            continue
+        if ry == 0.0:
+            d1, d2, eta1 = inf, -inf, 0.5
+        else:
+            if rx == 0.0:
+                raise _flat_error(t, ov)
+            a = up / rx
+            b = down / ry
+            arg = q1 * (1.0 - q1)
+            if arg > 0.0:
+                r1 = sqrt(arg)
+            elif arg < tol:
+                raise _clamp_error(arg, t, ov)
+            else:
+                r1 = 0.0
+            arg = q2 * (1.0 - q2)
+            if arg > 0.0:
+                r2 = sqrt(arg)
+            elif arg < tol:
+                raise _clamp_error(arg, t, ov)
+            else:
+                r2 = 0.0
+            d1 = r1 / scale * (a + b)
+            d2 = r2 / scale * (a - b)
+            if d1 == inf or d1 == -inf:
+                eta1 = 0.5
+            elif d2 == d1:
+                raise _equal_derivatives_error(d1, t, ov)
+            else:
+                # min(max(eta1, 0.0), 0.5), keeping -0.0 and NaN.
+                eta1 = d2 / (d2 - d1)
+                if eta1 < 0.0:
+                    eta1 = 0.0
+                elif eta1 > 0.5:
+                    eta1 = 0.5
+        if not 0.0 <= q1 <= 1.0:
+            raise _prob_error("q1", q1)
+        if not 0.0 <= q2 <= 1.0:
+            raise _prob_error("q2", q2)
+        q = eta1 * q1 + (1.0 - eta1) * q2
+        if q < 0.0:
+            q = 0.0
+        elif q > 1.0:
+            q = 1.0
+        add((t, eta1, q, q1, q2, d1, d2))
+    return rows
 
 
 def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
-    return _curve_rq(t, ov)[2:]
+    """Clamped point (q1, q2) at parameter t."""
+    return _t_curve((t,), ov, derivatives=False)[0][1:]
 
 
 def _curve_dq(t: float, ov: OverlapSpec) -> tuple[float, float]:
     """Derivatives (dq1/dt, dq2/dt); infinite at the slope -1 vertex."""
-    rx, ry, q1, q2 = _curve_rq(t, ov)
-    scale = ov.s_prime / ov.s
-    if ry == 0.0:
-        return math.inf, -math.inf
-    if rx == 0.0:
-        raise _flat_error(t, ov)
-    a = (1.0 + ov.s_prime) / rx
-    b = (1.0 - ov.s_prime) / ry
-    d1 = _curve_sqrt(q1 * (1.0 - q1), t, ov) / scale * (a + b)
-    d2 = _curve_sqrt(q2 * (1.0 - q2), t, ov) / scale * (a - b)
-    return d1, d2
-
-
-def _tangent_eta1(d1: float, d2: float, t: float, ov: OverlapSpec) -> float:
-    """Prior whose objective line is tangent where the curve slopes (d1, d2)."""
-    if math.isinf(d1):
-        return 0.5
-    if d2 == d1:
-        raise _equal_derivatives_error(d1, t, ov)
-    return d2 / (d2 - d1)
+    return _t_curve((t,), ov)[0][5:]
 
 
 def _eta1_at(t: float, ov: OverlapSpec) -> float:
-    d1, d2 = _curve_dq(t, ov)
-    return _tangent_eta1(d1, d2, t, ov)
+    """Tangent prior at parameter t, as ``qmin_curve`` reports it."""
+    return _t_curve((t,), ov)[0][1]
 
 
 def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
@@ -368,7 +480,8 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     The admissible range [t_slope_minus_one, t_slope_zero] covers every
     point that can be tangent to an objective line with eta1 <= 1/2; the
     returned point satisfies the unitarity constraint to 1e-12 by
-    construction.
+    construction.  It is the point ``qmin_curve`` reports at t, computed
+    with ``math`` alone.
     """
     _require_curve_overlaps(ov)
     t = float(t)
@@ -383,44 +496,31 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
 
 
 def _qmin_records(
-    t: list[float],
-    q1: list[float],
-    q2: list[float],
-    d1: list[float],
-    d2: list[float],
-    eta1: list[float],
-    q_min: list[float],
+    t: tuple[float, ...],
+    eta1: tuple[float, ...],
+    q_min: tuple[float, ...],
+    q1: tuple[float, ...],
+    q2: tuple[float, ...],
+    d1: tuple[float, ...],
+    d2: tuple[float, ...],
 ) -> list[QminSample]:
     """The sweep's records from range-checked columns.
 
     Each record is the one ``QminSample(t, eta1, q_min, FailurePoint(q1,
-    q2), dq1/dt, dq2/dt)`` builds, but its slots are written directly
-    (``object.__new__`` and each field's slot descriptor), so
-    ``FailurePoint``'s per-field checks do not run a second time.
+    q2), dq1/dt, dq2/dt)`` builds, but its slots are written column by
+    column, so ``FailurePoint``'s per-field checks do not run a second time.
     """
-    new = object.__new__
-    set_q1, set_q2 = FailurePoint.q1.__set__, FailurePoint.q2.__set__
-    set_t, set_eta1, set_q_min, set_point, set_d1, set_d2 = (
-        QminSample.t.__set__,
-        QminSample.eta1.__set__,
-        QminSample.q_min.__set__,
-        QminSample.point.__set__,
-        QminSample.dq1_dt.__set__,
-        QminSample.dq2_dt.__set__,
-    )
-    samples = []
-    for tt, a, b, da, db, e, qm in zip(t, q1, q2, d1, d2, eta1, q_min):
-        point = new(FailurePoint)
-        set_q1(point, a)
-        set_q2(point, b)
-        smp = new(QminSample)
-        set_t(smp, tt)
-        set_eta1(smp, e)
-        set_q_min(smp, qm)
-        set_point(smp, point)
-        set_d1(smp, da)
-        set_d2(smp, db)
-        samples.append(smp)
+    n = len(t)
+    points = _blank(FailurePoint, n)
+    _fill(FailurePoint.q1, points, q1)
+    _fill(FailurePoint.q2, points, q2)
+    samples = _blank(QminSample, n)
+    _fill(QminSample.t, samples, t)
+    _fill(QminSample.eta1, samples, eta1)
+    _fill(QminSample.q_min, samples, q_min)
+    _fill(QminSample.point, samples, points)
+    _fill(QminSample.dq1_dt, samples, d1)
+    _fill(QminSample.dq2_dt, samples, d2)
     return samples
 
 
@@ -434,19 +534,19 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     beyond 1e-10 aborts with diagnostics rather than return a wrong
     branch.
 
-    The whole grid is computed in one numpy pass (``_sweeps``) with the
-    bits of the scalar helpers ``_curve_q``, ``_curve_dq`` and
-    ``_tangent_eta1``; a failed guard raises NumericError naming the first
-    offending t.  The same pass range-checks the q1 and q2 columns once, as
-    ``FailurePoint`` would per sample, and the records are built after
-    that bulk check.
+    The samples come from ``_t_curve``, one t at a time with ``math``, so
+    each has the bits ``curve_point`` and the scalar helpers give at its t;
+    a failed guard raises NumericError naming the first offending t.  The
+    same loop range-checks q1 and q2 as ``FailurePoint`` would, and the
+    records are built column by column after it.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
-    from . import _sweeps
-
-    columns, worst = _sweeps.qmin_columns(t_slope_minus_one(ov), t_slope_zero(ov), n_samples, ov)
+    ts = _linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
+    columns = list(zip(*_t_curve(ts, ov)))
+    eta1 = columns[1]
+    worst = max(map(sub, eta1[1:], eta1))
     if worst > _MONOTONE_TOL:
         raise NumericError(
             f"eta1 failed to decrease monotonically along the sweep "
@@ -484,11 +584,13 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         f(q1) = eta1*(q1*B - beta*(1-q1)*A) - eta2*(q2*B - beta*(1-q2)*A)
 
     vanishes; f is 2*A*B*(eta1*dF/dq2 - eta2*dF/dq1) for the constraint F.
-    Brent finds that root (1e-14 in q1) between the vertex
-    q1 = q2 = (s-beta)/(1-beta), where f <= 0, and the zero-slope end,
-    where f >= 0; an end where f has the other sign is itself the answer.
-    Q is evaluated on the objective at the root, so its error is second
-    order in the root tolerance.  When (s-beta)(s+beta) is below the
+    Brent finds that root between the vertex q1 = q2 = (s-beta)/(1-beta),
+    where f <= 0, and the zero-slope end, where f >= 0; an end where f has
+    the other sign is itself the answer.  It works in q1 (to 1e-14), or in
+    log(q1) (to 1e-14 relative) when the vertex is below 1e-6, so that a
+    root that small keeps its relative digits.  Q is evaluated on the
+    objective at the root, so its error is second order in the root
+    tolerance.  When (s-beta)(s+beta) is below the
     normal float range (s below about 1e-146), the lower half cannot be
     resolved and the vertex is returned: it lies on the curve, and its Q,
     below 1.5e-154, is within that of the minimum.
@@ -535,13 +637,20 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         return _ret(vertex, FailurePoint(vertex, vertex))
     if f_hi <= 0.0:
         q1 = hi
+    elif vertex >= _SMALL_VERTEX:
+        q1 = _bracketed_root(tangency, vertex, hi, "tangency abscissa q1", f_lo, f_hi)
     else:
-        q1 = _bracketed_root(
-            lambda x: f_lo if x == vertex else (f_hi if x == hi else tangency(x)),
-            vertex,
-            hi,
-            "tangency abscissa q1",
+        # In u = log(q1) Brent's 1e-14 is relative in q1, and the bracket is
+        # at most about 750 wide, so it converges for any vertex.
+        u = _bracketed_root(
+            lambda u: tangency(math.exp(u)),
+            math.log(vertex),
+            math.log(hi),
+            "tangency abscissa log(q1)",
+            f_lo,
+            f_hi,
         )
+        q1 = min(max(math.exp(u), vertex), hi)
     q2 = lower_half_q2(q1, s, beta)
     return _ret(eta1 * q1 + eta2 * q2, FailurePoint(q1, q2))
 
@@ -666,6 +775,13 @@ def _negative_sp2_error(sp2: float, theta: float, s: float, delta: float) -> Num
     )
 
 
+def _cot_overflow_error(theta: float, s: float, delta: float, st: float, ct: float) -> NumericError:
+    return NumericError(
+        f"tradeoff formulas overflow at theta={theta!r}, s={s!r}, delta={delta!r}: "
+        f"cos(theta)/sin(theta) = {ct!r}/{st!r} exceeds the float range"
+    )
+
+
 def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     theta_lo = -math.atan(s * delta / math.sqrt(1.0 - delta * delta))
     if eta1 >= s * s / (1.0 + s * s):
@@ -678,37 +794,95 @@ def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     return theta_lo, theta_hi
 
 
+def _tradeoff_rows(thetas: Iterable[float], s: float, delta: float) -> list[tuple[float, float]]:
+    """Rows (s_prime, Q) of the tradeoff curve at each ellipse angle theta <= 0.
+
+    theta = 0 is the upper endpoint of the equal-slope family: full
+    separation (s' = 0) at the tangency-regime discrimination cost
+    s*sqrt(1 - delta^2).  Elsewhere s'^2 and Q come from the parametric
+    formulas, Q clamped to [0, 1] and s' capped at s.  The angles are taken
+    in order, and each raises at its first failed check: NumericError where
+    the formulas are singular (delta + sin(theta) or cos(theta) is 0),
+    where s'^2 is negative beyond its rounding noise, or where cot(theta)
+    overflows; then ``FailureBudget``'s range check of Q as DomainError.
+    """
+    root = math.sqrt(1.0 - delta * delta)
+    s_root = s * root
+    envelope = root * (1.0 + s * s)
+    two_s = 2.0 * s
+    sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
+    rows: list[tuple[float, float]] = []
+    add = rows.append
+    for theta in thetas:
+        if theta == 0.0:
+            s_prime, q = 0.0, s_root
+        else:
+            st, ct = sin(theta), cos(theta)
+            if delta + st == 0.0 or ct == 0.0:
+                raise _singular_error(theta, s, delta, st, ct)
+            gain = root * (st / (delta + st)) ** 2 / ct
+            term_envelope = envelope * ct
+            term_budget = two_s * (1.0 + delta * st)
+            sp2 = gain * (term_envelope - term_budget)
+            if sp2 < 0.0:
+                # Where the two terms cancel (the full-separation end of the
+                # sweep, severe for near-certainty priors) rounding leaves a
+                # negative residue of order eps times the amplification; only
+                # values beyond that noise floor indicate a real bug.
+                noise = 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget))
+                if sp2 < -(noise if noise > 1e-12 else 1e-12):
+                    raise _negative_sp2_error(sp2, theta, s, delta)
+                sp2 = 0.0
+            cot = ct / st
+            if cot == inf or cot == -inf:
+                # For |theta| below about 1e-308 (tiny s*delta), where
+                # delta*sp2*cot would be 0*inf.
+                raise _cot_overflow_error(theta, s, delta, st, ct)
+            num = s_root + delta * sp2 * cot
+            den = (1.0 - sp2) * ct
+            # An s'^2 that rounds to exactly 1 zeroes den; divide as IEEE
+            # does (num/±0 is num*±inf) rather than raise.
+            q = num / den if den else num * math.copysign(inf, den)
+            s_prime = sqrt(sp2)
+            # min(max(q, 0.0), 1.0), keeping NaN.
+            if q < 0.0:
+                q = 0.0
+            elif q > 1.0:
+                q = 1.0
+        if not 0.0 <= q <= 1.0:
+            raise _prob_error("q_avg", q)
+        add((s if s < s_prime else s_prime, q))
+    return rows
+
+
 def _tradeoff_records(
-    thetas: list[float], s: float, s_primes: list[float], qs: list[float]
+    thetas: list[float], s: float, s_primes: Iterable[float], qs: Iterable[float]
 ) -> list[TradeoffSample]:
     """The sweep's records from a range-checked Q column.
 
     Each record is the one ``TradeoffSample(PolarAngle(theta), s, s_prime,
-    FailureBudget(Q))`` builds, but its slots are written directly
-    (``object.__new__`` and each field's slot descriptor), so
-    ``FailureBudget``'s check does not run a second time.
+    FailureBudget(Q))`` builds, but its slots are written column by column,
+    so ``FailureBudget``'s check does not run a second time.
     """
-    new = object.__new__
-    set_theta, set_q_avg = PolarAngle.theta.__set__, FailureBudget.q_avg.__set__
-    set_angle, set_s, set_s_prime, set_q = (
-        TradeoffSample.theta.__set__,
-        TradeoffSample.s.__set__,
-        TradeoffSample.s_prime.__set__,
-        TradeoffSample.q.__set__,
-    )
-    samples = []
-    for th, sp, q in zip(thetas, s_primes, qs):
-        angle = new(PolarAngle)
-        set_theta(angle, th)
-        budget = new(FailureBudget)
-        set_q_avg(budget, q)
-        smp = new(TradeoffSample)
-        set_angle(smp, angle)
-        set_s(smp, s)
-        set_s_prime(smp, sp)
-        set_q(smp, budget)
-        samples.append(smp)
+    n = len(thetas)
+    angles = _blank(PolarAngle, n)
+    _fill(PolarAngle.theta, angles, thetas)
+    budgets = _blank(FailureBudget, n)
+    _fill(FailureBudget.q_avg, budgets, qs)
+    samples = _blank(TradeoffSample, n)
+    _fill(TradeoffSample.theta, samples, angles)
+    _fill(TradeoffSample.s, samples, repeat(s, n))
+    _fill(TradeoffSample.s_prime, samples, s_primes)
+    _fill(TradeoffSample.q, samples, budgets)
     return samples
+
+
+def _range_checked(qs: list[float]) -> list[float]:
+    """``qs``, after ``FailureBudget``'s range check of each, in order."""
+    for q in qs:
+        if not 0.0 <= q <= 1.0:
+            raise _prob_error("q_avg", q)
+    return qs
 
 
 def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffSample]:
@@ -720,11 +894,11 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 
     Equal priors and certainty priors bypass the angle sweep and use their
     explicit closed forms; their samples carry theta = 0 and theta = NaN
-    respectively.  The angle sweep's interior is computed in one numpy pass
-    (``_sweeps``) with the bits of the scalar formulas; a failed guard
-    raises NumericError naming the first offending theta.  Every branch
-    range-checks its Q column once, as ``FailureBudget`` would per sample,
-    and the records are built after that bulk check.
+    respectively.  The angle sweep's interior comes from ``_tradeoff_rows``,
+    one angle at a time with ``math``; a failed guard raises NumericError
+    naming the first offending theta.  Every branch range-checks its Q
+    values as ``FailureBudget`` would, and the records are built column by
+    column after that check.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -734,22 +908,23 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     prn, _ = pr.normalized()
     delta = prn.delta
 
-    from . import _sweeps
-
     if delta <= _DEGENERATE_PRIOR_TOL:
-        s_primes, qs = _sweeps.equal_prior_columns(s, n_samples)
+        # Equal priors: q1 = q2 = Q on the diagonal, so s' = (s - Q)/(1 - Q).
+        qs = _range_checked(_linspace(0.0, s, n_samples))
+        s_primes = [(s - q) / (1.0 - q) for q in qs]
         return _tradeoff_records([0.0] * n_samples, s, s_primes, qs)
     if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
-        s_primes, qs = _sweeps.certainty_columns(s, n_samples)
-        return _tradeoff_records([math.nan] * n_samples, s, s_primes, qs)
+        # Certainty on state 2: Q = q2 = (s^2 - s'^2)/(1 - s'^2).
+        qs = _linspace(0.0, s * s, n_samples)
+        s_primes = [sqrt_clamped((s * s - q) / (1.0 - q)) for q in qs]
+        return _tradeoff_records([math.nan] * n_samples, s, s_primes, _range_checked(qs))
 
-    theta_lo, theta_hi = _tradeoff_range(s, delta, prn.eta1)
-    thetas, s_primes, qs = _sweeps.tradeoff_columns(theta_lo, theta_hi, n_samples, s, delta)
+    thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
+    rows = _tradeoff_rows(thetas[1:-1], s, delta)
     # The sweep starts at the trivial protocol and ends at full separation;
     # both endpoint values are exact identities, so they are emitted
     # directly instead of through the cancellation-prone generic formulas.
-    s_primes = [s] + s_primes + [0.0]
-    qs = [0.0] + qs + [float(q_ud(prn, s))]
+    s_primes, qs = zip((s, 0.0), *rows, (0.0, float(q_ud(prn, s))))
     return _tradeoff_records(thetas, s, s_primes, qs)
 
 

@@ -11,7 +11,8 @@ import pytest
 
 import statesep
 from statesep import NumericError, Priors, q_ud
-from statesep.cli import _linspace, main
+from statesep.cli import main
+from statesep.solvers import _linspace
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +225,16 @@ def test_singular_tradeoff_exits_3(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["1e-307", "1e-320"])
+def test_subnormal_s_tradeoff_exits_3(capsys, s):
+    # cos(theta)/sin(theta) overflows at the angles nearest 0: a numeric
+    # failure, where Q = 0*inf = NaN used to fail FailureBudget's range
+    # check and exit 2 as if the valid input were a usage error.
+    assert main(["tradeoff", "--eta1", "0.3", "--s", s]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "overflow at theta=" in err
+
+
 @pytest.mark.parametrize(
     "script",
     [
@@ -244,12 +255,37 @@ def test_runtime_does_not_import_scipy(script):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("start, stop", [(0.0, 1.0), (0.5, 0.0)])
+def _grid_ranges(seed):
+    """Seeded (start, stop) pairs where a grid is easy to get wrong: negative
+    angle ranges like the tradeoff sweep's, start == stop, widths of a few
+    ulps, and steps that underflow to 0 (NumPy's (i/(n-1))*width branch)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(3):
+        lo = -float(rng.uniform(0.0, math.pi / 2))
+        cases.append(pytest.param(lo, lo * float(rng.uniform(0.0, 1.0)), id=f"angles-{i}"))
+        x = float(rng.choice([0.0, rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-320.0, 0.0)]))
+        cases.append(pytest.param(x, x, id=f"equal-ends-{i}"))
+        x = float(rng.uniform(0.1, 1.0))
+        width = int(rng.integers(1, 4))
+        cases.append(pytest.param(x, x + width * math.ulp(x), id=f"sub-ulp-{i}"))
+        tiny = float(rng.uniform(1.0, 100.0)) * 5e-324
+        cases.append(pytest.param(-tiny, 0.0, id=f"step-underflow-{i}"))
+    # The tradeoff sweep's angle range at s = 1e-322, eta1 = 0.3.
+    cases.append(pytest.param(-4.4e-323, 0.0, id="tradeoff-s-1e-322"))
+    return cases
+
+
+@pytest.mark.parametrize("start, stop", [(0.0, 1.0), (0.5, 0.0), *_grid_ranges(1812)])
 def test_cli_grid_matches_numpy_linspace_in_hex(start, stop):
-    # The point commands' grids, built without NumPy, carry np.linspace's bits.
+    # The grids of the CLI and of the sweeps, built without NumPy, carry
+    # np.linspace's bits.
     for n in [*range(2, 601), 1000, 4097]:
-        want = [float.hex(v) for v in np.linspace(start, stop, n).tolist()]
-        assert [float.hex(v) for v in _linspace(start, stop, n)] == want, n
+        want = np.linspace(start, stop, n)
+        got = np.array(_linspace(start, stop, n))
+        # Equal bit patterns, so -0.0 and 0.0 differ; float.hex on a mismatch.
+        if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+            assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()], n
 
 
 def test_verify_small_run_passes(capsys):

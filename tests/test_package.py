@@ -13,7 +13,7 @@ import pytest
 
 import statesep
 
-# Modules that the point solvers and the CLI's point commands never need.
+# Modules that the solvers and the CLI's curve and point commands never need.
 _HEAVY = ("numpy", "statesep.optics", "statesep.oracle", "statesep.verify")
 
 
@@ -51,6 +51,11 @@ def test_point_commands_load_no_numpy():
             "    assert main(['maxsep', '--eta1', '0.1', '--q-max', '0.4', '--samples', '64']) == 0",
             "    assert main(['qmin', '--s', '0.6', '--s-prime', '0', '--samples', '64']) == 0",
             "    assert main(['qmin', '--s', '0.6', '--s-prime', '0.6', '--samples', '64']) == 0",
+            "    assert main(['qmin', '--s', '0.6', '--s-prime', '0.3', '--samples', '64']) == 0",
+            "    assert main(['qmin', '--s', '0.6', '--s-prime', '0.3', '--format', 'json']) == 0",
+            "    for eta1 in ('0.1', '0.5', '0'):",
+            "        argv = ['tradeoff', '--eta1', eta1, '--s', '0.6', '--samples', '64']",
+            "        assert main(argv) == 0",
             _loaded(*_HEAVY),
         ]
     )
@@ -64,6 +69,9 @@ def test_point_solvers_load_no_numpy():
             "import statesep",
             "statesep.qmin_at(statesep.Priors.of(0.3), statesep.OverlapSpec(0.6, 0.3))",
             "statesep.max_separation(statesep.Priors.of(0.3), 0.6, 0.3)",
+            "statesep.qmin_curve(statesep.OverlapSpec(0.6, 0.3), 64)",
+            "for eta1 in (0.1, 0.5, 0.0):",
+            "    statesep.tradeoff_curve(statesep.Priors.of(eta1), 0.6, 64)",
             _loaded(*_HEAVY),
         ]
     )

@@ -124,6 +124,36 @@ def test_former_failures_match_the_referee(eta1, s, s_prime, expected):
     assert math.isclose(float(ref), expected, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "eta1, s, s_prime",
+    [
+        (0.3, 1e-14, 5e-15),
+        (1e-3, 1e-20, 5e-21),
+        (1e-3, 1e-20, 1e-21),
+        (0.3, 1e-12, 5e-13),
+        (0.1, 1e-12, 1e-13),
+        (0.45, 1e-12, 9e-13),
+        (0.3, 0.5, 0.5 - 1e-12),
+    ],
+    ids=[
+        "s-1e-14",
+        "s-1e-20",
+        "s-1e-20-small-target",
+        "s-1e-12",
+        "s-1e-12-eta-0.1",
+        "s-1e-12-eta-0.45",
+        "target-next-to-s",
+    ],
+)
+def test_small_vertex_answers_keep_their_relative_digits(eta1, s, s_prime):
+    # With the vertex (s - s')/(1 - s') below 1e-6 the root is found in
+    # log(q1).  Brent's absolute 1e-14 in q1 left these 3.7% off, 15 times
+    # the minimum, and 2e-9, 2e-7 and 2e-5 off relatively.
+    q, _ = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
+    ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
+    assert abs(q.q_avg - ref) <= 1e-9 * ref, (q.q_avg, float(ref))
+
+
 def edge_corpus(n: int, seed: int):
     """n seeded (eta1, s, s') cases, a third of each parameter near an edge.
 

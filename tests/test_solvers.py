@@ -1,7 +1,10 @@
+import __future__
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
+import textwrap
 
 import numpy as np
 import pytest
@@ -36,8 +39,8 @@ from statesep import (
 import helpers
 import qmin_referee
 import test_qmin_at_edges
-from statesep import _sweeps, solvers
-from statesep.solvers import _EPS, _negative_sp2_error, _singular_error
+from statesep import solvers
+from statesep.solvers import _EPS, _cot_overflow_error, _negative_sp2_error, _singular_error
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +483,15 @@ def test_phase_transition_domain():
 
 
 def _solver_brackets(monkeypatch):
-    """(f, lo, hi) of every bracket that qmin_at, max_separation and
-    tradeoff_at hand to the root finder on a seeded set of interior inputs."""
+    """(f, lo, hi, end values) of every bracket that qmin_at, max_separation
+    and tradeoff_at hand to the root finder on a seeded set of interior
+    inputs; the end values are the f(lo), f(hi) a caller passes in, if any."""
     brackets = []
     original = solvers._bracketed_root
 
-    def record(f, lo, hi, what):
-        brackets.append((f, lo, hi))
-        return original(f, lo, hi, what)
+    def record(f, lo, hi, what, *ends):
+        brackets.append((f, lo, hi, ends))
+        return original(f, lo, hi, what, *ends)
 
     monkeypatch.setattr(solvers, "_bracketed_root", record)
     rng = np.random.default_rng(1506)
@@ -506,8 +510,10 @@ def test_bracketed_root_is_bit_identical_to_brentq(monkeypatch):
 
     brackets = _solver_brackets(monkeypatch)
     assert len(brackets) >= 300
-    for f, lo, hi in brackets:
-        ours = solvers._bracketed_root(f, lo, hi, "test")
+    for f, lo, hi, ends in brackets:
+        # brentq evaluates both ends itself, so this also checks the values
+        # that qmin_at hands in.
+        ours = solvers._bracketed_root(f, lo, hi, "test", *ends)
         ref = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
         assert ours == ref, (lo, hi, ours, ref)
 
@@ -574,7 +580,7 @@ def test_singular_formulas_raise_numeric_error(solve, message):
 
 
 # ---------------------------------------------------------------------------
-# the array sweeps against the scalar helpers
+# the sweeps against the scalar helpers and the scalar tradeoff referee
 
 
 def _outcome(fn):
@@ -595,7 +601,7 @@ def _qmin_rows_scalar(ov, n):
     for t in np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist():
         q1, q2 = solvers._curve_q(t, ov)
         d1, d2 = solvers._curve_dq(t, ov)
-        eta1 = min(max(solvers._tangent_eta1(d1, d2, t, ov), 0.0), 0.5)
+        eta1 = solvers._eta1_at(t, ov)
         q_min = min(max(eta1 * q1 + (1.0 - eta1) * q2, 0.0), 1.0)
         FailurePoint(q1, q2)
         rows.append((t, eta1, q_min, q1, q2, d1, d2))
@@ -620,6 +626,8 @@ def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
     if sp2 < -noise:
         raise _negative_sp2_error(sp2, theta, s, delta)
     sp2 = max(sp2, 0.0)
+    if math.isinf(ct / st):
+        raise _cot_overflow_error(theta, s, delta, st, ct)
     q = (s * math.sqrt(one) + delta * sp2 * (ct / st)) / ((1.0 - sp2) * ct)
     return math.sqrt(sp2), min(max(q, 0.0), 1.0)
 
@@ -727,19 +735,6 @@ def test_float_constants_match_numpy_finfo():
     assert solvers._TINY == np.finfo(float).tiny
 
 
-def test_first_failure_takes_the_earliest_sample():
-    # Sample 1 fails only the second check and sample 2 only the first: a
-    # sample loop stops at sample 1 with the second check's error.
-    masks = [np.array([False, False, True]), np.array([False, True, False])]
-    errors = [
-        lambda i: NumericError(f"first check at {i}"),
-        lambda i: NumericError(f"second check at {i}"),
-    ]
-    with pytest.raises(NumericError, match="^second check at 1$"):
-        _sweeps._raise_first_failure(list(zip(masks, errors)))
-    _sweeps._raise_first_failure([(np.zeros(4, bool), errors[0])])
-
-
 def test_qmin_curve_vertex_and_flat_end_bits():
     samples = qmin_curve(OverlapSpec(0.8, 0.4), 512)
     assert samples[0].eta1 == 0.5 and math.isinf(samples[0].dq1_dt)
@@ -788,6 +783,19 @@ def test_valid_curve_inputs_raise_numeric_error(ov, message):
     with pytest.raises(NumericError, match=message):
         qmin_curve(ov, 512)
     assert test_qmin_at_edges.check_qmin_at(0.3, ov.s, ov.s_prime) == "answered"
+
+
+@pytest.mark.parametrize("s", [1e-307, 1e-320])
+def test_tradeoff_curve_at_subnormal_s_is_numeric_error(s):
+    # Where cos(theta)/sin(theta) overflows, delta*s'^2*cot(theta) is 0*inf:
+    # the sweep, like its referee, raises NumericError naming theta instead
+    # of leaving a NaN Q for FailureBudget to call a DomainError.
+    pr = Priors.of(0.3)
+    with pytest.raises(NumericError, match=r"overflow at theta=-[0-9.e-]+, s=1e-3"):
+        tradeoff_curve(pr, s, 512)
+    assert _outcome(lambda: _tradeoff_rows(pr, s, 512)) == _outcome(
+        lambda: _tradeoff_rows_scalar(pr, s, 512)
+    )
 
 
 def test_negative_q1_at_tiny_s_is_numeric_error():
@@ -863,25 +871,40 @@ def test_sweep_records_match_the_public_constructors(sweep):
         assert copy.deepcopy(smp) == smp
 
 
-def _inject(column, values):
-    """A copy of ``column`` with ``values`` ({index: value}) written in."""
-    column = column.copy()
-    for i, v in values.items():
-        column[i] = v
-    return column
+def _with_fault(monkeypatch, name, anchor, fault_line, fault):
+    """Replace ``solvers.<name>`` by a copy that runs ``fault_line`` right after ``anchor``.
+
+    The copy is compiled from the function's own source with that one line
+    added, in the module's namespace plus ``_fault``, so a sweep runs its
+    real guards and range checks on the faulty value.  The sweeps' loops
+    have no other seam: a per-sample hook would cost them about a tenth of
+    their time.
+    """
+    lines = textwrap.dedent(inspect.getsource(getattr(solvers, name))).splitlines()
+    [i] = [i for i, line in enumerate(lines) if line.strip() == anchor]
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines.insert(i + 1, indent + fault_line)
+    code = compile(
+        "\n".join(lines),
+        f"<solvers.{name} with a fault>",
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = {**vars(solvers), "_fault": fault}
+    exec(code, namespace)
+    monkeypatch.setattr(solvers, name, namespace[name])
 
 
-def _patch_q_pair(monkeypatch, q1_values, q2_values):
-    """Make the qmin sweep's q1/q2 columns carry the given values."""
-    original = solvers._q_pair
-
-    def patched(x, y, rx, ry):
-        q1, q2 = original(x, y, rx, ry)
-        if isinstance(q1, np.ndarray):
-            return _inject(q1, q1_values), _inject(q2, q2_values)
-        return q1, q2
-
-    monkeypatch.setattr(solvers, "_q_pair", patched)
+def _fault_qmin_point(monkeypatch, q1_values, q2_values):
+    """Make the qmin sweep's unclamped q1/q2 at sample i the given values ({i: value})."""
+    _with_fault(
+        monkeypatch,
+        "_t_curve",
+        "q1, q2 = 0.5 * (c + rr), 0.5 * (c - rr)",
+        "q1, q2 = _fault(len(rows), q1, q2)",
+        lambda i, q1, q2: (q1_values.get(i, q1), q2_values.get(i, q2)),
+    )
 
 
 @pytest.mark.parametrize("k", [0, 5, 32])
@@ -891,7 +914,7 @@ def test_qmin_curve_nan_in_q2_raises_the_constructor_error(monkeypatch, k):
     with pytest.raises(DomainError) as want:
         FailurePoint(q1_k, math.nan)
     # A second bad value after k shows that the error is k's.
-    _patch_q_pair(monkeypatch, {}, {k: math.nan, k + 1: 2.0} if k < 32 else {k: math.nan})
+    _fault_qmin_point(monkeypatch, {}, {k: math.nan, k + 1: 2.0} if k < 32 else {k: math.nan})
     with pytest.raises(DomainError) as got:
         qmin_curve(ov, 33)
     assert str(got.value) == str(want.value) == "q2 must lie in [0, 1], got nan"
@@ -902,7 +925,7 @@ def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
     # A negative q1 at sample 5 trips the sweep's own guard there; a NaN q2
     # at sample k trips FailurePoint's range check.  The earlier sample
     # wins, and within one sample the guard comes first.
-    _patch_q_pair(monkeypatch, {5: -0.25}, {k: math.nan})
+    _fault_qmin_point(monkeypatch, {5: -0.25}, {k: math.nan})
     if wins == "q2":
         with pytest.raises(DomainError, match="q2 must lie in"):
             qmin_curve(OverlapSpec(0.6, 0.3), 33)
@@ -911,27 +934,27 @@ def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
             qmin_curve(OverlapSpec(0.6, 0.3), 33)
 
 
-def _patch_clip(monkeypatch, k):
-    """Make the tradeoff sweep's clamped Q column NaN at grid index k."""
-    original = _sweeps._clip
+def _fault_tradeoff_q(monkeypatch, k):
+    """Make the tradeoff sweep's Q NaN at interior grid index k."""
+    _with_fault(
+        monkeypatch,
+        "_tradeoff_rows",
+        "q = num / den if den else num * math.copysign(inf, den)",
+        "q = _fault(len(rows), q)",
+        lambda i, q: math.nan if i == k else q,
+    )
 
-    def patched(v, lo, hi):
-        return _inject(original(v, lo, hi), {k: math.nan})
 
-    monkeypatch.setattr(_sweeps, "_clip", patched)
+def _fault_grid(monkeypatch, k):
+    """Make the sweeps' grids NaN at index k."""
+    original = solvers._linspace
 
+    def patched(start, stop, n):
+        grid = original(start, stop, n)
+        grid[k] = math.nan
+        return grid
 
-class _NumpyWithNaN:
-    """numpy, except that ``linspace`` puts a NaN at index k."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def linspace(self, *args, **kwargs):
-        return _inject(np.linspace(*args, **kwargs), {self.k: math.nan})
+    monkeypatch.setattr(solvers, "_linspace", patched)
 
 
 @pytest.mark.parametrize("branch", ["generic", "equal-priors", "certainty"])
@@ -940,9 +963,9 @@ def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branc
         FailureBudget(math.nan)
     eta1 = {"generic": 0.2, "equal-priors": 0.5, "certainty": 0.0}[branch]
     if branch == "generic":
-        _patch_clip(monkeypatch, 6)  # grid index 6 is sample 7
+        _fault_tradeoff_q(monkeypatch, 6)  # grid index 6 is sample 7
     else:
-        monkeypatch.setattr(_sweeps, "np", _NumpyWithNaN(7))
+        _fault_grid(monkeypatch, 7)
     with pytest.raises(DomainError) as got:
         tradeoff_curve(Priors.of(eta1), 0.6, 33)
     assert str(got.value) == str(want.value) == "q_avg must lie in [0, 1], got nan"
@@ -955,9 +978,12 @@ _NEGATIVE_SP2_CASE = (1.9302922127230343e-08, 0.9710224874752635, 512)
 @pytest.mark.parametrize("k, wins", [(99, "q"), (268, "guard"), (300, "guard")])
 def test_tradeoff_curve_earlier_failure_wins(monkeypatch, k, wins):
     eta1, s, n = _NEGATIVE_SP2_CASE
-    with pytest.raises(NumericError, match="negative squared overlap"):
+    prn, _ = Priors.of(eta1).normalized()
+    theta = solvers._linspace(*solvers._tradeoff_range(s, prn.delta, prn.eta1), n)[1:-1][268]
+    with pytest.raises(NumericError, match="negative squared overlap") as guard:
         tradeoff_curve(Priors.of(eta1), s, n)
-    _patch_clip(monkeypatch, k)
+    assert f"at theta={theta!r}," in str(guard.value)
+    _fault_tradeoff_q(monkeypatch, k)
     if wins == "q":
         with pytest.raises(DomainError, match="q_avg must lie in"):
             tradeoff_curve(Priors.of(eta1), s, n)
