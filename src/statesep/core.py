@@ -71,32 +71,30 @@ def _prob_error(name: str, value: float) -> DomainError:
     return DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise _prob_error(name, value)
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Priors:
     """Prior probabilities (eta1, eta2) of the two input states."""
 
     eta1: float
     eta2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta1", _check_prob("eta1", self.eta1))
-        object.__setattr__(self, "eta2", _check_prob("eta2", self.eta2))
-        if abs(self.eta1 + self.eta2 - 1.0) > 1e-12:
-            raise DomainError(
-                f"priors must sum to 1 within 1e-12, got {self.eta1!r} + {self.eta2!r}"
-            )
+    def __init__(self, eta1: float, eta2: float) -> None:
+        eta1 = float(eta1)
+        if not 0.0 <= eta1 <= 1.0:
+            raise _prob_error("eta1", eta1)
+        eta2 = float(eta2)
+        if not 0.0 <= eta2 <= 1.0:
+            raise _prob_error("eta2", eta2)
+        if abs(eta1 + eta2 - 1.0) > 1e-12:
+            raise DomainError(f"priors must sum to 1 within 1e-12, got {eta1!r} + {eta2!r}")
+        _set_eta1(self, eta1)
+        _set_eta2(self, eta2)
 
     @classmethod
     def of(cls, eta1: float) -> "Priors":
         """Priors with the second component filled in as ``1 - eta1``."""
-        return cls(eta1, 1.0 - float(eta1))
+        eta1 = float(eta1)
+        return cls(eta1, 1.0 - eta1)
 
     @property
     def delta(self) -> float:
@@ -118,7 +116,7 @@ class Priors:
         return self, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OverlapSpec:
     """Initial overlap s, target overlap s_prime and success-flag overlap kappa.
 
@@ -132,30 +130,45 @@ class OverlapSpec:
     s_prime: float
     kappa: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", _check_prob("s", self.s))
-        object.__setattr__(self, "s_prime", _check_prob("s_prime", self.s_prime))
-        object.__setattr__(self, "kappa", _check_prob("kappa", self.kappa))
-        if self.s_prime > self.s:
+    def __init__(self, s: float, s_prime: float, kappa: float = 1.0) -> None:
+        s = float(s)
+        if not 0.0 <= s <= 1.0:
+            raise _prob_error("s", s)
+        s_prime = float(s_prime)
+        if not 0.0 <= s_prime <= 1.0:
+            raise _prob_error("s_prime", s_prime)
+        kappa = float(kappa)
+        if not 0.0 <= kappa <= 1.0:
+            raise _prob_error("kappa", kappa)
+        if s_prime > s:
             raise DomainError(
-                f"s_prime must not exceed s, got s_prime={self.s_prime!r} > s={self.s!r}"
+                f"s_prime must not exceed s, got s_prime={s_prime!r} > s={s!r}"
             )
+        _set_s(self, s)
+        _set_s_prime(self, s_prime)
+        _set_kappa(self, kappa)
 
     @property
     def beta(self) -> float:
         return self.s_prime * self.kappa
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FailurePoint:
     """Conditional failure probabilities (q1, q2) of a protocol."""
 
     q1: float
     q2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "q1", _check_prob("q1", self.q1))
-        object.__setattr__(self, "q2", _check_prob("q2", self.q2))
+    def __init__(self, q1: float, q2: float) -> None:
+        q1 = float(q1)
+        if not 0.0 <= q1 <= 1.0:
+            raise _prob_error("q1", q1)
+        q2 = float(q2)
+        if not 0.0 <= q2 <= 1.0:
+            raise _prob_error("q2", q2)
+        _set_q1(self, q1)
+        _set_q2(self, q2)
 
     @property
     def p1(self) -> float:
@@ -169,17 +182,30 @@ class FailurePoint:
         return FailurePoint(self.q2, self.q1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FailureBudget:
     """An average failure probability, either achieved (Q) or allowed (Q_max)."""
 
     q_avg: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_avg", _check_prob("q_avg", self.q_avg))
+    def __init__(self, q_avg: float) -> None:
+        q_avg = float(q_avg)
+        if not 0.0 <= q_avg <= 1.0:
+            raise _prob_error("q_avg", q_avg)
+        _set_q_avg(self, q_avg)
 
     def __float__(self) -> float:
         return self.q_avg
+
+
+# The constructors above write each checked field through its slot
+# descriptor; the frozen __setattr__ would refuse, and object.__setattr__
+# is a slower route to the same descriptor.
+_set_eta1, _set_eta2 = Priors.eta1.__set__, Priors.eta2.__set__
+_set_s, _set_s_prime = OverlapSpec.s.__set__, OverlapSpec.s_prime.__set__
+_set_kappa = OverlapSpec.kappa.__set__
+_set_q1, _set_q2 = FailurePoint.q1.__set__, FailurePoint.q2.__set__
+_set_q_avg = FailureBudget.q_avg.__set__
 
 
 def average_failure(pt: FailurePoint, pr: Priors) -> FailureBudget:

@@ -166,22 +166,28 @@ def _bracketed_root(
 
     # (xcur, fcur) is the best estimate, xblk the contrapoint that keeps the
     # root bracketed, xpre the previous iterate; spre/scur are the last two
-    # step lengths.
+    # step lengths.  The loop calls no builtin: |a| < |b| is tested as
+    # -|b| < a < |b|, |b| is b or -b by the sign of b, and NaN is the one
+    # float unequal to itself.  Each test has abs()'s result for every
+    # float, NaN and -0.0 included.
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if (-fcur < fblk < fcur) if fcur > 0.0 else (fcur < fblk < -fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        delta = (_ROOT_XTOL + _ROOT_RTOL * (xcur if xcur > 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        if fcur == 0.0 or -delta < sbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        spre_abs = spre if spre > 0.0 else -spre
+        if spre_abs > delta and (
+            (-fpre < fcur < fpre) if fpre > 0.0 else (fpre < fcur < -fpre)
+        ):
             if xpre == xblk:
                 # secant (linear interpolation)
                 num, den = -fcur * (xcur - xpre), fcur - fpre
@@ -191,9 +197,13 @@ def _bracketed_root(
                 dblk = (fblk - fcur) / (xblk - xcur)
                 num = -fcur * (fblk * dblk - fpre * dpre)
                 den = dblk * dpre * (fblk - fpre)
+            # min(spre_abs, 3*|sbis| - delta), with min's choice on ties and NaN.
+            lim = 3 * (sbis if sbis > 0.0 else -sbis) - delta
+            if not lim < spre_abs:
+                lim = spre_abs
             # A denominator that underflows to 0 makes brentq's step inf or
             # NaN, which fails the test below; here it would raise instead.
-            if den != 0.0 and 2 * abs(stry := num / den) < min(abs(spre), 3 * abs(sbis) - delta):
+            if den != 0.0 and -lim < 2 * (stry := num / den) < lim:
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
@@ -201,12 +211,12 @@ def _bracketed_root(
             spre = scur = sbis
 
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        if scur > delta or scur < -delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise failed(f"f({xcur!r}) is NaN")
     raise failed(f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
 

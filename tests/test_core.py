@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from statesep import (
     DomainError,
+    FailureBudget,
     FailurePoint,
     OverlapSpec,
     Priors,
@@ -55,6 +59,136 @@ def test_failure_point_validation():
     assert pt.swapped() == FailurePoint(0.5, 0.3)
     with pytest.raises(DomainError):
         FailurePoint(1.2, 0.0)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Priors(_NAN, 0.5), "eta1 must lie in [0, 1], got nan"),
+        (lambda: Priors(-0.1, 1.1), "eta1 must lie in [0, 1], got -0.1"),
+        (lambda: Priors(_INF, -_INF), "eta1 must lie in [0, 1], got inf"),
+        # eta1 is checked before eta2 is converted.
+        (lambda: Priors(_NAN, "x"), "eta1 must lie in [0, 1], got nan"),
+        (lambda: Priors(0.3, 1.5), "eta2 must lie in [0, 1], got 1.5"),
+        (lambda: Priors(0.3, _NAN), "eta2 must lie in [0, 1], got nan"),
+        (lambda: Priors(0.3, 0.6), "priors must sum to 1 within 1e-12, got 0.3 + 0.6"),
+        (
+            lambda: Priors(0.5, 0.5 + 1e-12),
+            "priors must sum to 1 within 1e-12, got 0.5 + 0.500000000001",
+        ),
+        (lambda: Priors.of(1.5), "eta1 must lie in [0, 1], got 1.5"),
+        (lambda: Priors.of(_NAN), "eta1 must lie in [0, 1], got nan"),
+        (lambda: Priors.of(-1e-300), "eta1 must lie in [0, 1], got -1e-300"),
+        (lambda: OverlapSpec(1.5, 0.3), "s must lie in [0, 1], got 1.5"),
+        (lambda: OverlapSpec(_NAN, _NAN), "s must lie in [0, 1], got nan"),
+        (lambda: OverlapSpec(-1, 2, 3), "s must lie in [0, 1], got -1.0"),
+        (lambda: OverlapSpec(0.6, -0.1), "s_prime must lie in [0, 1], got -0.1"),
+        (lambda: OverlapSpec(0.6, 0.3, 1.5), "kappa must lie in [0, 1], got 1.5"),
+        (lambda: OverlapSpec(0.6, 0.3, kappa=_NAN), "kappa must lie in [0, 1], got nan"),
+        # kappa's range is checked before the order of s and s_prime.
+        (lambda: OverlapSpec(0.3, 0.6, 2.0), "kappa must lie in [0, 1], got 2.0"),
+        (
+            lambda: OverlapSpec(0.3, 0.6),
+            "s_prime must not exceed s, got s_prime=0.6 > s=0.3",
+        ),
+        (
+            lambda: OverlapSpec(0.5, 0.5000000000000001),
+            "s_prime must not exceed s, got s_prime=0.5000000000000001 > s=0.5",
+        ),
+        (lambda: FailurePoint(1.2, 0.0), "q1 must lie in [0, 1], got 1.2"),
+        (lambda: FailurePoint(_NAN, 2), "q1 must lie in [0, 1], got nan"),
+        (lambda: FailurePoint(-0.5, "x"), "q1 must lie in [0, 1], got -0.5"),
+        (lambda: FailurePoint(0.5, -1e-300), "q2 must lie in [0, 1], got -1e-300"),
+        (lambda: FailurePoint(0.5, _INF), "q2 must lie in [0, 1], got inf"),
+        (
+            lambda: FailureBudget(1.0000000000000002),
+            "q_avg must lie in [0, 1], got 1.0000000000000002",
+        ),
+        (lambda: FailureBudget(_NAN), "q_avg must lie in [0, 1], got nan"),
+        (lambda: FailureBudget(-_INF), "q_avg must lie in [0, 1], got -inf"),
+    ],
+)
+def test_constructors_refuse_with_the_first_bad_field(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_constructors_pass_conversion_errors_through():
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        Priors("a", 0.5)
+    with pytest.raises(TypeError, match="not 'NoneType'"):
+        FailurePoint(None, 0.5)
+
+
+def _plain(*values):
+    return all(type(v) is float for v in values)
+
+
+def test_constructors_coerce_with_float():
+    pr = Priors(0, 1)
+    assert (pr.eta1, pr.eta2) == (0.0, 1.0) and _plain(pr.eta1, pr.eta2)
+    pr = Priors.of(np.float32(0.25))
+    assert (pr.eta1, pr.eta2) == (0.25, 0.75) and _plain(pr.eta1, pr.eta2)
+    ov = OverlapSpec(np.float64(0.6), FailureBudget(0.3), kappa=1)
+    assert (ov.s, ov.s_prime, ov.kappa) == (0.6, 0.3, 1.0)
+    assert _plain(ov.s, ov.s_prime, ov.kappa)
+    # float32 keeps its own value, not the decimal it was written as.
+    pt = FailurePoint(np.float32(0.3), 1)
+    assert pt.q1 == float(np.float32(0.3)) != 0.3 and pt.q2 == 1.0 and _plain(pt.q1, pt.q2)
+    budget = FailureBudget(FailureBudget(np.float64(0.4)))
+    assert budget.q_avg == 0.4 and _plain(budget.q_avg)
+    assert OverlapSpec(0.6, "0.3").s_prime == 0.3
+
+
+_INSTANCES = [
+    Priors(0.3, 0.7),
+    Priors.of(0.0),
+    OverlapSpec(0.6, 0.3),
+    OverlapSpec(0.6, 0.3, kappa=0.5),
+    FailurePoint(0.3, 0.5),
+    FailureBudget(0.45),
+]
+
+
+@pytest.mark.parametrize("obj", _INSTANCES, ids=lambda o: repr(o))
+def test_domain_types_are_frozen_slotted_values(obj):
+    names = [f.name for f in dataclasses.fields(obj)]
+    values = tuple(getattr(obj, name) for name in names)
+    assert not hasattr(obj, "__dict__")
+    assert type(obj).__slots__ == tuple(names)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    # The generated value semantics: field-wise ==, hash and repr.
+    twin = type(obj)(*values)
+    assert twin == obj and hash(twin) == hash(obj) == hash(values)
+    assert repr(obj) == f"{type(obj).__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)
+    ) + ")"
+    assert type(obj)(**dict(zip(names, values))) == obj
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+        assert type(copied) is type(obj) and copied == obj and repr(copied) == repr(obj)
+    assert dataclasses.replace(obj) == obj
+
+
+def test_replace_runs_the_checks():
+    assert dataclasses.fields(OverlapSpec)[2].default == 1.0
+    assert dataclasses.replace(OverlapSpec(0.6, 0.3), s_prime=0.1) == OverlapSpec(0.6, 0.1)
+    assert dataclasses.replace(Priors.of(0.3), eta1=0.4, eta2=0.6) == Priors.of(0.4)
+    with pytest.raises(DomainError, match="s_prime must not exceed s"):
+        dataclasses.replace(OverlapSpec(0.6, 0.3), s_prime=0.9)
+    with pytest.raises(DomainError, match="priors must sum to 1"):
+        dataclasses.replace(Priors.of(0.3), eta1=0.4)
+    with pytest.raises(DomainError, match="q_avg must lie in"):
+        dataclasses.replace(FailureBudget(0.3), q_avg=-1.0)
+    with pytest.raises(DomainError, match="q2 must lie in"):
+        dataclasses.replace(FailurePoint(0.3, 0.2), q2=2.0)
 
 
 def test_sqrt_clamped():

@@ -482,40 +482,89 @@ def test_phase_transition_domain():
 # root finding: the Brent port against scipy.optimize.brentq
 
 
+def _edge_inputs(rng, n):
+    """n seeded (eta1, s, s'/s) triples, a quarter on each edge of the brackets.
+
+    s'/s within 1e-12..1e-2 of 1 at s in 1e-12..1e-2 (a lower-half vertex
+    below 1e-6, so qmin_at's log(q1) path), s within 1e-15..1e-9 of 1, and
+    eta1 within 1e-12..1e-8 of 0 or of 1/2; the other parameters are
+    interior.
+    """
+    out = []
+    for k in range(n):
+        eta1, s, frac = rng.uniform([0.01, 0.05, 0.02], [0.49, 0.95, 0.98])
+        if k % 4 == 0:
+            s, frac = _decade(rng, -12.0, -2.0), 1.0 - _decade(rng, -12.0, -2.0)
+        elif k % 4 == 1:
+            s = 1.0 - _decade(rng, -15.0, -9.0)
+        elif k % 4 == 2:
+            eta1 = _decade(rng, -12.0, -8.0)
+        else:
+            eta1 = 0.5 - _decade(rng, -12.0, -8.0)
+        out.append((float(eta1), float(s), float(frac)))
+    return out
+
+
 def _solver_brackets(monkeypatch):
-    """(f, lo, hi, end values) of every bracket that qmin_at, max_separation
-    and tradeoff_at hand to the root finder on a seeded set of interior
-    inputs; the end values are the f(lo), f(hi) a caller passes in, if any."""
+    """(f, lo, hi, what, end values) of every bracket that qmin_at,
+    max_separation and tradeoff_at hand to the root finder on seeded
+    interior and edge inputs; the end values are the f(lo), f(hi) a caller
+    passes in, if any."""
     brackets = []
     original = solvers._bracketed_root
 
     def record(f, lo, hi, what, *ends):
-        brackets.append((f, lo, hi, ends))
+        brackets.append((f, lo, hi, what, ends))
         return original(f, lo, hi, what, *ends)
 
     monkeypatch.setattr(solvers, "_bracketed_root", record)
     rng = np.random.default_rng(1506)
-    for eta1, s, frac in rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (120, 3)):
-        pr = Priors.of(float(eta1))
-        qmin_at(pr, OverlapSpec(float(s), float(frac * s)))
-        budget = float(frac) * float(q_ud(pr, float(s)))
-        max_separation(pr, float(s), budget)
-        tradeoff_at(pr, float(s), budget)
+    interior = rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (120, 3)).tolist()
+    for eta1, s, frac in interior + _edge_inputs(rng, 800):
+        pr = Priors.of(eta1)
+        budget = frac * float(q_ud(pr, s))
+        for solve in (
+            lambda: qmin_at(pr, OverlapSpec(s, frac * s)),
+            lambda: max_separation(pr, s, budget),
+            lambda: tradeoff_at(pr, s, budget),
+        ):
+            try:
+                solve()
+            except NumericError:
+                pass  # the bracket is recorded all the same
     monkeypatch.undo()
     return brackets
+
+
+def _brent_outcome(solve):
+    """The root, or the class of the error brentq raises in the same case."""
+    try:
+        return solve()
+    except NumericError as exc:
+        assert "no sign change" in str(exc), exc
+        return ValueError
+    except ValueError:
+        return ValueError
 
 
 def test_bracketed_root_is_bit_identical_to_brentq(monkeypatch):
     from scipy.optimize import brentq
 
     brackets = _solver_brackets(monkeypatch)
-    assert len(brackets) >= 300
-    for f, lo, hi, ends in brackets:
+    log_path = [b for b in brackets if b[3] == "tangency abscissa log(q1)"]
+    assert len(brackets) >= 1900 and len(log_path) >= 150
+    for f, lo, hi, what, ends in brackets:
         # brentq evaluates both ends itself, so this also checks the values
-        # that qmin_at hands in.
-        ours = solvers._bracketed_root(f, lo, hi, "test", *ends)
-        ref = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
-        assert ours == ref, (lo, hi, ours, ref)
+        # that qmin_at hands in.  Not on the log(q1) path: there qmin_at
+        # hands in f(vertex), not f(exp(log(vertex))), which can differ in
+        # the last bit, so the port evaluates the ends itself as brentq does.
+        if what == "tangency abscissa log(q1)":
+            ends = ()
+        ours = _brent_outcome(lambda: solvers._bracketed_root(f, lo, hi, "test", *ends))
+        ref = _brent_outcome(
+            lambda: brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+        )
+        assert ours == ref, (what, lo, hi, ours, ref)
 
 
 @pytest.mark.parametrize("scale", [1e-110, 1e-150, 1e-200])
@@ -531,6 +580,37 @@ def test_bracketed_root_bisects_where_the_interpolation_underflows(scale):
 
     ref = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
     assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+
+
+@pytest.mark.parametrize(
+    "scale, grow, odd_step",
+    [(1e-310, 1.0, "-0.0"), (1e300, 1e10, "nan")],
+    ids=["subnormal-f", "overflowing-f"],
+)
+def test_bracketed_root_takes_brentqs_choice_on_zero_and_nan_steps(
+    monkeypatch, scale, grow, odd_step
+):
+    # The loop tests |step| by its sign, with no abs().  With f subnormal
+    # the interpolation's numerator underflows, so a trial step is -0.0;
+    # with f overflowing to inf it is inf/inf, NaN.  Either must lead to the
+    # step brentq takes.
+    from scipy.optimize import brentq
+
+    def f(x):
+        return scale * (x**3 - 0.2) * grow
+
+    ref = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+    steps = []
+    _with_fault(
+        monkeypatch,
+        "_bracketed_root",
+        "lim = 3 * (sbis if sbis > 0.0 else -sbis) - delta",
+        "_fault(num, den)",
+        lambda num, den: den != 0.0 and steps.append(num / den),
+    )
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+    assert odd_step in {repr(step) for step in steps}
 
 
 def _step(x):
