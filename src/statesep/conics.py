@@ -8,8 +8,8 @@ The change of variables
 unitarity constraint to a family of parabolas indexed by the initial
 overlap ``s`` and the objective lines eta1*q1 + eta2*q2 = Q to a family of
 ellipses indexed by the budget ``Q``.  Optimal protocols are tangency
-points between one parabola and one ellipse, which is how the
-max-separation and tradeoff solvers find them.
+points between one parabola and one ellipse: the tradeoff sweep walks
+them by the ellipse angle, and max-separation reports that angle.
 
 By the AM-GM inequality every image point satisfies u <= v; the envelopes
 v = (1 + u^2)/2 (parabolas) and v = u (ellipses) bound the strip where

@@ -9,7 +9,7 @@ separation problem:
   target overlap, parametrized along the constraint curve, or root-found
   for a specific prior as the tangency point on the curve's lower half.
 * ``max_separation`` / ``critical_overlap`` -- smallest reachable final
-  overlap under a failure budget, via the conic tangency system.
+  overlap under a failure budget, as the minimum along the budget line.
 * ``tradeoff_curve`` / ``tradeoff_at`` -- the full (Q, s') tradeoff for a
   fixed initial overlap; ``tradeoff_at`` is ``max_separation`` plus the
   achieved budget, so every budget query shares one root-find.
@@ -25,7 +25,8 @@ without a sign change raises NumericError.
 Everything here runs on ``math`` one float at a time; this module imports
 no NumPy.  ``qmin_at`` root-finds the tangency condition in q1 along the
 curve's lower half, whose ordinate is in closed form
-(``core.lower_half_q2``).  The sweeps (``qmin_curve``, ``tradeoff_curve``)
+(``core.lower_half_q2``); ``max_separation`` minimizes the final overlap
+along the budget line.  The sweeps (``qmin_curve``, ``tradeoff_curve``)
 walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
 sample at a time.  ``_t_curve`` is the one implementation of the
 parametric curve formulas: ``qmin_curve`` runs it over the grid, and
@@ -84,9 +85,9 @@ __all__ = [
 # number of clones can be cut.
 UNBOUNDED = math.inf
 
-# Priors closer to equal (or to certainty) than this dispatch to the
-# degenerate closed forms; the generic parametric formulas lose precision
-# as 1/|delta| (resp. 1/eta1) before they fail outright.
+# Priors closer to equal (or to certainty) than this take tradeoff_curve's
+# degenerate closed forms; the angle sweep's formulas lose precision as
+# 1/|delta| (resp. 1/eta1) before they fail outright.
 _DEGENERATE_PRIOR_TOL = 1e-9
 
 # Runtime guard on the monotonicity of eta1 along curve sweeps.
@@ -243,7 +244,7 @@ def q_ud(pr: Priors, s: float) -> FailureBudget:
         q = pr.eta1 * s * s + pr.eta2
     else:
         q = 2.0 * math.sqrt(pr.eta1 * pr.eta2) * s
-    return FailureBudget(q)
+    return FailureBudget(min(q, 1.0))  # the prior-sum slack can lift q past 1
 
 
 def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
@@ -662,24 +663,11 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         )
         q1 = min(max(math.exp(u), vertex), hi)
     q2 = lower_half_q2(q1, s, beta)
-    return _ret(eta1 * q1 + eta2 * q2, FailurePoint(q1, q2))
+    return _ret(min(eta1 * q1 + eta2 * q2, 1.0), FailurePoint(q1, q2))  # as in q_ud
 
 
 # ---------------------------------------------------------------------------
-# maximum separation under a failure budget (conic tangency)
-
-
-def _maxsep_s_prime(theta: float, q: float, delta: float) -> float:
-    den = delta + q * math.sin(theta)
-    rad = sqrt_clamped((1.0 - q) ** 2 - den * den, tol=1e-12)
-    return -rad / den * math.tan(theta)
-
-
-def _maxsep_s(theta: float, q: float, delta: float) -> float:
-    st, ct = math.sin(theta), math.cos(theta)
-    num = q * delta * (1.0 + st * st) - (1.0 - delta * delta - 2.0 * q) * st
-    den = math.sqrt(1.0 - delta * delta) * (delta + q * st) * ct
-    return num / den
+# maximum separation under a failure budget (minimum along the budget line)
 
 
 def max_separation(
@@ -700,18 +688,23 @@ def max_separation(
     -------
     (s_prime_min, theta)
         The minimal final overlap and the tangency angle on the objective
-        ellipse.  When the budget already covers unambiguous
-        discrimination the answer is 0 and theta is NaN (no tangency is
-        involved); theta is also NaN for the degenerate closed-form priors
-        (equal, or certainty on one state).
+        ellipse (``conics.ellipse_point``): 0 for equal priors, NaN where
+        the ellipse degenerates (|eta2 - eta1| = 1) and when the budget
+        covers unambiguous discrimination, where the answer is 0.
 
     Notes
     -----
-    For q_max below the discrimination cost the budget is saturated and
-    the optimum is the tangency between the budget ellipse and a
-    constraint parabola.  The tangency angle is root-found from the
-    parametric initial-overlap expression, which decreases monotonically
-    from 1 to the critical overlap over the admissible angle range.
+    Below the discrimination cost the optimum spends the budget, on the
+    line q2 = (Q - eta1*q1)/eta2, where the constraint gives the final
+    overlap beta = (s - A)/B, A = sqrt(q1*q2), B = sqrt(p1*p2).  Brent finds
+    the root of H = 2*A*B**3 * dbeta/dq1 (k = -eta1/eta2),
+
+        H = (s - A)*A*(p2 + p1*k) - (q2 + q1*k)*p1*p2,
+
+    in q1/q1_hi between the ends of the line in the unit square (H <= 0 at
+    the low end, H >= 0 at the high end q1_hi).  theta inverts
+    ``conics.ellipse_point`` there: Q*sin(theta) = eta1*q1 - eta2*q2 and
+    Q*cos(theta) = 2*sqrt(eta1*q1*eta2*q2).
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -722,33 +715,43 @@ def max_separation(
 
     # s' vanishes linearly as the budget approaches the discrimination
     # cost, so budgets within rounding of it take the trivial branch.
-    if q >= float(q_ud(prn, s)) - 1e-13:
+    if q >= float(q_ud(prn, s)) * (1.0 - 1e-13):
         return 0.0, PolarAngle(math.nan)
+    eta1, eta2, delta = prn.eta1, prn.eta2, prn.delta
+    if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
+        return s, PolarAngle(math.nan if delta == 1.0 else _tradeoff_range(s, delta, eta1)[0])
+    k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
 
-    delta = prn.delta
-    if delta <= _DEGENERATE_PRIOR_TOL:
-        # Equal priors: q1 = q2 = Q on the diagonal, solvable directly.
-        return (s - q) / (1.0 - q), PolarAngle(0.0)
-    if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
-        # Certainty on state 2: only q2 matters and the curve minimum of
-        # q2 is (s^2 - s'^2)/(1 - s'^2); invert it at the budget.
-        sp2 = (s * s - q) / (1.0 - q)
-        if sp2 < -SQRT_CLAMP_TOL:
-            # A budget between s^2 and q_ud = eta1 + s^2*eta2 is beyond
-            # what the certainty closed form covers.
-            raise NumericError(
-                f"certainty closed form gives a negative squared overlap {sp2!r} "
-                f"at eta1={prn.eta1!r}, s={s!r}, q_max={q!r}"
-            )
-        return sqrt_clamped(sp2), PolarAngle(math.nan)
+    def on_line(t: float) -> tuple[float, float]:
+        q1 = t * q1_hi
+        q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
+        return q1, 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
 
-    theta_lo = -math.asin(delta)
-    theta_hi = 0.0 if q <= 1.0 - delta else math.asin((1.0 - q - delta) / q)
-    theta = _bracketed_root(
-        lambda th: _maxsep_s(th, q, delta) - s, theta_lo, theta_hi, "tangency angle theta"
-    )
-    s_prime = min(max(_maxsep_s_prime(theta, q, delta), 0.0), s)
-    return s_prime, PolarAngle(theta)
+    def slope(t: float) -> float:
+        q1, q2 = on_line(t)
+        a, p1, p2 = math.sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
+        return (s - a) * a * (p2 + p1 * k) - (q2 + q1 * k) * p1 * p2
+
+    lo, hi = (q - eta2) / eta1 if q > eta2 else 0.0, 1.0  # q1_hi = 1 where lo > 0
+    # At a corner of the square (Q = eta1 or eta2) H vanishes although beta
+    # is infinite there; one float inwards H has its sign.
+    if (f_lo := slope(lo)) == 0.0:
+        f_lo = slope(lo := math.nextafter(lo, hi))
+    if (f_hi := slope(hi)) == 0.0:
+        f_hi = slope(hi := math.nextafter(hi, lo))
+    q1, q2 = on_line(_bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi))
+    # beta without cancellation: A taken apart where q1*q2 underflows, and
+    # next to s = 1, s - A as ((1 - A^2) - (1 - s^2))/(s + A), with
+    # 1 - A^2 = p1 + p2*q1.
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    a = math.sqrt(q1 * q2) if q1 * q2 >= _TINY else math.sqrt(q1) * math.sqrt(q2)
+    b = math.sqrt(p1 * p2)
+    if b == 0.0:
+        raise NumericError(f"budget-line minimum on an edge of the square: q1={q1!r}, q2={q2!r}")
+    gap = s - a if a < 0.5 else (p1 + p2 * q1 - (1.0 - s) * (1.0 + s)) / (s + a)
+    cos_q = 2.0 * math.sqrt(eta1 * eta2) * a  # Q*cos(theta)
+    theta = math.nan if delta == 1.0 else math.atan2(eta1 * q1 - eta2 * q2, cos_q)
+    return min(max(gap / b, 0.0), s), PolarAngle(theta)
 
 
 def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
@@ -953,7 +956,7 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
     qud = float(q_ud(pr.normalized()[0], s))
-    if q >= qud - 1e-13:
+    if q >= qud * (1.0 - 1e-13):
         return TradeoffSample(PolarAngle(math.nan), s, 0.0, FailureBudget(qud))
     s_prime, theta = max_separation(pr, s, q)
     return TradeoffSample(theta, s, s_prime, FailureBudget(q))

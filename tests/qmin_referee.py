@@ -62,19 +62,24 @@ def residual(q1, q2, s, beta):
     return beta * mp.sqrt((1 - q1) * (1 - q2)) + mp.sqrt(q1 * q2) - s
 
 
-def lower_q2(q1, s, beta):
-    """Lower-half ordinate q2 at q1 (mpf arguments).
+def lower_q2(q1, p1, s, beta):
+    """Lower-half ordinate q2 at q1, given p1 = 1 - q1 (mpf arguments).
 
     The constraint is quadratic in ``x = sqrt(q2)``:
-    ``R2*x**2 - 2*s*sqrt(q1)*x + c = 0`` with ``R2 = q1 + beta**2*(1-q1)``
-    and ``c = s**2 - beta**2*(1-q1)``.  The smaller root is taken as
+    ``R2*x**2 - 2*s*sqrt(q1)*x + c = 0`` with ``R2 = q1 + beta**2*p1``
+    and ``c = s**2 - beta**2*p1``.  The smaller root is taken as
     ``c / (s*sqrt(q1) + sqrt(disc))``, which keeps all 50 digits even where
-    ``x`` is tiny.  Squaring admits a spurious root, so :func:`qmin` checks
-    its answer against the constraint itself.
+    ``x`` is tiny.  ``p1`` is passed in rather than formed from ``q1``, and
+    for ``q1 >= 1/2`` the ``q1 - s**2`` in ``disc`` is expanded as
+    ``(1-s)*(1+s) - p1``, so neither cancels next to ``q1 = 1`` or
+    ``s = 1``; below 1/2 that form would cancel instead.  Squaring admits a
+    spurious root, so :func:`qmin` checks its answer against the constraint
+    itself.
     """
-    b2 = beta * beta * (1 - q1)
+    b2 = beta * beta * p1
     c = s * s - b2
-    disc = b2 * (q1 + b2 - s * s)
+    gap = q1 - s * s if q1 < 0.5 else (1 - s) * (1 + s) - p1
+    disc = b2 * (gap + b2)
     x = c / (s * mp.sqrt(q1) + mp.sqrt(disc))
     return x * x
 
@@ -138,17 +143,17 @@ def qmin(eta1: float, s: float, s_prime: float):
 
     def objective(u):
         q1 = mp.exp(u)
-        q2 = lower_q2(q1, s, beta)
+        q2 = lower_q2(q1, -mp.expm1(u), s, beta)
         return e1 * q1 + e2 * q2, q1, q2
 
     def tangency(r):
         # e1*dF/dq2 - e2*dF/dq1 at u = -r**2, times 2*sqrt(q1*q2*(1-q1)*(1-q2))
         # so that it stays finite at q1 = 1.  dF/dq2 > 0 on the lower half,
         # so its sign is that of dQ/du: it falls as r grows.
-        q1 = mp.exp(-r * r)
-        q2 = lower_q2(q1, s, beta)
-        a, b = mp.sqrt(q1 * q2), mp.sqrt((1 - q1) * (1 - q2))
-        return e1 * (q1 * b - beta * (1 - q1) * a) - e2 * (q2 * b - beta * (1 - q2) * a)
+        q1, p1 = mp.exp(-r * r), -mp.expm1(-r * r)
+        q2 = lower_q2(q1, p1, s, beta)
+        a, b = mp.sqrt(q1 * q2), mp.sqrt(p1 * (1 - q2))
+        return e1 * (q1 * b - beta * p1 * a) - e2 * (q2 * b - beta * (1 - q2) * a)
 
     a = vertex = mp.log((s - beta) / (1 - beta))
     b = mp.zero

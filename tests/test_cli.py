@@ -299,13 +299,17 @@ def test_verify_small_run_passes(capsys):
     assert any(row[0] == "oracle-agreement" for row in rows)
 
 
-def _flip_maxsep_sign(monkeypatch):
+def _halve_maxsep_root(monkeypatch):
     import statesep.solvers as solvers
 
-    original = solvers._maxsep_s_prime
-    monkeypatch.setattr(
-        solvers, "_maxsep_s_prime", lambda th, q, d: -original(th, q, d)
-    )
+    original = solvers._bracketed_root
+
+    def moved(f, lo, hi, what, *ends):
+        root = original(f, lo, hi, what, *ends)
+        # Halfway from the budget line's minimum to its low end.
+        return 0.5 * (lo + root) if what.startswith("budget-line") else root
+
+    monkeypatch.setattr(solvers, "_bracketed_root", moved)
 
 
 def _flip_residual_beta_sign(monkeypatch):
@@ -336,11 +340,11 @@ def _offset_interferometer(monkeypatch):
 @pytest.mark.parametrize(
     "inject, failing_rows",
     [
-        (_flip_maxsep_sign, {"round-trip-consistency"}),
+        (_halve_maxsep_root, {"round-trip-consistency"}),
         (_flip_residual_beta_sign, {"lemma-set-nesting", "lemma-convexity"}),
         (_offset_interferometer, {"optics-exactness"}),
     ],
-    ids=["maxsep-sign", "residual-beta-sign", "interferometer-offset"],
+    ids=["maxsep-root", "residual-beta-sign", "interferometer-offset"],
 )
 def test_verify_catches_injected_sign_error(capsys, monkeypatch, inject, failing_rows):
     # Mutation smoke test: corrupt what a check measures, and that check

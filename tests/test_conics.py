@@ -199,13 +199,12 @@ def test_tangency_boundary_consistency():
     u = q * math.cos(theta_max) / math.sqrt(1 - delta * delta)
     s_end = math.sqrt((2 * q + delta - 1) / (1 + delta))
     assert u == pytest.approx(s_end, abs=1e-12)
-    # Just inside the range the full system still closes on itself.
+    # Just inside the range (an initial overlap 1e-6 above s_end) the
+    # solver's tangency still closes the full system.
     pr = Priors.of(0.5 * (1 - delta))
-    from statesep.solvers import _maxsep_s, _maxsep_s_prime
-
-    th = theta_max - 1e-6
-    s_th, sp_th = _maxsep_s(th, q, delta), _maxsep_s_prime(th, q, delta)
-    r1, r2 = tangency_residuals(th, q, pr, s_th, sp_th)
+    sp, theta = max_separation(pr, s_end + 1e-6, q)
+    assert 0.0 < theta_max - float(theta) <= 1e-5
+    r1, r2 = tangency_residuals(theta, q, pr, s_end + 1e-6, sp)
     assert abs(r1) <= 1e-9 and abs(r2) <= 1e-9
 
 

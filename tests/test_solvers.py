@@ -257,16 +257,6 @@ def test_max_separation_zero_budget_recovers_identity():
         assert sp == pytest.approx(0.37, abs=1e-9)
 
 
-def test_max_separation_range_endpoint_gives_full_overlap():
-    # At the lower end of the angle range the parametric pair is s' = s = 1.
-    from statesep.solvers import _maxsep_s, _maxsep_s_prime
-
-    for delta, q in ((0.4, 0.35), (0.8, 0.2)):
-        theta = -math.asin(delta)
-        assert _maxsep_s(theta, q, delta) == pytest.approx(1.0, abs=1e-12)
-        assert _maxsep_s_prime(theta, q, delta) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_max_separation_matches_qmin_inverse():
     # If separating to s' costs Q_min, then budget Q_min buys overlap s'.
     for eta1, s, sp in ((0.17, 0.6, 0.3), (0.35, 0.8, 0.1), (0.07, 0.45, 0.28)):
@@ -283,24 +273,27 @@ def test_max_separation_certainty_prior():
     assert sp == pytest.approx(math.sqrt((s * s - q) / (1 - q)), abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [
-        max_separation,
-        lambda pr, s, q: max_clones(s, q, pr),
-        tradeoff_at,
-    ],
-    ids=["max_separation", "max_clones", "tradeoff_at"],
-)
-def test_certainty_branch_refuses_budgets_beyond_its_closed_form(solve):
-    # eta1 = 1.4e-10 takes the certainty closed form, but the budget lies
-    # between s^2 and q_ud = eta1 + s^2*eta2, where that form has no real
-    # root.  The input is valid, so the refusal is numeric, not a DomainError.
+@pytest.mark.parametrize("solver", ["max_separation", "max_clones", "tradeoff_at"])
+def test_certainty_priors_answer_budgets_between_s_squared_and_q_ud(solver):
+    # eta1 = 1.4e-10 once took a certainty closed form, which has no root
+    # for a budget between s^2 and q_ud = eta1 + s^2*eta2 and refused it.
+    # The budget line answers, and the referee confirms the answer.
     pr, s, q = Priors.of(0.9999999998638587), 8.31147688550587e-08, 7.185772627703329e-13
     assert s * s < q < float(q_ud(pr, s))
-    message = r"negative squared overlap .* eta1=1\.36\d*e-10, s=8\.31147688550587e-08, q_max=7\.18"
-    with pytest.raises(NumericError, match=message):
-        solve(pr, s, q)
+
+    def q_min(overlap):
+        return qmin_referee.qmin(pr.eta1, s, overlap)[0]
+
+    if solver == "max_clones":
+        # n clones of overlap s fit in the budget, and n + 1 do not.
+        n = max_clones(s, q, pr)
+        assert q_min(s**n) <= q < q_min(s ** (n + 1))
+    else:
+        if solver == "max_separation":
+            s_prime, _ = max_separation(pr, s, q)
+        else:
+            s_prime = tradeoff_at(pr, s, q).s_prime
+        assert abs(q_min(s_prime) - q) <= 1e-8 * q
 
 
 def test_critical_overlap_values():
