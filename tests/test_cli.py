@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -174,6 +175,42 @@ def test_optics_csv_flatten(capsys):
     assert code == 0
     assert out.splitlines()[0] == "key,value"
     assert any(line.startswith("passed,") for line in out.splitlines())
+
+
+_STDOUT_SHA256 = [
+    (["ud", "--s", "0.6"], "28fcd67d07bd65a52e77acaf7e5518e239218ccb379e82625d704c4652d5b6d8"),
+    (["qmin", "--s", "0.6", "--s-prime", "0.3"], "f53f6ea87a034c9e0e7defbbda65f742a843ae31ef97ddc79432750656a0b643"),
+    (["qmin", "--s", "0.6", "--s-prime", "0.6"], "7d9e46e2845957b620d6a830c6f45a11fcdb85a29bf97856426dcdf820144054"),
+    (["qmin", "--s", "0.6", "--s-prime", "0"], "6f2757707e8a4793ae4ced5562f647150512fa340221bf8f74ae9bb1c805cf03"),
+    (["maxsep", "--eta1", "0.1", "--q-max", "0.4"], "7a673e0c66d07d27e879c0a84ddcf4b34e44c7094f56bea622fe59e2d3efda44"),
+    (["tradeoff", "--eta1", "0.5", "--s", "0.6"], "efd60c0e5dfc2ebb441a6b283c7778990089eca7e5f612fd45062ffc4c3b1df3"),
+    (["tradeoff", "--eta1", "0", "--s", "0.6"], "483e82bec21ee8921badace471f33634eb5d5b174e9769c1277ea23f0f7f9a84"),
+    (["tradeoff", "--eta1", "0.2", "--s", "0.6"], "43c11595e84850b19f4453074403833e2ffe0ff7c99a1bf37ffd4b507fc0d131"),
+    (
+        ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "20000"],
+        "3861ed6ee4bf28358b23c8edcc722e4d2c5b162eaec45ebaffc02d8d960163a6",
+    ),
+    (
+        ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "20000", "--format", "json"],
+        "90ea8ca7d4c0237049505801a18d64a131bb66d656996402ec626992333e824a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    _STDOUT_SHA256,
+    ids=[
+        "ud", "qmin", "qmin-equal", "qmin-full-separation", "maxsep",
+        "tradeoff-equal", "tradeoff-certainty", "tradeoff", "optics-csv", "optics-json",
+    ],
+)
+def test_stdout_bytes_pinned(capsys, argv, digest):
+    # Every subcommand and branch, in both formats, byte for byte (x86-64
+    # Linux, glibc libm); the JSON digest also pins the package version.
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
