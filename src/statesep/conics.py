@@ -171,8 +171,13 @@ def tangency_residuals(
     """Residuals of the ellipse/parabola tangency system.
 
     The first residual measures membership of the ellipse point in the
-    parabola, the second the mismatch of their slopes; both vanish at the
-    optimal tangency angle.
+    parabola, the second the mismatch of their slopes (parabola minus
+    ellipse, as ``conic_slopes`` gives them); both vanish at the optimal
+    tangency angle of unequal priors.  For equal priors the ellipse is the
+    horizontal segment v = Q and the optimum sits at its end theta = 0,
+    where the parabola still slopes: the slope residual is the parabola's
+    slope there, not 0.  At sin(theta) = 0 with unequal priors the ellipse
+    slope, and with it the slope residual, is a signed ``inf``.
     """
     delta = _check_delta(pr)
     if s_prime <= 0.0:
@@ -188,7 +193,5 @@ def tangency_residuals(
         + q_avg * q_avg * ct * ct / (2.0 * one)
         - (u - s) ** 2 / (2.0 * s_prime * s_prime)
     )
-    slope = delta * (ct / st) / math.sqrt(one) - (
-        (1.0 - s_prime * s_prime) / (s_prime * s_prime) * u - s / (s_prime * s_prime)
-    )
-    return member, slope
+    ellipse, parabola = conic_slopes(th, pr, u, s, s_prime)
+    return member, parabola - ellipse

@@ -215,6 +215,34 @@ def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray, shots: int) -> float:
     return math.exp(-stat / 2.0)
 
 
+def _exact_deviations(
+    itf: Interferometer,
+) -> tuple[tuple[float, float, float], tuple[np.ndarray, np.ndarray]]:
+    """The device's exact checks, as largest absolute deviations.
+
+    Returns (unitarity, factorization, output amplitudes) deviations, and
+    the two protocol outputs the amplitudes were read from.  The outputs
+    are the bare products u @ input, not ``apply``'s validated states, so
+    a corrupted device is measured rather than refused.
+    """
+    q = itf.q_expected
+    p = 1.0 - q
+    sp = itf.s_prime
+    unitarity_dev = float(np.max(np.abs(itf.u.T.conj() @ itf.u - np.eye(3))))
+    factorization_dev = float(np.max(np.abs(itf.bs1 @ itf.bs2 - itf.u)))
+    out1 = itf.u @ protocol_input(itf.s, 1).amplitudes
+    out2 = itf.u @ protocol_input(itf.s, 2).amplitudes
+    expected1 = np.array([math.sqrt(p), 0.0, math.sqrt(q)], dtype=complex)
+    expected2 = np.array(
+        [math.sqrt(p) * sp, math.sqrt(p) * math.sqrt(1.0 - sp * sp), math.sqrt(q)],
+        dtype=complex,
+    )
+    amplitude_dev = float(
+        max(np.max(np.abs(out1 - expected1)), np.max(np.abs(out2 - expected2)))
+    )
+    return (unitarity_dev, factorization_dev, amplitude_dev), (out1, out2)
+
+
 def certify_separation(itf: Interferometer, shots: int, seed: int) -> dict:
     """Certify a device: exact matrix checks plus photon-count statistics.
 
@@ -230,22 +258,9 @@ def certify_separation(itf: Interferometer, shots: int, seed: int) -> dict:
         raise DomainError(f"certification needs at least 10^4 shots, got {shots!r}")
     s, sp = itf.s, itf.s_prime
     q = itf.q_expected
-    p = 1.0 - q
 
-    unitarity_dev = float(np.max(np.abs(itf.u.T.conj() @ itf.u - np.eye(3))))
-    factorization_dev = float(np.max(np.abs(itf.bs1 @ itf.bs2 - itf.u)))
+    (unitarity_dev, factorization_dev, amplitude_dev), (out1, out2) = _exact_deviations(itf)
     matrix_passed = unitarity_dev <= _MATRIX_TOL and factorization_dev <= _MATRIX_TOL
-
-    out1 = itf.u @ protocol_input(s, 1).amplitudes
-    out2 = itf.u @ protocol_input(s, 2).amplitudes
-    expected1 = np.array([math.sqrt(p), 0.0, math.sqrt(q)], dtype=complex)
-    expected2 = np.array(
-        [math.sqrt(p) * sp, math.sqrt(p) * math.sqrt(1.0 - sp * sp), math.sqrt(q)],
-        dtype=complex,
-    )
-    amplitude_dev = float(
-        max(np.max(np.abs(out1 - expected1)), np.max(np.abs(out2 - expected2)))
-    )
     succ1, succ2 = out1[:2], out2[:2]
     norm1 = sqrt_clamped(float(np.vdot(succ1, succ1).real))
     norm2 = sqrt_clamped(float(np.vdot(succ2, succ2).real))

@@ -909,7 +909,9 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     explicit closed forms; their samples carry theta = 0 and theta = NaN
     respectively.  The angle sweep's interior comes from ``_tradeoff_rows``,
     one angle at a time with ``math``; a failed guard raises NumericError
-    naming the first offending theta.  Every branch range-checks its Q
+    naming the first offending theta, and a sweep whose Q falls, whose s'
+    rises (beyond 1e-10) or whose interior Q exceeds the final q_ud raises
+    NumericError as a whole.  Every branch range-checks its Q
     values as ``FailureBudget`` would, and the records are built column by
     column after that check.
     """
@@ -938,7 +940,32 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     # both endpoint values are exact identities, so they are emitted
     # directly instead of through the cancellation-prone generic formulas.
     s_primes, qs = zip((s, 0.0), *rows, (0.0, float(q_ud(prn, s))))
+    _check_tradeoff_order(s_primes, qs, s, prn.eta1)
     return _tradeoff_records(thetas, s, s_primes, qs)
+
+
+def _check_tradeoff_order(
+    s_primes: tuple[float, ...], qs: tuple[float, ...], s: float, eta1: float
+) -> None:
+    """Refuse an angle sweep whose columns are out of order.
+
+    Q must not fall and s' must not rise by more than ``_MONOTONE_TOL``,
+    and no interior Q may exceed the discrimination cost the sweep ends
+    at: near s = 1 or eta1 = 0 the parametric formulas lose every digit
+    before any per-angle guard fails.
+    """
+    if sorted(qs) == list(qs) and sorted(s_primes, reverse=True) == list(s_primes):
+        return  # sorted, so no interior Q exceeds the last one either
+    q_drop = max(map(sub, qs, qs[1:]))
+    sp_rise = max(map(sub, s_primes[1:], s_primes))
+    q_top = max(qs[1:-1], default=0.0)
+    if q_drop > _MONOTONE_TOL or sp_rise > _MONOTONE_TOL or q_top > qs[-1]:
+        raise NumericError(
+            f"tradeoff sweep out of order at eta1={eta1!r}, s={s!r}: Q falls by "
+            f"{q_drop!r}, s_prime rises by {sp_rise!r}, interior Q peaks at "
+            f"{q_top!r} against q_ud={qs[-1]!r}; the angle formulas cannot "
+            "resolve these priors"
+        )
 
 
 def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSample:

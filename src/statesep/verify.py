@@ -230,17 +230,8 @@ def check_optics_exact(seed: int) -> CheckResult:
     for _ in range(100):
         s = float(rng.uniform(0.02, 0.98))
         sp = float(rng.uniform(0.0, 1.0) * s)
-        itf = optics.build_interferometer(s, sp)
-        worst = max(worst, float(np.max(np.abs(itf.u.T @ itf.u - np.eye(3)))))
-        worst = max(worst, float(np.max(np.abs(itf.bs1 @ itf.bs2 - itf.u))))
-        q = itf.q_expected
-        p = 1.0 - q
-        out1 = optics.apply(itf, optics.protocol_input(s, 1)).amplitudes
-        out2 = optics.apply(itf, optics.protocol_input(s, 2)).amplitudes
-        exp1 = np.array([math.sqrt(p), 0.0, math.sqrt(q)])
-        exp2 = np.array([math.sqrt(p) * sp, math.sqrt(p * (1.0 - sp * sp)), math.sqrt(q)])
-        worst = max(worst, float(np.max(np.abs(out1 - exp1))))
-        worst = max(worst, float(np.max(np.abs(out2 - exp2))))
+        deviations, _ = optics._exact_deviations(optics.build_interferometer(s, sp))
+        worst = max(worst, *deviations)
     return _result("optics-exactness", worst, 1e-12)
 
 

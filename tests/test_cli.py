@@ -226,6 +226,24 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ud", "--s", "0.6", "--shots", "5"],
+        ["qmin", "--s", "0.6", "--s-prime", "0.3", "--shots", "5"],
+        ["maxsep", "--eta1", "0.1", "--q-max", "0.4", "--shots", "5"],
+        ["tradeoff", "--eta1", "0.2", "--s", "0.6", "--shots", "5"],
+        ["optics", "--s", "0.6", "--s-prime", "0.3", "--samples", "5"],
+    ],
+    ids=["ud-shots", "qmin-shots", "maxsep-shots", "tradeoff-shots", "optics-samples"],
+)
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    # A subcommand takes only the flags it reads; anything else is a usage
+    # error rather than silently ignored.
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(capsys, monkeypatch):
     import statesep.solvers as solvers
 

@@ -182,6 +182,29 @@ def test_tangency_solution_zeroes_residuals():
     assert e == pytest.approx(p, abs=1e-9)
 
 
+def test_tangency_residuals_at_equal_priors_optimum():
+    # Equal priors: the optimum is theta = 0, the end of the degenerate
+    # segment v = Q, where sin(theta) = 0 once divided by zero.  The point
+    # lies on the parabola; the slope residual is the parabola's slope.
+    pr, s, q_max = Priors.of(0.5), 0.6, 0.3
+    sp, theta = max_separation(pr, s, q_max)
+    assert float(theta) == 0.0 and sp == pytest.approx(3 / 7, abs=1e-15)
+    r1, r2 = tangency_residuals(theta, q_max, pr, s, sp)
+    assert abs(r1) <= 1e-12
+    _, p = conic_slopes(theta, pr, q_max, s, sp)
+    assert r2 == p and p == pytest.approx(q_max + (s - q_max) / sp**2, abs=1e-12)
+
+
+def test_tangency_residuals_slope_is_parabola_minus_ellipse():
+    pr, s, sp, q = Priors.of(0.2), 0.6, 0.3, 0.4
+    for theta in (-1.2, -0.4, -1e-3):
+        _, r2 = tangency_residuals(theta, q, pr, s, sp)
+        e, p = conic_slopes(theta, pr, ellipse_point(theta, q, pr).u, s, sp)
+        assert r2 == p - e
+    _, r2 = tangency_residuals(0.0, q, pr, s, sp)
+    assert r2 == math.inf  # the ellipse slope's -inf flag at sin(theta) = 0
+
+
 def test_tangency_point_satisfies_objective_and_constraint():
     pr, s, q_max = Priors.of(0.3), 0.4, 0.35
     sp, theta = max_separation(pr, s, q_max)

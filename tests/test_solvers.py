@@ -336,6 +336,44 @@ def test_tradeoff_monotone():
         assert all(b <= a + 1e-12 for a, b in zip(sps, sps[1:]))
 
 
+@pytest.mark.parametrize(
+    "eta1, s",
+    [
+        (0.16543972711991795, 0.9999999999999999),
+        (0.01815023357532537, 0.999999791816749),
+        (4.007445600139756e-08, 0.7582373193779803),
+    ],
+    ids=["q-saturates-at-1", "interior-q-above-q_ud", "q-falls-at-tiny-eta1"],
+)
+def test_tradeoff_curve_refuses_out_of_order_sweeps(eta1, s):
+    # Each passes every per-angle guard, but its Q column falls or peaks
+    # above the final discrimination cost.
+    with pytest.raises(NumericError, match="out of order"):
+        tradeoff_curve(Priors.of(eta1), s, 512)
+
+
+def test_tradeoff_curve_edge_sweeps_are_ordered_or_refused():
+    # s within 1e-9..1e-1 of 1, eta1 down to 1e-8, or both: every sweep is
+    # returned in order or refused as a numeric failure.
+    rng = np.random.default_rng(20261019)
+    outcomes = set()
+    for i in range(240):
+        eta1, s = rng.uniform(0.0, 1.0), rng.uniform(0.01, 0.99)
+        if i % 3 != 1:
+            s = 1.0 - _decade(rng, -9, -1)
+        if i % 3 != 0:
+            eta1 = _decade(rng, -8, -1)
+        try:
+            samples = tradeoff_curve(Priors.of(float(eta1)), float(s), 512)
+        except NumericError as exc:
+            outcomes.add("out of order" if "out of order" in str(exc) else "per-angle")
+            continue
+        rows = [(float(m.theta), m.s_prime, float(m.q)) for m in samples]
+        assert not _tradeoff_out_of_order(rows), (eta1, s)
+        outcomes.add("ok")
+    assert outcomes == {"ok", "out of order", "per-angle"}
+
+
 def test_tradeoff_equal_priors_closed_form():
     samples = tradeoff_curve(Priors.of(0.5), 0.6, 129)
     for smp in samples:
@@ -785,8 +823,22 @@ def test_sweeps_match_scalar_helpers_in_hex(eta1, s, s_prime, n):
     got = _outcome(lambda: _tradeoff_rows(pr, s, n))
     if want[0] == "raised":
         assert got == want
+    elif got[0] == "raised":
+        assert got[1] is NumericError and "out of order" in got[2]
+        assert _tradeoff_out_of_order(want[1])
     else:
         assert _hex_rows(got[1]) == _hex_rows(want[1])
+
+
+def _tradeoff_out_of_order(rows):
+    """Whether (theta, s', Q) rows break tradeoff_curve's order guard."""
+    sps = [row[1] for row in rows]
+    qs = [row[2] for row in rows]
+    return (
+        max(a - b for a, b in zip(qs, qs[1:])) > solvers._MONOTONE_TOL
+        or max(b - a for a, b in zip(sps, sps[1:])) > solvers._MONOTONE_TOL
+        or max(qs[1:-1], default=0.0) > qs[-1]
+    )
 
 
 def test_sweep_cases_reach_the_guards():
