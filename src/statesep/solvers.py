@@ -29,13 +29,20 @@ curve's lower half, whose ordinate is in closed form
 along the budget line.  The sweeps (``qmin_curve``, ``tradeoff_curve``)
 walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
 sample at a time.  ``_t_curve`` is the one implementation of the
-parametric curve formulas: ``qmin_curve`` runs it over the grid, and
-``curve_point`` and the scalar helpers that ``verify`` uses run it on one
-parameter value.  ``_tradeoff_rows`` is the one implementation of the
+parametric curve formulas: on the curve sqrt(q1*q2) = s*t and
+sqrt((1-q1)*(1-q2)) = s*(1-t)/s' exactly, so q1 and q2 come in factored
+form, with both ends of the tangency range emitted as explicit points.
+``qmin_curve`` runs it over the grid, and ``curve_point`` and ``verify``
+(through ``_curve_row``) run it on one parameter value.  The sweep and
+``qmin_at`` take the tangency condition from one helper,
+``_tangency_terms``.  ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas; an independent scalar form is kept in the tests as its
 referee.  Each loop raises at the first failing sample, guards first, and
 then makes the range checks that a record's constructor would make; the
 records are then built column by column without re-running those checks.
+The t-curve has no per-sample guard left; ``qmin_curve`` keeps its eta1
+monotonicity guard, and ``t_slope_zero`` refuses an s whose square is
+below the normal float range.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from .core import (
     NumericError,
     OverlapSpec,
     Priors,
-    SQRT_CLAMP_TOL,
     _prob_error,
     lower_half_q2,
     sqrt_clamped,
@@ -336,126 +342,97 @@ def t_slope_zero(ov: OverlapSpec) -> float:
     return (1.0 - sp2 / s2) / (1.0 - sp2)
 
 
-# The curve's guards: the errors that _t_curve raises at the first
-# offending t.
+def _zero_slope_end(s: float, beta: float) -> tuple[float, float]:
+    """The point (q1, q2) where the curve's lower half has slope 0: its lowest q2."""
+    q2 = (s - beta) * (s + beta) / ((1.0 - beta) * (1.0 + beta))
+    return q2 / (q2 + beta * beta * (1.0 - q2)), q2
 
 
-def _clamp_error(arg: float, t: float, ov: OverlapSpec) -> NumericError:
-    return NumericError(
-        f"square root argument {arg!r} below clamp tolerance {-SQRT_CLAMP_TOL!r} "
-        f"on the constraint curve at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}"
-    )
+def _tangency_terms(
+    q1: float, q2: float, a: float, b: float, beta: float
+) -> tuple[float, float]:
+    """``(g1, g2) = (q1*B - beta*(1-q1)*A, q2*B - beta*(1-q2)*A)`` at a curve point.
+
+    With A = sqrt(q1*q2) and B = sqrt((1-q1)*(1-q2)) passed as ``a`` and
+    ``b``, g1 and g2 are 2*A*B*dF/dq2 and 2*A*B*dF/dq1 for the constraint
+    F.  The objective line with priors (eta1, eta2) is tangent where
+    eta1*g1 = eta2*g2: ``qmin_at`` root-finds that condition, and the
+    sweep solves it for the prior.
+    """
+    return q1 * b - beta * (1.0 - q1) * a, q2 * b - beta * (1.0 - q2) * a
 
 
-def _negative_q1_error(q1: float, t: float, ov: OverlapSpec) -> NumericError:
-    return NumericError(
-        f"q1 = {q1!r} rounds below 0 on the constraint curve "
-        f"at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}"
-    )
-
-
-def _flat_error(t: float, ov: OverlapSpec) -> NumericError:
-    return NumericError(
-        f"curve derivatives undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
-        "1 - x^2 rounds to 0 away from the vertex"
-    )
-
-
-def _equal_derivatives_error(d: float, t: float, ov: OverlapSpec) -> NumericError:
-    return NumericError(
-        f"tangent prior undefined at t={t!r}, s={ov.s!r}, s_prime={ov.s_prime!r}: "
-        f"equal curve derivatives dq1/dt = dq2/dt = {d!r}"
-    )
-
-
-def _t_curve(ts: Iterable[float], ov: OverlapSpec, derivatives: bool = True) -> list[tuple]:
+def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[tuple]:
     """The constraint curve at each parameter value in ``ts``, one row per t.
 
-    A row is ``(t, q1, q2)``; with ``derivatives`` it is ``(t, eta1, Q,
-    q1, q2, dq1/dt, dq2/dt)``, in ``QminSample``'s field order, where eta1
-    is the prior whose objective line is tangent at the point, clamped to
-    [0, 1/2], and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].  At the
-    slope -1 vertex (ry = 0) the derivatives are infinite and eta1 is 1/2.
+    A row is ``(t, eta1, Q, q1, q2, dq1/dt, dq2/dt)``, in ``QminSample``'s
+    field order, where eta1 is the prior whose objective line is tangent
+    at the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].
+
+    On the curve A = sqrt(q1*q2) = s*t and B = sqrt((1-q1)*(1-q2)) =
+    s*(1-t)/s' exactly, so q1 and q2 are the roots of
+    q^2 - (1 + A^2 - B^2)*q + A^2, taken in factored form:
+
+        q1 = ((1-B)*(1+B) + A^2 + r)/2,    q2 = A^2/q1,
+        r = q1 - q2 = sqrt((1-A-B)*(1-A+B)*(1+A-B)*(1+A+B)).
+
+    For s' >= s/2, where s - s' is exact, 1 - A - B is taken as
+    (A*(1-s') - (s-s'))/s' and 1 - B as that plus A; as s' -> s and s' -> 1
+    the plain differences would lose the digits the point needs.  eta1 is
+    g2/(g1 + g2) from ``_tangency_terms``, capped at 1/2, and with
+    S' = 2*s*(A + B/s') and P' = 2*s*A the derivatives of q1 + q2 and
+    q1*q2, dq1/dt = (q1*S' - P')/r and dq2/dt = (P' - q2*S')/r.
+
+    Both ends are emitted explicitly.  Where t is at or below
+    ``t_slope_minus_one``, or 1 - A - B is not positive, the row is the
+    slope -1 vertex q1 = q2 = (s - s')/(1 - s'), with eta1 = 1/2 and
+    infinite derivatives.  Where g2 <= 0, the zero-slope end and any t
+    rounded past it, the row is the zero-slope point itself, with eta1 and
+    dq2/dt 0.  The rows are taken in order; the only check is
+    ``FailurePoint``'s range check of q1 and q2, raised as DomainError at
+    the first offending t.
 
     This is the one implementation of the parametric formulas: the sweep
-    runs it over its grid and the scalar helpers over a single t.  The
-    samples are taken in order, and each raises at its first failed check:
-    the guards (a square root argument below the clamp tolerance, q1
-    rounding below 0, a flat point off the vertex, equal derivatives) as
-    NumericError, then, with ``derivatives``, ``FailurePoint``'s range
-    checks of q1 and q2 as DomainError.
+    runs it over its grid and ``_curve_row`` over a single t.
     """
-    sp = ov.s_prime
-    scale = sp / ov.s
-    up, down = 1.0 + sp, 1.0 - sp
-    tol = -SQRT_CLAMP_TOL
+    s, sp = ov.s, ov.s_prime
+    t_lo = t_slope_minus_one(ov)
+    gap = s - sp
+    vertex = gap / (1.0 - sp)
+    q1_end, q2_end = _zero_slope_end(s, sp)
+    close = sp >= 0.5 * s
     sqrt, inf = math.sqrt, math.inf
     rows: list[tuple] = []
     add = rows.append
     for t in ts:
-        x = (1.0 - up * t) / scale
-        y = (1.0 - down * t) / scale
-        # Each square root is sqrt_clamped's: a positive argument is taken
-        # as it is, one below the clamp tolerance fails, and the rest is 0.
-        arg = 1.0 - x * x
-        if arg > 0.0:
-            rx = sqrt(arg)
-        elif arg < tol:
-            raise _clamp_error(arg, t, ov)
+        a = s * t
+        b = s * (1.0 - t) / sp
+        if close:
+            f1 = (a * (1.0 - sp) - gap) / sp
+            lo = f1 + a
         else:
-            rx = 0.0
-        arg = 1.0 - y * y
-        if arg > 0.0:
-            ry = sqrt(arg)
-        elif arg < tol:
-            raise _clamp_error(arg, t, ov)
+            lo = 1.0 - b
+            f1 = lo - a
+        hi = 1.0 + b
+        if t <= t_lo or f1 <= 0.0:
+            q1 = q2 = vertex
+            eta1, d1, d2 = 0.5, inf, -inf
         else:
-            ry = 0.0
-        c, rr = 1.0 - x * y, rx * ry
-        q1, q2 = 0.5 * (c + rr), 0.5 * (c - rr)
-        if q1 < 0.0:
-            raise _negative_q1_error(q1, t, ov)
-        # min(q1, 1.0) and max(q2, 0.0), keeping NaN, without builtin calls.
-        if q1 > 1.0:
-            q1 = 1.0
-        if q2 < 0.0:
-            q2 = 0.0
-        if not derivatives:
-            add((t, q1, q2))
-            continue
-        if ry == 0.0:
-            d1, d2, eta1 = inf, -inf, 0.5
-        else:
-            if rx == 0.0:
-                raise _flat_error(t, ov)
-            a = up / rx
-            b = down / ry
-            arg = q1 * (1.0 - q1)
-            if arg > 0.0:
-                r1 = sqrt(arg)
-            elif arg < tol:
-                raise _clamp_error(arg, t, ov)
+            r = sqrt(f1 * (lo + a) * (hi - a) * (hi + a))
+            q1 = (lo * hi + a * a + r) / 2.0
+            if q1 > 1.0:  # by rounding, at the zero-slope end
+                q1 = 1.0
+            q2 = a * (a / q1)
+            g1, g2 = _tangency_terms(q1, q2, a, b, sp)
+            ds, dp = 2.0 * s * (a + b / sp), 2.0 * s * a
+            d1 = (q1 * ds - dp) / r
+            if g2 <= 0.0:
+                q1, q2 = q1_end, q2_end
+                eta1 = d2 = 0.0
             else:
-                r1 = 0.0
-            arg = q2 * (1.0 - q2)
-            if arg > 0.0:
-                r2 = sqrt(arg)
-            elif arg < tol:
-                raise _clamp_error(arg, t, ov)
-            else:
-                r2 = 0.0
-            d1 = r1 / scale * (a + b)
-            d2 = r2 / scale * (a - b)
-            if d1 == inf or d1 == -inf:
-                eta1 = 0.5
-            elif d2 == d1:
-                raise _equal_derivatives_error(d1, t, ov)
-            else:
-                # min(max(eta1, 0.0), 0.5), keeping -0.0 and NaN.
-                eta1 = d2 / (d2 - d1)
-                if eta1 < 0.0:
-                    eta1 = 0.0
-                elif eta1 > 0.5:
+                d2 = (dp - q2 * ds) / r
+                eta1 = g2 / (g1 + g2)
+                if eta1 > 0.5:
                     eta1 = 0.5
         if not 0.0 <= q1 <= 1.0:
             raise _prob_error("q1", q1)
@@ -470,19 +447,9 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec, derivatives: bool = True) -> 
     return rows
 
 
-def _curve_q(t: float, ov: OverlapSpec) -> tuple[float, float]:
-    """Clamped point (q1, q2) at parameter t."""
-    return _t_curve((t,), ov, derivatives=False)[0][1:]
-
-
-def _curve_dq(t: float, ov: OverlapSpec) -> tuple[float, float]:
-    """Derivatives (dq1/dt, dq2/dt); infinite at the slope -1 vertex."""
-    return _t_curve((t,), ov)[0][5:]
-
-
-def _eta1_at(t: float, ov: OverlapSpec) -> float:
-    """Tangent prior at parameter t, as ``qmin_curve`` reports it."""
-    return _t_curve((t,), ov)[0][1]
+def _curve_row(t: float, ov: OverlapSpec) -> tuple:
+    """``_t_curve``'s row at the single parameter value t."""
+    return _t_curve((t,), ov)[0]
 
 
 def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
@@ -502,8 +469,7 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
         raise DomainError(
             f"curve parameter {t!r} outside the tangency range [{t_lo!r}, {t_hi!r}]"
         )
-    q1, q2 = _curve_q(t, ov)
-    return FailurePoint(q1, q2)
+    return FailurePoint(*_curve_row(t, ov)[3:5])
 
 
 def _qmin_records(
@@ -546,8 +512,13 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     branch.
 
     The samples come from ``_t_curve``, one t at a time with ``math``, so
-    each has the bits ``curve_point`` and the scalar helpers give at its t;
-    a failed guard raises NumericError naming the first offending t.  The
+    each has the bits ``curve_point`` and ``_curve_row`` give at its t.
+    The first sample is the vertex itself and every sample at or past the
+    zero-slope end is that end point, with eta1 = 0.  Each row's Q is its
+    eta1's minimum: a 50-digit referee in the tests confirms sampled rows
+    to 1e-9 relative with s and s'/s out to 1e-12 of 0 and 1.  The sweep
+    refuses with NumericError only where the monotonicity guard fires
+    (seen with s within about 1e-12 of 1) or ``t_slope_zero`` does.  The
     same loop range-checks q1 and q2 as ``FailurePoint`` would, and the
     records are built column by column after it.
     """
@@ -601,10 +572,13 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     log(q1) (to 1e-14 relative) when the vertex is below 1e-6, so that a
     root that small keeps its relative digits.  Q is evaluated on the
     objective at the root, so its error is second order in the root
-    tolerance.  When (s-beta)(s+beta) is below the
-    normal float range (s below about 1e-146), the lower half cannot be
-    resolved and the vertex is returned: it lies on the curve, and its Q,
-    below 1.5e-154, is within that of the minimum.
+    tolerance.  When (s-beta)(s+beta) is below the normal float range (s
+    below about 1e-146), the lower half cannot be resolved in closed form,
+    but next to its vertex it is the hyperbola q1*q2 = (s-beta)**2, to
+    relative O(beta*sqrt(eta2/eta1)).  The answer is then ``q_ud``'s
+    tangency with s - beta for s, 2*sqrt(eta1*eta2)*(s-beta) at
+    q1 = (s-beta)*sqrt(eta2/eta1), or the zero-slope end where that q1
+    would pass it.
     """
     if ov.s_prime > 0.0 and ov.kappa != 1.0:
         raise DomainError(
@@ -628,9 +602,16 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     vertex = (s - beta) / (1.0 - beta)
     n0 = (s - beta) * (s + beta)
     if n0 < _TINY:
-        return _ret(vertex, FailurePoint(vertex, vertex))
-    q2_zero = n0 / ((1.0 - beta) * (1.0 + beta))
-    hi = q2_zero / (q2_zero + beta * beta * (1.0 - q2_zero))
+        # Only for s below about 1e-146, as s - beta is a multiple of s's
+        # ulp.  end is _zero_slope_end's q1 with beta**2/n0 taken apart, so
+        # that it neither underflows nor overflows.
+        gap = s - beta
+        end = 1.0 / (1.0 + beta / gap * (beta / (s + beta)))
+        r1, r2 = math.sqrt(eta1), math.sqrt(eta2)
+        if gap * r2 < end * r1:  # the tangency q1 = gap*r2/r1 lies before the end
+            return _ret(2.0 * r1 * r2 * gap, FailurePoint(gap * r2 / r1, gap * r1 / r2))
+        return _ret(eta1 * end + eta2 * n0, FailurePoint(end, n0))
+    hi, _ = _zero_slope_end(s, beta)
     if hi == 1.0:
         # At q1 = 1, f keeps only its beta*A terms, which underflow to 0
         # for tiny beta; the float below 1 is within rounding of q1z.
@@ -638,9 +619,10 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
 
     def tangency(q1: float) -> float:
         q2 = lower_half_q2(q1, s, beta)
-        a = math.sqrt(q1 * q2)
-        b = math.sqrt((1.0 - q1) * (1.0 - q2))
-        return eta1 * (q1 * b - beta * (1.0 - q1) * a) - eta2 * (q2 * b - beta * (1.0 - q2) * a)
+        g1, g2 = _tangency_terms(
+            q1, q2, math.sqrt(q1 * q2), math.sqrt((1.0 - q1) * (1.0 - q2)), beta
+        )
+        return eta1 * g1 - eta2 * g2
 
     # Each end is evaluated once: Brent gets these values back.
     f_lo, f_hi = tangency(vertex), tangency(hi)

@@ -179,7 +179,7 @@ def test_optics_csv_flatten(capsys):
 
 _STDOUT_SHA256 = [
     (["ud", "--s", "0.6"], "28fcd67d07bd65a52e77acaf7e5518e239218ccb379e82625d704c4652d5b6d8"),
-    (["qmin", "--s", "0.6", "--s-prime", "0.3"], "f53f6ea87a034c9e0e7defbbda65f742a843ae31ef97ddc79432750656a0b643"),
+    (["qmin", "--s", "0.6", "--s-prime", "0.3"], "41d976e6b0771882cbb74395e7b6d4dedfbf72ce5593b427cd58f01e22ab3d0d"),
     (["qmin", "--s", "0.6", "--s-prime", "0.6"], "7d9e46e2845957b620d6a830c6f45a11fcdb85a29bf97856426dcdf820144054"),
     (["qmin", "--s", "0.6", "--s-prime", "0"], "6f2757707e8a4793ae4ced5562f647150512fa340221bf8f74ae9bb1c805cf03"),
     (["maxsep", "--eta1", "0.1", "--q-max", "0.4"], "7a673e0c66d07d27e879c0a84ddcf4b34e44c7094f56bea622fe59e2d3efda44"),
@@ -258,12 +258,8 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "s, s_prime, samples, message",
-    [
-        ("0.6", "1e-9", "512", "below clamp tolerance"),
-        ("1e-300", "5e-301", "512", "normal float"),
-        ("8.002035938234122e-30", "3.197006282588512e-30", "7", "rounds below 0"),
-    ],
-    ids=["clamp-at-small-sprime", "s-squared-underflow", "negative-q1-at-tiny-s"],
+    [("1e-300", "5e-301", "512", "normal float")],
+    ids=["s-squared-underflow"],
 )
 def test_valid_qmin_inputs_exit_3(capsys, s, s_prime, samples, message):
     # Valid overlaps the curve cannot resolve are numeric failures, not
@@ -271,6 +267,26 @@ def test_valid_qmin_inputs_exit_3(capsys, s, s_prime, samples, message):
     assert main(["qmin", "--s", s, "--s-prime", s_prime, "--samples", samples]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "s, s_prime, samples",
+    [("0.6", "1e-9", "512"), ("8.002035938234122e-30", "3.197006282588512e-30", "7")],
+    ids=["clamp-at-small-sprime", "negative-q1-at-tiny-s"],
+)
+def test_formerly_refused_qmin_inputs_are_answered(capsys, s, s_prime, samples):
+    # These exited 3 while the t-curve had its clamp and negative-q1 guards.
+    # Now every row is printed, and the 50-digit referee confirms the first
+    # interior, the middle and the last row's Q at the row's own eta1.
+    import qmin_referee
+
+    code, out = run_cli(capsys, "qmin", "--s", s, "--s-prime", s_prime, "--samples", samples)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["t", "eta1", "q_min", "q1", "q2"] and len(rows) == int(samples)
+    for _, eta1, q_min, _, _ in (rows[1], rows[len(rows) // 2], rows[-1]):
+        ref = float(qmin_referee.qmin(eta1, float(s), float(s_prime))[0])
+        assert abs(q_min - ref) <= 1e-9 * ref, (eta1, q_min, ref)
 
 
 def test_singular_tradeoff_exits_3(capsys):

@@ -10,6 +10,7 @@ exception.  Each strategy pushes one parameter to within 1e-12 of an edge
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -184,3 +185,34 @@ def test_edge_corpus_is_answered_and_confirmed():
     assert outcomes.count("answered") == 300
     for eta1 in (0.0, 0.5, 1.0):  # the zero-slope end, the vertex, mirrored
         assert check_qmin_at(eta1, 0.6, 0.3) == "answered"
+
+
+def underflow_corpus(n: int, seed: int):
+    """n seeded (eta1, s, s') cases where (s - s')(s + s') underflows.
+
+    eta1 log-uniform over 1e-12..1/2, s over 1e-300..1e-147 and
+    s - s' over 1e-14..1 of s, kept where the product is subnormal or 0.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cases = []
+    while len(cases) < n:
+        eta1 = 0.5 * 10.0 ** rng.uniform(-12.0, 0.0)
+        s = 10.0 ** rng.uniform(-300.0, -147.0)
+        s_prime = s * (1.0 - 10.0 ** rng.uniform(-14.0, 0.0))
+        if 0.0 < s_prime < s and (s - s_prime) * (s + s_prime) < sys.float_info.min:
+            cases.append((float(eta1), float(s), float(s_prime)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "eta1, s, s_prime",
+    # The vertex that qmin_at used to return here is 26.9 times the minimum.
+    [(3.4639688583912255e-4, 3.2997198072130594e-150, 3.2997198072049243e-150)]
+    + underflow_corpus(12, 1601),
+)
+def test_underflowing_vertex_product_keeps_its_relative_digits(eta1, s, s_prime):
+    # Q_TOL is absolute, so it cannot see an error at this scale.
+    q, pt = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
+    ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
+    assert abs(q.q_avg - ref) <= 1e-9 * ref, (q.q_avg, float(ref))
+    assert abs(qmin_referee.residual(pt.q1, pt.q2, s, s_prime)) <= 1e-9 * s

@@ -673,17 +673,11 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
     "solve, message",
     [
         (
-            lambda: qmin_curve(
-                OverlapSpec(1.101634294509729e-08, 1.5447711670666384e-18), 512
-            ),
-            "equal curve derivatives",
-        ),
-        (
             lambda: tradeoff_curve(Priors.of(4.13e-6), 0.9999999999977576, 512),
             r"delta \+ sin\(theta\) = 0\.0",
         ),
     ],
-    ids=["qmin_curve-equal-slopes", "tradeoff_curve-singular-angle"],
+    ids=["tradeoff_curve-singular-angle"],
 )
 def test_singular_formulas_raise_numeric_error(solve, message):
     with pytest.raises(NumericError, match=message):
@@ -708,15 +702,8 @@ def _hex_rows(rows):
 
 def _qmin_rows_scalar(ov, n):
     """qmin_curve's samples, one scalar helper call at a time."""
-    rows = []
-    for t in np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist():
-        q1, q2 = solvers._curve_q(t, ov)
-        d1, d2 = solvers._curve_dq(t, ov)
-        eta1 = solvers._eta1_at(t, ov)
-        q_min = min(max(eta1 * q1 + (1.0 - eta1) * q2, 0.0), 1.0)
-        FailurePoint(q1, q2)
-        rows.append((t, eta1, q_min, q1, q2, d1, d2))
-    return rows
+    ts = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist()
+    return [solvers._curve_row(t, ov) for t in ts]
 
 
 def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
@@ -792,8 +779,8 @@ def _sweep_cases(seed, count):
     return cases
 
 
-# A tiny-s curve whose q1 rounds to -2.2e-16 at the vertex: the sweep and the
-# scalar helpers both raise the negative-q1 NumericError there.
+# A tiny-s curve whose q1 used to round to -2.2e-16 at the vertex, where the
+# sweep raised NumericError; it now starts at the vertex identity.
 _NEGATIVE_Q1_CASE = (0.3, 8.002035938234122e-30, 3.197006282588512e-30, 7)
 
 
@@ -843,15 +830,15 @@ def _tradeoff_out_of_order(rows):
 
 def test_sweep_cases_reach_the_guards():
     # The hex comparison above must see failing sweeps as well as clean ones.
-    raised = set()
+    # The t-curve has no per-sample guard left and answers every case; the
+    # tradeoff rows keep their negative-s'^2 guard.
+    qmin, tradeoff = set(), set()
     for eta1, s, s_prime, n in _sweep_cases(20261018, 48):
-        for fn in (
-            lambda: _qmin_rows_scalar(OverlapSpec(s, s_prime), n),
-            lambda: _tradeoff_rows_scalar(Priors.of(eta1), s, n),
-        ):
-            out = _outcome(fn)
-            raised.add(out[2].split(" ")[0] if out[0] == "raised" else "ok")
-    assert {"ok", "square", "negative"} <= raised
+        qmin.add(_outcome(lambda: _qmin_rows_scalar(OverlapSpec(s, s_prime), n))[0])
+        out = _outcome(lambda: _tradeoff_rows_scalar(Priors.of(eta1), s, n))
+        tradeoff.add(out[2].split(" ")[0] if out[0] == "raised" else "ok")
+    assert qmin == {"ok"}
+    assert {"ok", "negative"} <= tradeoff
 
 
 def test_float_constants_match_numpy_finfo():
@@ -863,10 +850,12 @@ def test_float_constants_match_numpy_finfo():
 def test_qmin_curve_vertex_and_flat_end_bits():
     samples = qmin_curve(OverlapSpec(0.8, 0.4), 512)
     assert samples[0].eta1 == 0.5 and math.isinf(samples[0].dq1_dt)
-    # At the flat end dq2/dt is 0.0, so the tangent prior 0/(0 - dq1/dt) is
-    # -0.0, which the clamp to [0, 1/2] keeps, as max(-0.0, 0.0) does.
-    assert samples[-1].dq2_dt == 0.0
-    assert math.copysign(1.0, samples[-1].eta1) == -1.0
+    assert samples[0].point == FailurePoint((0.8 - 0.4) / (1.0 - 0.4), (0.8 - 0.4) / (1.0 - 0.4))
+    # The flat end is emitted as the zero-slope point itself, with a tangent
+    # prior and dq2/dt of +0.0.
+    assert samples[-1].dq2_dt == 0.0 and math.copysign(1.0, samples[-1].dq2_dt) == 1.0
+    assert samples[-1].eta1 == 0.0 and math.copysign(1.0, samples[-1].eta1) == 1.0
+    assert samples[-1].point == FailurePoint(*solvers._zero_slope_end(0.8, 0.4))
 
 
 def test_qmin_curve_monotonicity_guard_fires(monkeypatch):
@@ -891,14 +880,8 @@ def test_sweeps_return_plain_floats(pr, s):
 
 @pytest.mark.parametrize(
     "ov, message",
-    [
-        (
-            OverlapSpec(0.6, 1e-9),
-            r"below clamp tolerance .* at t=0\.99999999933\d*, s=0\.6, s_prime=1e-09",
-        ),
-        (OverlapSpec(1e-300, 5e-301), r"s\*s to be a normal float, got s\*s=0\.0 at s=1e-300"),
-    ],
-    ids=["clamp-at-small-sprime", "s-squared-underflow"],
+    [(OverlapSpec(1e-300, 5e-301), r"s\*s to be a normal float, got s\*s=0\.0 at s=1e-300")],
+    ids=["s-squared-underflow"],
 )
 def test_valid_curve_inputs_raise_numeric_error(ov, message):
     # A valid OverlapSpec that the t-curve cannot resolve is a numeric
@@ -921,16 +904,6 @@ def test_tradeoff_curve_at_subnormal_s_is_numeric_error(s):
     assert _outcome(lambda: _tradeoff_rows(pr, s, 512)) == _outcome(
         lambda: _tradeoff_rows_scalar(pr, s, 512)
     )
-
-
-def test_negative_q1_at_tiny_s_is_numeric_error():
-    _, s, s_prime, n = _NEGATIVE_Q1_CASE
-    ov = OverlapSpec(s, s_prime)
-    message = r"q1 = -2\.220446049250313e-16 rounds below 0 .* at t=0\.600475\d*, s=8\.00"
-    with pytest.raises(NumericError, match=message):
-        qmin_curve(ov, n)
-    with pytest.raises(NumericError, match=message):
-        solvers._curve_q(t_slope_minus_one(ov), ov)
 
 
 # ---------------------------------------------------------------------------
@@ -999,16 +972,18 @@ def test_sweep_records_match_the_public_constructors(sweep):
 def _with_fault(monkeypatch, name, anchor, fault_line, fault):
     """Replace ``solvers.<name>`` by a copy that runs ``fault_line`` right after ``anchor``.
 
-    The copy is compiled from the function's own source with that one line
-    added, in the module's namespace plus ``_fault``, so a sweep runs its
-    real guards and range checks on the faulty value.  The sweeps' loops
-    have no other seam: a per-sample hook would cost them about a tenth of
-    their time.
+    ``anchor`` is one source line, or a tuple of lines that each get the
+    fault line.  The copy is compiled from the function's own source with
+    those lines added, in the module's namespace plus ``_fault``, so a
+    sweep runs its real guards and range checks on the faulty value.  The
+    sweeps' loops have no other seam: a per-sample hook would cost them
+    about a tenth of their time.
     """
     lines = textwrap.dedent(inspect.getsource(getattr(solvers, name))).splitlines()
-    [i] = [i for i, line in enumerate(lines) if line.strip() == anchor]
-    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
-    lines.insert(i + 1, indent + fault_line)
+    for line in (anchor,) if isinstance(anchor, str) else anchor:
+        [i] = [i for i, text in enumerate(lines) if text.strip() == line]
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        lines.insert(i + 1, indent + fault_line)
     code = compile(
         "\n".join(lines),
         f"<solvers.{name} with a fault>",
@@ -1022,11 +997,19 @@ def _with_fault(monkeypatch, name, anchor, fault_line, fault):
 
 
 def _fault_qmin_point(monkeypatch, q1_values, q2_values):
-    """Make the qmin sweep's unclamped q1/q2 at sample i the given values ({i: value})."""
+    """Make the qmin sweep's q1/q2 at sample i the given values ({i: value}).
+
+    The fault follows each assignment of the pair: the vertex row's, the
+    general one and the zero-slope end's.
+    """
     _with_fault(
         monkeypatch,
         "_t_curve",
-        "q1, q2 = 0.5 * (c + rr), 0.5 * (c - rr)",
+        (
+            "q1 = q2 = vertex",
+            "q2 = a * (a / q1)",
+            "q1, q2 = q1_end, q2_end",
+        ),
         "q1, q2 = _fault(len(rows), q1, q2)",
         lambda i, q1, q2: (q1_values.get(i, q1), q2_values.get(i, q2)),
     )
@@ -1045,18 +1028,15 @@ def test_qmin_curve_nan_in_q2_raises_the_constructor_error(monkeypatch, k):
     assert str(got.value) == str(want.value) == "q2 must lie in [0, 1], got nan"
 
 
-@pytest.mark.parametrize("k, wins", [(3, "q2"), (5, "guard"), (8, "guard")])
+@pytest.mark.parametrize("k, wins", [(3, "q2"), (5, "q1"), (8, "q1")])
 def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
-    # A negative q1 at sample 5 trips the sweep's own guard there; a NaN q2
-    # at sample k trips FailurePoint's range check.  The earlier sample
-    # wins, and within one sample the guard comes first.
+    # A negative q1 at sample 5 and a NaN q2 at sample k each trip
+    # FailurePoint's range check.  The earlier sample wins, and within one
+    # sample q1 is checked first, as the constructor checks it.
     _fault_qmin_point(monkeypatch, {5: -0.25}, {k: math.nan})
-    if wins == "q2":
-        with pytest.raises(DomainError, match="q2 must lie in"):
-            qmin_curve(OverlapSpec(0.6, 0.3), 33)
-    else:
-        with pytest.raises(NumericError, match=r"q1 = -0\.25 rounds below 0"):
-            qmin_curve(OverlapSpec(0.6, 0.3), 33)
+    message = "q2 must lie in .* got nan" if wins == "q2" else r"q1 must lie in .* got -0\.25"
+    with pytest.raises(DomainError, match=message):
+        qmin_curve(OverlapSpec(0.6, 0.3), 33)
 
 
 def _fault_tradeoff_q(monkeypatch, k):
