@@ -194,6 +194,14 @@ _STDOUT_SHA256 = [
         ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "20000", "--format", "json"],
         "90ea8ca7d4c0237049505801a18d64a131bb66d656996402ec626992333e824a",
     ),
+    (
+        ["tradeoff", "--eta1", "0.2", "--s", "0.6", "--format", "json"],
+        "538cfec3dfb2ebba62549d9c00a2b201b2aca8cb0559b557c6594eaac5daae52",
+    ),
+    (
+        ["verify", "--samples", "2", "--shots", "20000", "--seed", "903"],
+        "10439a391e870b1752fa0d07d540df97ff13d9004d13951f336251dac2a1bc19",
+    ),
 ]
 
 
@@ -203,6 +211,7 @@ _STDOUT_SHA256 = [
     ids=[
         "ud", "qmin", "qmin-equal", "qmin-full-separation", "maxsep",
         "tradeoff-equal", "tradeoff-certainty", "tradeoff", "optics-csv", "optics-json",
+        "tradeoff-json", "verify",
     ],
 )
 def test_stdout_bytes_pinned(capsys, argv, digest):
