@@ -15,7 +15,7 @@ for eta1 in (0.1, 0.5):
           f"(discrimination cost {float(q_ud(pr, S)):.4f}):")
     print(f"{'theta':>9} {'Q':>10} {'s_prime':>10}")
     for smp in tradeoff_curve(pr, S, n_samples=9):
-        print(f"{float(smp.theta):9.4f} {float(smp.q):10.6f} {smp.s_prime:10.6f}")
+        print(f"{smp.theta:9.4f} {smp.q:10.6f} {smp.s_prime:10.6f}")
     print()
 
 print("Skewed priors separate more cheaply: every row of the eta1 = 0.1")

@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "conics": (
         "ConicPoint",
-        "PolarAngle",
         "to_conic",
         "from_conic",
         "parabola_v",

@@ -138,7 +138,7 @@ def cmd_maxsep(args: argparse.Namespace) -> tuple[str, bool]:
 def cmd_tradeoff(args: argparse.Namespace) -> tuple[str, bool]:
     pr = Priors.of(args.eta1)
     rows = [
-        (float(smp.theta), float(smp.q), smp.s_prime)
+        (smp.theta, smp.q, smp.s_prime)
         for smp in solvers.tradeoff_curve(pr, args.s, args.samples)
     ]
     params = {"eta1": args.eta1, "s": args.s}

@@ -25,7 +25,6 @@ from .core import DomainError, FailurePoint, FailureBudget, Priors, sqrt_clamped
 
 __all__ = [
     "ConicPoint",
-    "PolarAngle",
     "to_conic",
     "from_conic",
     "parabola_v",
@@ -52,16 +51,6 @@ class ConicPoint:
             raise DomainError(f"conic coordinates must be nonnegative, got {self!r}")
         if self.u > self.v + 1e-12:
             raise DomainError(f"geometric mean exceeds arithmetic mean: {self!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class PolarAngle:
-    """Polar angle on an objective ellipse, measured from its center."""
-
-    theta: float
-
-    def __float__(self) -> float:
-        return self.theta
 
 
 def to_conic(pt: FailurePoint) -> ConicPoint:
@@ -115,24 +104,26 @@ def _check_delta(pr: Priors) -> float:
     return delta
 
 
-def ellipse_point(theta: float | PolarAngle, q: float | FailureBudget, pr: Priors) -> ConicPoint:
+def ellipse_point(theta: float, q: float | FailureBudget, pr: Priors) -> ConicPoint:
     """Point of the objective ellipse for budget Q at polar angle theta.
+
+    theta is measured from the ellipse's center, as ``max_separation``
+    and ``TradeoffSample`` report it.
 
     For equal priors (delta = 0) the formula already reduces to the
     degenerate horizontal segment v = Q, u = Q*cos(theta); for Q = 0 the
     ellipse collapses into the origin.
     """
     delta = _check_delta(pr)
-    th = float(theta)
     q_avg = float(q)
     one = 1.0 - delta * delta
-    u = q_avg * math.cos(th) / math.sqrt(one)
-    v = q_avg / one + q_avg * delta * math.sin(th) / one
+    u = q_avg * math.cos(theta) / math.sqrt(one)
+    v = q_avg / one + q_avg * delta * math.sin(theta) / one
     return ConicPoint(u, v)
 
 
 def conic_slopes(
-    theta: float | PolarAngle,
+    theta: float,
     pr: Priors,
     u: float,
     s: float,
@@ -147,8 +138,7 @@ def conic_slopes(
     which ellipse is meant; the parabola slope is taken at abscissa ``u``.
     """
     delta = _check_delta(pr)
-    th = float(theta)
-    st, ct = math.sin(th), math.cos(th)
+    st, ct = math.sin(theta), math.cos(theta)
     if st == 0.0 and delta != 0.0:
         ellipse = -math.copysign(math.inf, delta * ct)
     elif delta == 0.0:
@@ -162,7 +152,7 @@ def conic_slopes(
 
 
 def tangency_residuals(
-    theta: float | PolarAngle,
+    theta: float,
     q: float | FailureBudget,
     pr: Priors,
     s: float,
@@ -182,9 +172,8 @@ def tangency_residuals(
     delta = _check_delta(pr)
     if s_prime <= 0.0:
         raise DomainError("tangency system requires s_prime > 0")
-    th = float(theta)
     q_avg = float(q)
-    st, ct = math.sin(th), math.cos(th)
+    st, ct = math.sin(theta), math.cos(theta)
     one = 1.0 - delta * delta
     u = q_avg * ct / math.sqrt(one)
 
@@ -193,5 +182,5 @@ def tangency_residuals(
         + q_avg * q_avg * ct * ct / (2.0 * one)
         - (u - s) ** 2 / (2.0 * s_prime * s_prime)
     )
-    ellipse, parabola = conic_slopes(th, pr, u, s, s_prime)
+    ellipse, parabola = conic_slopes(theta, pr, u, s, s_prime)
     return member, parabola - ellipse

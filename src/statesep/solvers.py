@@ -38,9 +38,11 @@ form, with both ends of the tangency range emitted as explicit points.
 ``_tangency_terms``.  ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas; an independent scalar form is kept in the tests as its
 referee.  Each loop raises at the first failing sample, guards first, and
-then makes the range checks that a record's constructor would make; the
-records are then built column by column without re-running those checks.
-The t-curve has no per-sample guard left; ``qmin_curve`` keeps its eta1
+then makes the range checks of ``FailurePoint`` (q1, q2) and
+``FailureBudget`` (Q); the records are then built column by column
+without re-running those checks.  A ``TradeoffSample`` is four plain
+floats, its angle and budget included: one object per sample.  The
+t-curve has no per-sample guard left; ``qmin_curve`` keeps its eta1
 monotonicity guard, and ``t_slope_zero`` refuses an s whose square is
 below the normal float range.
 """
@@ -55,7 +57,6 @@ from itertools import repeat
 from operator import sub
 from typing import Callable, Iterable
 
-from .conics import PolarAngle
 from .core import (
     DomainError,
     FailureBudget,
@@ -125,12 +126,17 @@ class QminSample:
 
 @dataclass(frozen=True, slots=True)
 class TradeoffSample:
-    """One point of a separation/failure tradeoff sweep."""
+    """One point of a separation/failure tradeoff sweep.
 
-    theta: PolarAngle
+    ``theta`` is the tangency angle on the objective ellipse
+    (``conics.ellipse_point``) and ``q`` the achieved failure budget, in
+    [0, 1]; every field is a plain float.
+    """
+
+    theta: float
     s: float
     s_prime: float
-    q: FailureBudget
+    q: float
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +660,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
 
 def max_separation(
     pr: Priors, s: float, q_max: float | FailureBudget
-) -> tuple[float, PolarAngle]:
+) -> tuple[float, float]:
     """Smallest final overlap reachable within a failure budget.
 
     Parameters
@@ -670,9 +676,10 @@ def max_separation(
     -------
     (s_prime_min, theta)
         The minimal final overlap and the tangency angle on the objective
-        ellipse (``conics.ellipse_point``): 0 for equal priors, NaN where
-        the ellipse degenerates (|eta2 - eta1| = 1) and when the budget
-        covers unambiguous discrimination, where the answer is 0.
+        ellipse (``conics.ellipse_point``), both plain floats.  theta is 0
+        for equal priors, and NaN where the ellipse degenerates
+        (|eta2 - eta1| = 1) and when the budget covers unambiguous
+        discrimination, where the answer is 0.
 
     Notes
     -----
@@ -698,10 +705,10 @@ def max_separation(
     # s' vanishes linearly as the budget approaches the discrimination
     # cost, so budgets within rounding of it take the trivial branch.
     if q >= float(q_ud(prn, s)) * (1.0 - 1e-13):
-        return 0.0, PolarAngle(math.nan)
+        return 0.0, math.nan
     eta1, eta2, delta = prn.eta1, prn.eta2, prn.delta
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
-        return s, PolarAngle(math.nan if delta == 1.0 else _tradeoff_range(s, delta, eta1)[0])
+        return s, math.nan if delta == 1.0 else _tradeoff_range(s, delta, eta1)[0]
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
 
     def on_line(t: float) -> tuple[float, float]:
@@ -733,7 +740,7 @@ def max_separation(
     gap = s - a if a < 0.5 else (p1 + p2 * q1 - (1.0 - s) * (1.0 + s)) / (s + a)
     cos_q = 2.0 * math.sqrt(eta1 * eta2) * a  # Q*cos(theta)
     theta = math.nan if delta == 1.0 else math.atan2(eta1 * q1 - eta2 * q2, cos_q)
-    return min(max(gap / b, 0.0), s), PolarAngle(theta)
+    return min(max(gap / b, 0.0), s), theta
 
 
 def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
@@ -855,20 +862,16 @@ def _tradeoff_records(
 ) -> list[TradeoffSample]:
     """The sweep's records from a range-checked Q column.
 
-    Each record is the one ``TradeoffSample(PolarAngle(theta), s, s_prime,
-    FailureBudget(Q))`` builds, but its slots are written column by column,
-    so ``FailureBudget``'s check does not run a second time.
+    Each record is the one ``TradeoffSample(theta, s, s_prime, Q)`` builds,
+    one slotted object of four floats, but its slots are written column by
+    column, without the frozen dataclass's per-field ``__setattr__``.
     """
     n = len(thetas)
-    angles = _blank(PolarAngle, n)
-    _fill(PolarAngle.theta, angles, thetas)
-    budgets = _blank(FailureBudget, n)
-    _fill(FailureBudget.q_avg, budgets, qs)
     samples = _blank(TradeoffSample, n)
-    _fill(TradeoffSample.theta, samples, angles)
+    _fill(TradeoffSample.theta, samples, thetas)
     _fill(TradeoffSample.s, samples, repeat(s, n))
     _fill(TradeoffSample.s_prime, samples, s_primes)
-    _fill(TradeoffSample.q, samples, budgets)
+    _fill(TradeoffSample.q, samples, qs)
     return samples
 
 
@@ -893,9 +896,9 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     one angle at a time with ``math``; a failed guard raises NumericError
     naming the first offending theta, and a sweep whose Q falls, whose s'
     rises (beyond 1e-10) or whose interior Q exceeds the final q_ud raises
-    NumericError as a whole.  Every branch range-checks its Q
-    values as ``FailureBudget`` would, and the records are built column by
-    column after that check.
+    NumericError as a whole.  Every branch range-checks its Q values as
+    ``FailureBudget`` would, and the records, whose theta and q are plain
+    floats, are built column by column after that check.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -958,6 +961,8 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
     the achieved budget.  Budgets at or above the discrimination cost
     return the full-separation endpoint (whose achieved budget is the
     discrimination cost itself, since larger margins are never saturated).
+    ``q`` (a float or a ``FailureBudget``) must lie in [0, 1]; the record's
+    theta and q are plain floats.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -966,9 +971,9 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
     qud = float(q_ud(pr.normalized()[0], s))
     if q >= qud * (1.0 - 1e-13):
-        return TradeoffSample(PolarAngle(math.nan), s, 0.0, FailureBudget(qud))
+        return TradeoffSample(math.nan, s, 0.0, qud)
     s_prime, theta = max_separation(pr, s, q)
-    return TradeoffSample(theta, s, s_prime, FailureBudget(q))
+    return TradeoffSample(theta, s, s_prime, q)
 
 
 # ---------------------------------------------------------------------------

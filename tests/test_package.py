@@ -14,7 +14,7 @@ import pytest
 import statesep
 
 # Modules that the solvers and the CLI's curve and point commands never need.
-_HEAVY = ("numpy", "statesep.optics", "statesep.oracle", "statesep.verify")
+_HEAVY = ("numpy", "statesep.conics", "statesep.optics", "statesep.oracle", "statesep.verify")
 
 
 def _fresh(script: str) -> str:

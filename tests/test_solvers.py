@@ -16,7 +16,6 @@ from statesep import (
     FailurePoint,
     NumericError,
     OverlapSpec,
-    PolarAngle,
     Priors,
     QminSample,
     TradeoffSample,
@@ -400,7 +399,7 @@ def test_tradeoff_at_is_max_separation_plus_the_budget():
         smp = tradeoff_at(pr, s, budget)
         sp, theta = max_separation(pr, s, budget)
         assert (smp.s_prime.hex(), float(smp.theta).hex()) == (sp.hex(), float(theta).hex())
-        assert smp.s == s and smp.q == FailureBudget(budget)
+        assert smp.s == s and smp.q == FailureBudget(budget).q_avg
 
 
 @pytest.mark.parametrize(
@@ -758,7 +757,7 @@ def _tradeoff_rows_scalar(pr, s, n):
 
 
 def _tradeoff_rows(pr, s, n):
-    return [(m.theta.theta, m.s_prime, m.q.q_avg) for m in tradeoff_curve(pr, s, n)]
+    return [(m.theta, m.s_prime, m.q) for m in tradeoff_curve(pr, s, n)]
 
 
 def _decade(rng, lo, hi):
@@ -871,11 +870,19 @@ def test_qmin_curve_monotonicity_guard_fires(monkeypatch):
 )
 def test_sweeps_return_plain_floats(pr, s):
     for smp in tradeoff_curve(pr, s, 9):
-        for v in (smp.theta.theta, smp.s, smp.s_prime, smp.q.q_avg):
+        for v in (smp.theta, smp.s, smp.s_prime, smp.q):
             assert type(v) is float
     for smp in qmin_curve(OverlapSpec(s, s / 2), 9):
         for v in (smp.t, smp.eta1, smp.q_min, smp.point.q1, smp.point.q2, smp.dq1_dt, smp.dq2_dt):
             assert type(v) is float
+
+
+@pytest.mark.parametrize("eta1, q", [(0.2, 0.3), (0.5, 0.3), (0.2, 0.0), (0.2, 0.9)])
+def test_point_queries_return_plain_floats(eta1, q):
+    # Interior, equal-prior, zero-budget and full-separation answers alike.
+    pr = Priors.of(eta1)
+    for v in (*max_separation(pr, 0.6, q), *dataclasses.astuple(tradeoff_at(pr, 0.6, q))):
+        assert type(v) is float
 
 
 @pytest.mark.parametrize(
@@ -915,8 +922,7 @@ def _rebuilt(smp):
     if isinstance(smp, QminSample):
         point = FailurePoint(smp.point.q1, smp.point.q2)
         return QminSample(smp.t, smp.eta1, smp.q_min, point, smp.dq1_dt, smp.dq2_dt)
-    angle, budget = PolarAngle(smp.theta.theta), FailureBudget(smp.q.q_avg)
-    return TradeoffSample(angle, smp.s, smp.s_prime, budget)
+    return TradeoffSample(smp.theta, smp.s, smp.s_prime, FailureBudget(smp.q).q_avg)
 
 
 def _frozen_fields(rec):
