@@ -17,6 +17,8 @@ curve commands and ``verify`` take ``--samples`` (for ``verify``, the
 per-axis oracle grid size); ``optics`` and ``verify`` take ``--shots``.
 Any other flag is a usage error.  The curve commands draw no random
 numbers; their ``--seed`` is only recorded in the JSON ``meta``.
+``optics`` and ``verify`` key NumPy's Philox generator with ``--seed``
+plus small offsets, so they refuse a seed whose keys leave [0, 2**128).
 
 Output is byte-stable for fixed flags and seed: CSV uses 17 significant
 digits, '.' decimals, LF line endings and a frozen header; JSON wraps the
@@ -40,6 +42,11 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 _EXIT_VERIFY = 4
+
+# The largest offset a command adds to --seed for a Philox key, whose range
+# is [0, 2**128): certify_separation keys its two runs with seed and
+# seed + 1, and run_all hands seed + 9 to the optics statistics check.
+_SEED_OFFSETS = {"optics": 1, "verify": 10}
 
 
 def _fmt(value) -> str:
@@ -244,6 +251,9 @@ def _validate(args: argparse.Namespace) -> None:
     shots = getattr(args, "shots", None)
     if shots is not None and shots < 1:
         raise DomainError(f"--shots must be positive, got {shots!r}")
+    offset = _SEED_OFFSETS.get(args.command)
+    if offset is not None and not 0 <= args.seed < 2**128 - offset:
+        raise DomainError(f"--seed must lie in [0, 2**128 - {offset + 1}], got {args.seed!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -310,9 +310,10 @@ def endpoint_tangency_check(
 
     Estimates dq2/dq1 at q1 = 1 - offset for each offset by central
     differences on the closed-form lower-half branch; the mirror image gives
-    the slopes near (s^2, 1).  Requires beta > 0: at beta = 0 the curve is
-    an arc of the hyperbola q1*q2 = s^2 whose endpoint slopes are finite,
-    so there is no tangency to detect.
+    the slopes near (s^2, 1).  ``offsets`` must be one or more values in
+    (0, 1).  Requires beta > 0: at beta = 0 the curve is an arc of the
+    hyperbola q1*q2 = s^2 whose endpoint slopes are finite, so there is no
+    tangency to detect.
     """
     if ov.beta == 0.0:
         raise DomainError(
@@ -321,6 +322,9 @@ def endpoint_tangency_check(
         )
     if ov.s == 0.0 or ov.s == 1.0:
         raise DomainError("endpoint tangency requires 0 < s < 1")
+    offsets = tuple(offsets)
+    if not offsets or not all(0.0 < delta < 1.0 for delta in offsets):
+        raise DomainError(f"offsets must be one or more values in (0, 1), got {offsets!r}")
 
     slopes = []
     for delta in offsets:
@@ -337,7 +341,7 @@ def endpoint_tangency_check(
     return EndpointTangencyReport(
         s=ov.s,
         beta=ov.beta,
-        offsets=tuple(offsets),
+        offsets=offsets,
         slopes_lower=slopes_lower,
         slopes_upper=slopes_upper,
         vertical_divergence=abs(slopes_lower[-1]) > slope_threshold,

@@ -192,6 +192,8 @@ def oracle_max_separation(pr: Priors, s: float, q_max: float | FailureBudget) ->
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
     q_cap = float(q_max)
+    if not 0.0 <= q_cap <= 1.0:
+        raise DomainError(f"q_max must lie in [0, 1], got {q_cap!r}")
 
     def fits(s_prime: float) -> bool:
         q, _ = oracle_qmin(pr, OverlapSpec(s, s_prime))

@@ -38,24 +38,22 @@ form, with both ends of the tangency range emitted as explicit points.
 ``_tangency_terms``.  ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas; an independent scalar form is kept in the tests as its
 referee.  Each loop raises at the first failing sample, guards first, and
-then makes the range checks of ``FailurePoint`` (q1, q2) and
-``FailureBudget`` (Q); the records are then built column by column
-without re-running those checks.  A ``TradeoffSample`` is four plain
-floats, its angle and budget included: one object per sample.  The
-t-curve has no per-sample guard left; ``qmin_curve`` keeps its eta1
-monotonicity guard, and ``t_slope_zero`` refuses an s whose square is
-below the normal float range.
+then makes the range checks of ``FailurePoint`` (q1, q2, in its
+constructor) and ``FailureBudget`` (Q).  Every record comes from its
+class's constructor: ``QminSample`` and ``TradeoffSample`` are named
+tuples, and a ``TradeoffSample`` is four plain floats, its angle and
+budget included.  The t-curve has no per-sample guard left;
+``qmin_curve`` keeps its eta1 monotonicity guard, and ``t_slope_zero``
+refuses an s whose square is below the normal float range.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     DomainError,
@@ -112,8 +110,7 @@ _ROOT_MAXITER = 100
 _SMALL_VERTEX = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class QminSample:
+class QminSample(NamedTuple):
     """One point of the minimum-failure curve Q_min(eta1) at fixed overlaps."""
 
     t: float
@@ -124,8 +121,7 @@ class QminSample:
     dq2_dt: float
 
 
-@dataclass(frozen=True, slots=True)
-class TradeoffSample:
+class TradeoffSample(NamedTuple):
     """One point of a separation/failure tradeoff sweep.
 
     ``theta`` is the tangency angle on the objective ellipse
@@ -278,7 +274,7 @@ def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
 
 
 # ---------------------------------------------------------------------------
-# grids and records
+# grids
 
 
 def _linspace(start: float, stop: float, n: int) -> list[float]:
@@ -295,21 +291,6 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     if step == 0.0:
         return [i / div * delta + start for i in range(div)] + [stop]
     return [i * step + start for i in range(div)] + [stop]
-
-
-def _blank(cls: type, n: int) -> list:
-    """``n`` instances of the slotted record ``cls``, none of whose slots is set yet."""
-    return list(map(object.__new__, repeat(cls, n)))
-
-
-def _fill(field, records: list, values: Iterable) -> None:
-    """Write one value per record into slot ``field``, bypassing the record's checks.
-
-    The slot descriptor's ``__set__`` is mapped over the whole column, so
-    the loop runs in C; the sweeps call this only with values that have
-    passed the checks the record's constructor makes.
-    """
-    deque(map(field.__set__, records, values), maxlen=0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +349,12 @@ def _tangency_terms(
     return q1 * b - beta * (1.0 - q1) * a, q2 * b - beta * (1.0 - q2) * a
 
 
-def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[tuple]:
-    """The constraint curve at each parameter value in ``ts``, one row per t.
+def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
+    """The constraint curve at each parameter value in ``ts``, one sample per t.
 
-    A row is ``(t, eta1, Q, q1, q2, dq1/dt, dq2/dt)``, in ``QminSample``'s
-    field order, where eta1 is the prior whose objective line is tangent
-    at the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].
+    A sample is ``QminSample(t, eta1, Q, FailurePoint(q1, q2), dq1/dt,
+    dq2/dt)``, where eta1 is the prior whose objective line is tangent at
+    the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].
 
     On the curve A = sqrt(q1*q2) = s*t and B = sqrt((1-q1)*(1-q2)) =
     s*(1-t)/s' exactly, so q1 and q2 are the roots of
@@ -395,8 +376,8 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[tuple]:
     infinite derivatives.  Where g2 <= 0, the zero-slope end and any t
     rounded past it, the row is the zero-slope point itself, with eta1 and
     dq2/dt 0.  The rows are taken in order; the only check is
-    ``FailurePoint``'s range check of q1 and q2, raised as DomainError at
-    the first offending t.
+    ``FailurePoint``'s constructor, which raises DomainError at the first
+    offending t.
 
     This is the one implementation of the parametric formulas: the sweep
     runs it over its grid and ``_curve_row`` over a single t.
@@ -408,7 +389,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[tuple]:
     q1_end, q2_end = _zero_slope_end(s, sp)
     close = sp >= 0.5 * s
     sqrt, inf = math.sqrt, math.inf
-    rows: list[tuple] = []
+    rows: list[QminSample] = []
     add = rows.append
     for t in ts:
         a = s * t
@@ -440,21 +421,17 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[tuple]:
                 eta1 = g2 / (g1 + g2)
                 if eta1 > 0.5:
                     eta1 = 0.5
-        if not 0.0 <= q1 <= 1.0:
-            raise _prob_error("q1", q1)
-        if not 0.0 <= q2 <= 1.0:
-            raise _prob_error("q2", q2)
         q = eta1 * q1 + (1.0 - eta1) * q2
         if q < 0.0:
             q = 0.0
         elif q > 1.0:
             q = 1.0
-        add((t, eta1, q, q1, q2, d1, d2))
+        add(QminSample(t, eta1, q, FailurePoint(q1, q2), d1, d2))
     return rows
 
 
-def _curve_row(t: float, ov: OverlapSpec) -> tuple:
-    """``_t_curve``'s row at the single parameter value t."""
+def _curve_row(t: float, ov: OverlapSpec) -> QminSample:
+    """``_t_curve``'s sample at the single parameter value t."""
     return _t_curve((t,), ov)[0]
 
 
@@ -475,36 +452,7 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
         raise DomainError(
             f"curve parameter {t!r} outside the tangency range [{t_lo!r}, {t_hi!r}]"
         )
-    return FailurePoint(*_curve_row(t, ov)[3:5])
-
-
-def _qmin_records(
-    t: tuple[float, ...],
-    eta1: tuple[float, ...],
-    q_min: tuple[float, ...],
-    q1: tuple[float, ...],
-    q2: tuple[float, ...],
-    d1: tuple[float, ...],
-    d2: tuple[float, ...],
-) -> list[QminSample]:
-    """The sweep's records from range-checked columns.
-
-    Each record is the one ``QminSample(t, eta1, q_min, FailurePoint(q1,
-    q2), dq1/dt, dq2/dt)`` builds, but its slots are written column by
-    column, so ``FailurePoint``'s per-field checks do not run a second time.
-    """
-    n = len(t)
-    points = _blank(FailurePoint, n)
-    _fill(FailurePoint.q1, points, q1)
-    _fill(FailurePoint.q2, points, q2)
-    samples = _blank(QminSample, n)
-    _fill(QminSample.t, samples, t)
-    _fill(QminSample.eta1, samples, eta1)
-    _fill(QminSample.q_min, samples, q_min)
-    _fill(QminSample.point, samples, points)
-    _fill(QminSample.dq1_dt, samples, d1)
-    _fill(QminSample.dq2_dt, samples, d2)
-    return samples
+    return _curve_row(t, ov).point
 
 
 def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
@@ -524,16 +472,14 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     eta1's minimum: a 50-digit referee in the tests confirms sampled rows
     to 1e-9 relative with s and s'/s out to 1e-12 of 0 and 1.  The sweep
     refuses with NumericError only where the monotonicity guard fires
-    (seen with s within about 1e-12 of 1) or ``t_slope_zero`` does.  The
-    same loop range-checks q1 and q2 as ``FailurePoint`` would, and the
-    records are built column by column after it.
+    (seen with s within about 1e-12 of 1) or ``t_slope_zero`` does.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
     ts = _linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
-    columns = list(zip(*_t_curve(ts, ov)))
-    eta1 = columns[1]
+    samples = _t_curve(ts, ov)
+    eta1 = [smp.eta1 for smp in samples]
     worst = max(map(sub, eta1[1:], eta1))
     if worst > _MONOTONE_TOL:
         raise NumericError(
@@ -541,7 +487,7 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
             f"(worst increase {worst!r} at s={ov.s!r}, s_prime={ov.s_prime!r}); "
             "the tangency branch cannot be trusted"
         )
-    return _qmin_records(*columns)
+    return samples
 
 
 def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
@@ -857,24 +803,6 @@ def _tradeoff_rows(thetas: Iterable[float], s: float, delta: float) -> list[tupl
     return rows
 
 
-def _tradeoff_records(
-    thetas: list[float], s: float, s_primes: Iterable[float], qs: Iterable[float]
-) -> list[TradeoffSample]:
-    """The sweep's records from a range-checked Q column.
-
-    Each record is the one ``TradeoffSample(theta, s, s_prime, Q)`` builds,
-    one slotted object of four floats, but its slots are written column by
-    column, without the frozen dataclass's per-field ``__setattr__``.
-    """
-    n = len(thetas)
-    samples = _blank(TradeoffSample, n)
-    _fill(TradeoffSample.theta, samples, thetas)
-    _fill(TradeoffSample.s, samples, repeat(s, n))
-    _fill(TradeoffSample.s_prime, samples, s_primes)
-    _fill(TradeoffSample.q, samples, qs)
-    return samples
-
-
 def _range_checked(qs: list[float]) -> list[float]:
     """``qs``, after ``FailureBudget``'s range check of each, in order."""
     for q in qs:
@@ -897,8 +825,8 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     naming the first offending theta, and a sweep whose Q falls, whose s'
     rises (beyond 1e-10) or whose interior Q exceeds the final q_ud raises
     NumericError as a whole.  Every branch range-checks its Q values as
-    ``FailureBudget`` would, and the records, whose theta and q are plain
-    floats, are built column by column after that check.
+    ``FailureBudget`` would before it builds the records, four plain floats
+    each.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -910,23 +838,25 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 
     if delta <= _DEGENERATE_PRIOR_TOL:
         # Equal priors: q1 = q2 = Q on the diagonal, so s' = (s - Q)/(1 - Q).
+        thetas = repeat(0.0)
         qs = _range_checked(_linspace(0.0, s, n_samples))
         s_primes = [(s - q) / (1.0 - q) for q in qs]
-        return _tradeoff_records([0.0] * n_samples, s, s_primes, qs)
-    if prn.eta1 <= _DEGENERATE_PRIOR_TOL:
+    elif prn.eta1 <= _DEGENERATE_PRIOR_TOL:
         # Certainty on state 2: Q = q2 = (s^2 - s'^2)/(1 - s'^2).
+        thetas = repeat(math.nan)
         qs = _linspace(0.0, s * s, n_samples)
         s_primes = [sqrt_clamped((s * s - q) / (1.0 - q)) for q in qs]
-        return _tradeoff_records([math.nan] * n_samples, s, s_primes, _range_checked(qs))
-
-    thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
-    rows = _tradeoff_rows(thetas[1:-1], s, delta)
-    # The sweep starts at the trivial protocol and ends at full separation;
-    # both endpoint values are exact identities, so they are emitted
-    # directly instead of through the cancellation-prone generic formulas.
-    s_primes, qs = zip((s, 0.0), *rows, (0.0, float(q_ud(prn, s))))
-    _check_tradeoff_order(s_primes, qs, s, prn.eta1)
-    return _tradeoff_records(thetas, s, s_primes, qs)
+        _range_checked(qs)
+    else:
+        thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
+        rows = _tradeoff_rows(thetas[1:-1], s, delta)
+        # The sweep starts at the trivial protocol and ends at full
+        # separation; both endpoint values are exact identities, so they are
+        # emitted directly instead of through the cancellation-prone generic
+        # formulas.
+        s_primes, qs = zip((s, 0.0), *rows, (0.0, float(q_ud(prn, s))))
+        _check_tradeoff_order(s_primes, qs, s, prn.eta1)
+    return list(map(TradeoffSample, thetas, repeat(s), s_primes, qs))
 
 
 def _check_tradeoff_order(

@@ -124,8 +124,8 @@ def check_slope_range(seed: int) -> CheckResult:
         worst = max(worst, increase_violation, abs(slopes[-1]))
         # Limit value -1 at the vertex, probed just inside the range.
         t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
-        d1, d2 = solvers._curve_row(t_lo + 1e-10 * (t_hi - t_lo), ov)[5:]
-        worst = max(worst, abs(d2 / d1 + 1.0))
+        smp = solvers._curve_row(t_lo + 1e-10 * (t_hi - t_lo), ov)
+        worst = max(worst, abs(smp.dq2_dt / smp.dq1_dt + 1.0))
     return _result("curve-slope-range", worst, 1e-4)
 
 
@@ -176,11 +176,11 @@ def check_round_trip(seed: int) -> CheckResult:
         ov = OverlapSpec(s, sp)
         t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
         t = float(rng.uniform(t_lo + 0.01 * (t_hi - t_lo), t_hi - 0.01 * (t_hi - t_lo)))
-        eta1, q_min = solvers._curve_row(t, ov)[1:3]
-        pr = Priors.of(eta1)
-        sp_back, _ = solvers.max_separation(pr, s, q_min)
+        smp = solvers._curve_row(t, ov)
+        pr = Priors.of(smp.eta1)
+        sp_back, _ = solvers.max_separation(pr, s, smp.q_min)
         q_back, _ = solvers.qmin_at(pr, OverlapSpec(s, sp_back))
-        worst = max(worst, abs(sp_back - sp), abs(float(q_back) - q_min))
+        worst = max(worst, abs(sp_back - sp), abs(float(q_back) - smp.q_min))
     return _result("round-trip-consistency", worst, 1e-6)
 
 

@@ -235,6 +235,39 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+_OPTICS = ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "10000"]
+_VERIFY = ["verify", "--samples", "2", "--shots", "20000"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (_OPTICS + ["--seed", "-1"], 2),
+        (_OPTICS + ["--seed", str(2**128 - 1)], 2),
+        (_OPTICS + ["--seed", str(2**128 - 2)], 0),
+        (_OPTICS + ["--seed", "0"], 0),
+        (_VERIFY + ["--seed", "-3"], 2),
+        (_VERIFY + ["--seed", str(2**128 - 10)], 2),
+        (_VERIFY + ["--seed", str(2**128 - 11)], 0),
+        (["qmin", "--s", "0.6", "--s-prime", "0.3", "--samples", "3", "--seed", "-1"], 0),
+        (["ud", "--s", "0.6", "--samples", "3", "--seed", str(2**128)], 0),
+    ],
+    ids=[
+        "optics-negative", "optics-last-key-past-end", "optics-last-key-at-end", "optics-zero",
+        "verify-negative", "verify-last-key-past-end", "verify-last-key-at-end",
+        "qmin-negative", "ud-past-end",
+    ],
+)
+def test_seed_range_exit_codes(capsys, argv, code):
+    # optics keys Philox with seed and seed + 1, verify with seed up to
+    # seed + 10, and NumPy takes keys in [0, 2**128): a seed whose keys
+    # leave that range is a usage error.  The curve commands only record
+    # the seed, so they take any integer.
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("--seed must lie in" in err) == (code == 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

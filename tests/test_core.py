@@ -361,6 +361,16 @@ def test_endpoint_tangency_rejects_beta_zero():
         endpoint_tangency_check(OverlapSpec(0.6, 0.0))
 
 
+@pytest.mark.parametrize(
+    "offsets",
+    [(), (-0.1,), (1.5,), (math.nan,), (0.0,), (1.0,), (1e-3, math.inf)],
+    ids=["empty", "negative", "above-one", "nan", "zero", "one", "inf-after-valid"],
+)
+def test_endpoint_tangency_rejects_offsets_outside_the_open_unit_interval(offsets):
+    with pytest.raises(DomainError, match=r"offsets must be one or more values in \(0, 1\)"):
+        endpoint_tangency_check(OverlapSpec(0.6, 0.3), offsets)
+
+
 def test_beta_zero_endpoint_slope_is_finite():
     # At beta = 0 the curve is the hyperbola q2 = s^2/q1, whose slope at the
     # endpoint (s^2, 1) equals -1/s^2: finite, so no tangency to the border.

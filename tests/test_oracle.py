@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from statesep import (
+    DomainError,
     NumericError,
     OverlapSpec,
     Priors,
@@ -131,6 +134,17 @@ def test_oracle_max_separation_examples():
     )
     pr = Priors.of(0.2)
     assert oracle_max_separation(pr, 0.5, float(q_ud(pr, 0.5)) + 0.05) == 0.0
+
+
+@pytest.mark.parametrize("q_max", [-0.5, math.nan, 1.5, -math.inf, math.inf])
+def test_oracle_max_separation_refuses_budgets_outside_the_unit_interval(monkeypatch, q_max):
+    # Refused before the bisection runs a single oracle minimum.
+    def never(*args):
+        raise AssertionError("oracle_qmin called")
+
+    monkeypatch.setattr(oracle, "oracle_qmin", never)
+    with pytest.raises(DomainError, match=r"q_max must lie in \[0, 1\], got"):
+        oracle_max_separation(Priors.of(0.3), 0.6, q_max)
 
 
 def test_scalar_lower_half_is_bit_identical_to_grid():

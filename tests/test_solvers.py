@@ -1,6 +1,5 @@
 import __future__
 import copy
-import dataclasses
 import inspect
 import math
 import pickle
@@ -18,7 +17,6 @@ from statesep import (
     OverlapSpec,
     Priors,
     QminSample,
-    TradeoffSample,
     critical_overlap,
     curve_point,
     max_clones,
@@ -702,7 +700,10 @@ def _hex_rows(rows):
 def _qmin_rows_scalar(ov, n):
     """qmin_curve's samples, one scalar helper call at a time."""
     ts = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist()
-    return [solvers._curve_row(t, ov) for t in ts]
+    return [
+        (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
+        for m in (solvers._curve_row(t, ov) for t in ts)
+    ]
 
 
 def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
@@ -881,7 +882,7 @@ def test_sweeps_return_plain_floats(pr, s):
 def test_point_queries_return_plain_floats(eta1, q):
     # Interior, equal-prior, zero-budget and full-separation answers alike.
     pr = Priors.of(eta1)
-    for v in (*max_separation(pr, 0.6, q), *dataclasses.astuple(tradeoff_at(pr, 0.6, q))):
+    for v in (*max_separation(pr, 0.6, q), *tuple(tradeoff_at(pr, 0.6, q))):
         assert type(v) is float
 
 
@@ -914,35 +915,19 @@ def test_tradeoff_curve_at_subnormal_s_is_numeric_error(s):
 
 
 # ---------------------------------------------------------------------------
-# the sweeps' records, built without the constructors
-
-
-def _rebuilt(smp):
-    """The record the public constructors build from ``smp``'s fields."""
-    if isinstance(smp, QminSample):
-        point = FailurePoint(smp.point.q1, smp.point.q2)
-        return QminSample(smp.t, smp.eta1, smp.q_min, point, smp.dq1_dt, smp.dq2_dt)
-    return TradeoffSample(smp.theta, smp.s, smp.s_prime, FailureBudget(smp.q).q_avg)
-
-
-def _frozen_fields(rec):
-    """(record, field name) of every field of ``rec`` and of its nested records."""
-    out = []
-    for f in dataclasses.fields(rec):
-        out.append((rec, f.name))
-        v = getattr(rec, f.name)
-        if dataclasses.is_dataclass(v):
-            out += _frozen_fields(v)
-    return out
+# the sweeps' records
 
 
 def _leaves(rec):
     """(class, field, type, float hex) of every float inside a record."""
-    return [
-        (type(r).__name__, name, type(v).__name__, float.hex(v))
-        for r, name in _frozen_fields(rec)
-        if not dataclasses.is_dataclass(v := getattr(r, name))
-    ]
+    out = []
+    for name, v in zip(rec._fields, rec):
+        if isinstance(v, FailurePoint):
+            for f, x in (("q1", v.q1), ("q2", v.q2)):
+                out.append(("FailurePoint", f, type(x).__name__, float.hex(x)))
+        else:
+            out.append((type(rec).__name__, name, type(v).__name__, float.hex(v)))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -958,15 +943,21 @@ def _leaves(rec):
     ids=["qmin", "qmin-vertex", "generic", "equal-priors", "certainty", "certainty-swapped"],
 )
 def test_sweep_records_match_the_public_constructors(sweep):
+    # The records are the constructors' named tuples: immutable, slot-free,
+    # plain floats throughout, with the field-by-field repr.
     for smp in sweep():
-        ref = _rebuilt(smp)
-        assert smp == ref and hash(smp) == hash(ref) and repr(smp) == repr(ref)
-        assert _leaves(smp) == _leaves(ref)
-        # Slots only: no instance dict per record.
+        assert {t for _, _, t, _ in _leaves(smp)} == {"float"}
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(smp._fields, smp))
+        assert repr(smp) == f"{type(smp).__name__}({fields})"
+        # No instance dict per record, and no field can be rebound.
         assert not hasattr(smp, "__dict__")
-        for rec, name in _frozen_fields(smp):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(rec, name, 0.25)
+        for name in smp._fields:
+            with pytest.raises(AttributeError):
+                setattr(smp, name, 0.25)
+        if isinstance(smp, QminSample):
+            for name in ("q1", "q2"):
+                with pytest.raises(AttributeError):
+                    setattr(smp.point, name, 0.25)
         # Certainty sweeps carry theta = NaN, which only compares equal to
         # itself, so the round trips are checked field by field.
         for twin in (pickle.loads(pickle.dumps(smp)), copy.deepcopy(smp)):
