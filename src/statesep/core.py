@@ -311,9 +311,11 @@ def endpoint_tangency_check(
     Estimates dq2/dq1 at q1 = 1 - offset for each offset by central
     differences on the closed-form lower-half branch; the mirror image gives
     the slopes near (s^2, 1).  ``offsets`` must be one or more values in
-    (0, 1).  Requires beta > 0: at beta = 0 the curve is an arc of the
-    hyperbola q1*q2 = s^2 whose endpoint slopes are finite, so there is no
-    tangency to detect.
+    (0, 1), and none may exceed (1 - vertex)/1.25: the stencil reaches
+    down to q1 = 1 - 1.25*offset, and the lower half starts at the vertex
+    q1 = q2 = (s - beta)/(1 - beta).  Requires beta > 0: at beta = 0 the
+    curve is an arc of the hyperbola q1*q2 = s^2 whose endpoint slopes are
+    finite, so there is no tangency to detect.
     """
     if ov.beta == 0.0:
         raise DomainError(
@@ -325,13 +327,24 @@ def endpoint_tangency_check(
     offsets = tuple(offsets)
     if not offsets or not all(0.0 < delta < 1.0 for delta in offsets):
         raise DomainError(f"offsets must be one or more values in (0, 1), got {offsets!r}")
+    # The stencil's lower probe, q1 = 1 - 1.25*offset, must not pass the
+    # vertex.
+    vertex = (ov.s - ov.beta) / (1.0 - ov.beta)
+    largest = (1.0 - vertex) / 1.25
+    for delta in offsets:
+        if delta > largest:
+            raise DomainError(
+                f"offset {delta!r} reaches below the curve's vertex q1={vertex!r}: "
+                f"the largest admissible offset is (1 - vertex)/1.25, {largest!r}"
+            )
 
     slopes = []
     for delta in offsets:
         a = 1.0 - delta
         h = delta / 4.0
         q2_hi = lower_half_q2(a + h, ov.s, ov.beta)
-        q2_lo = lower_half_q2(a - h, ov.s, ov.beta)
+        # Next to the bound, a - h can round an ulp or so below the vertex.
+        q2_lo = lower_half_q2(max(a - h, vertex), ov.s, ov.beta)
         slopes.append((q2_hi - q2_lo) / (2.0 * h))
     slopes_lower = tuple(slopes)
     # The curve is symmetric under q1 <-> q2, so the slope near (s^2, 1) is

@@ -39,10 +39,12 @@ form, with both ends of the tangency range emitted as explicit points.
 tradeoff formulas; an independent scalar form is kept in the tests as its
 referee.  Each loop raises at the first failing sample, guards first, and
 then makes the range checks of ``FailurePoint`` (q1, q2, in its
-constructor) and ``FailureBudget`` (Q).  Every record comes from its
-class's constructor: ``QminSample`` and ``TradeoffSample`` are named
-tuples, and a ``TradeoffSample`` is four plain floats, its angle and
-budget included.  The t-curve has no per-sample guard left;
+constructor) and ``FailureBudget`` (Q).  ``QminSample`` and
+``TradeoffSample`` are named tuples, and the sweeps build every record
+with ``tuple.__new__`` on its class: the generated ``__new__`` makes only
+that call, so a record equals what the constructor builds from its
+fields.  A ``TradeoffSample`` is four plain floats, its angle and budget
+included.  The t-curve has no per-sample guard left;
 ``qmin_curve`` keeps its eta1 monotonicity guard, and ``t_slope_zero``
 refuses an s whose square is below the normal float range.
 """
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from itertools import repeat
 from operator import sub
 from typing import Callable, Iterable, NamedTuple
@@ -133,6 +136,13 @@ class TradeoffSample(NamedTuple):
     s: float
     s_prime: float
     q: float
+
+
+# The sweeps build their records with tuple.__new__ on the class: the
+# named tuple's generated __new__ is a Python function that makes the same
+# call with its arguments packed, and nothing else.
+_qmin_sample = partial(tuple.__new__, QminSample)
+_tradeoff_sample = partial(tuple.__new__, TradeoffSample)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +362,10 @@ def _tangency_terms(
 def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     """The constraint curve at each parameter value in ``ts``, one sample per t.
 
-    A sample is ``QminSample(t, eta1, Q, FailurePoint(q1, q2), dq1/dt,
-    dq2/dt)``, where eta1 is the prior whose objective line is tangent at
-    the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to [0, 1].
+    A sample is the record ``QminSample(t, eta1, Q, FailurePoint(q1, q2),
+    dq1/dt, dq2/dt)``, built by ``tuple.__new__``, where eta1 is the prior
+    whose objective line is tangent at the point, and Q = eta1*q1 +
+    (1 - eta1)*q2, clamped to [0, 1].
 
     On the curve A = sqrt(q1*q2) = s*t and B = sqrt((1-q1)*(1-q2)) =
     s*(1-t)/s' exactly, so q1 and q2 are the roots of
@@ -426,7 +437,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
             q = 0.0
         elif q > 1.0:
             q = 1.0
-        add(QminSample(t, eta1, q, FailurePoint(q1, q2), d1, d2))
+        add(_qmin_sample((t, eta1, q, FailurePoint(q1, q2), d1, d2)))
     return rows
 
 
@@ -530,7 +541,10 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     relative O(beta*sqrt(eta2/eta1)).  The answer is then ``q_ud``'s
     tangency with s - beta for s, 2*sqrt(eta1*eta2)*(s-beta) at
     q1 = (s-beta)*sqrt(eta2/eta1), or the zero-slope end where that q1
-    would pass it.
+    would pass it.  It is off by about half of beta*sqrt(eta2/eta1) of
+    itself, so where that term exceeds 1e-12 (eta1 below about
+    (1e12*beta)**2) qmin_at raises NumericError; only eta1 = 0, whose
+    answer is the zero-slope end itself, is answered there.
     """
     if ov.s_prime > 0.0 and ov.kappa != 1.0:
         raise DomainError(
@@ -560,6 +574,15 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         gap = s - beta
         end = 1.0 / (1.0 + beta / gap * (beta / (s + beta)))
         r1, r2 = math.sqrt(eta1), math.sqrt(eta2)
+        # The hyperbola's answer is off by about half of beta*sqrt(eta2/eta1)
+        # of itself, except at eta1 = 0, where the zero-slope end is exact.
+        if eta1 > 0.0 and beta * r2 > 1e-12 * r1:
+            raise NumericError(
+                f"qmin_at cannot resolve the smaller prior {eta1!r} at s={s!r}, "
+                f"s_prime={beta!r}: (s - s_prime)*(s + s_prime) underflows, and the "
+                "hyperbola that stands in for the curve has the relative error term "
+                f"beta*sqrt(eta2/eta1) = {beta * r2 / r1!r}, beyond 1e-12"
+            )
         if gap * r2 < end * r1:  # the tangency q1 = gap*r2/r1 lies before the end
             return _ret(2.0 * r1 * r2 * gap, FailurePoint(gap * r2 / r1, gap * r1 / r2))
         return _ret(eta1 * end + eta2 * n0, FailurePoint(end, n0))
@@ -742,8 +765,10 @@ def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     return theta_lo, theta_hi
 
 
-def _tradeoff_rows(thetas: Iterable[float], s: float, delta: float) -> list[tuple[float, float]]:
-    """Rows (s_prime, Q) of the tradeoff curve at each ellipse angle theta <= 0.
+def _tradeoff_rows(
+    thetas: Iterable[float], s: float, delta: float
+) -> tuple[list[float], list[float]]:
+    """Columns (s_primes, qs) of the tradeoff curve at each ellipse angle theta <= 0.
 
     theta = 0 is the upper endpoint of the equal-slope family: full
     separation (s' = 0) at the tangency-regime discrimination cost
@@ -753,14 +778,18 @@ def _tradeoff_rows(thetas: Iterable[float], s: float, delta: float) -> list[tupl
     the formulas are singular (delta + sin(theta) or cos(theta) is 0),
     where s'^2 is negative beyond its rounding noise, or where cot(theta)
     overflows; then ``FailureBudget``'s range check of Q as DomainError.
+    The two columns come back as lists, one entry per angle, so that the
+    caller adds the sweep's ends and builds the records without a
+    transpose.
     """
     root = math.sqrt(1.0 - delta * delta)
     s_root = s * root
     envelope = root * (1.0 + s * s)
     two_s = 2.0 * s
     sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
-    rows: list[tuple[float, float]] = []
-    add = rows.append
+    s_primes: list[float] = []
+    qs: list[float] = []
+    add_s_prime, add_q = s_primes.append, qs.append
     for theta in thetas:
         if theta == 0.0:
             s_prime, q = 0.0, s_root
@@ -799,8 +828,9 @@ def _tradeoff_rows(thetas: Iterable[float], s: float, delta: float) -> list[tupl
                 q = 1.0
         if not 0.0 <= q <= 1.0:
             raise _prob_error("q_avg", q)
-        add((s if s < s_prime else s_prime, q))
-    return rows
+        add_s_prime(s if s < s_prime else s_prime)
+        add_q(q)
+    return s_primes, qs
 
 
 def _range_checked(qs: list[float]) -> list[float]:
@@ -826,7 +856,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     rises (beyond 1e-10) or whose interior Q exceeds the final q_ud raises
     NumericError as a whole.  Every branch range-checks its Q values as
     ``FailureBudget`` would before it builds the records, four plain floats
-    each.
+    each, with ``tuple.__new__`` on ``TradeoffSample`` from the columns.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -849,18 +879,19 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         _range_checked(qs)
     else:
         thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
-        rows = _tradeoff_rows(thetas[1:-1], s, delta)
+        s_primes, qs = _tradeoff_rows(thetas[1:-1], s, delta)
         # The sweep starts at the trivial protocol and ends at full
         # separation; both endpoint values are exact identities, so they are
         # emitted directly instead of through the cancellation-prone generic
         # formulas.
-        s_primes, qs = zip((s, 0.0), *rows, (0.0, float(q_ud(prn, s))))
+        s_primes = [s, *s_primes, 0.0]
+        qs = [0.0, *qs, float(q_ud(prn, s))]
         _check_tradeoff_order(s_primes, qs, s, prn.eta1)
-    return list(map(TradeoffSample, thetas, repeat(s), s_primes, qs))
+    return list(map(_tradeoff_sample, zip(thetas, repeat(s), s_primes, qs)))
 
 
 def _check_tradeoff_order(
-    s_primes: tuple[float, ...], qs: tuple[float, ...], s: float, eta1: float
+    s_primes: list[float], qs: list[float], s: float, eta1: float
 ) -> None:
     """Refuse an angle sweep whose columns are out of order.
 
@@ -869,7 +900,7 @@ def _check_tradeoff_order(
     at: near s = 1 or eta1 = 0 the parametric formulas lose every digit
     before any per-angle guard fails.
     """
-    if sorted(qs) == list(qs) and sorted(s_primes, reverse=True) == list(s_primes):
+    if sorted(qs) == qs and sorted(s_primes, reverse=True) == s_primes:
         return  # sorted, so no interior Q exceeds the last one either
     q_drop = max(map(sub, qs, qs[1:]))
     sp_rise = max(map(sub, s_primes[1:], s_primes))

@@ -371,6 +371,43 @@ def test_endpoint_tangency_rejects_offsets_outside_the_open_unit_interval(offset
         endpoint_tangency_check(OverlapSpec(0.6, 0.3), offsets)
 
 
+@pytest.mark.parametrize(
+    "s, s_prime, offsets",
+    [
+        # Once a NumericError from lower_half_q2 at q1 = 0.25.
+        (0.6, 0.3, (0.6,)),
+        # Once -0.70, a slope across the vertex rather than an endpoint slope.
+        (0.6, 0.3, (0.5,)),
+        # Once a NumericError: the default offsets start at 1e-3, past the
+        # vertex at 0.999998.
+        (0.999999, 0.5, (1e-3, 1e-4, 1e-5, 1e-6)),
+        # At the bound itself 1 - 1.25*offset rounds an ulp or so below the
+        # vertex here, and below 0 where s' is next to s.
+        (0.6, 0.5999999999999996, (0.99,)),
+        (1e-9, 5e-10, (0.99,)),
+    ],
+    ids=["below-the-range", "across-the-vertex", "vertex-next-to-one", "rounded-0.8", "small-s"],
+)
+def test_endpoint_tangency_rejects_offsets_past_the_vertex(s, s_prime, offsets):
+    # The stencil reaches q1 = 1 - 1.25*offset.  The error names the
+    # largest offset admitted, (1 - vertex)/1.25, which must answer.
+    ov = OverlapSpec(s, s_prime)
+    largest = (1.0 - (s - s_prime) / (1.0 - s_prime)) / 1.25
+    with pytest.raises(DomainError, match="reaches below the curve's vertex") as err:
+        endpoint_tangency_check(ov, offsets)
+    assert str(err.value).endswith(f"admissible offset is (1 - vertex)/1.25, {largest!r}")
+    report = endpoint_tangency_check(ov, (largest,))
+    assert report.offsets == (largest,) and math.isfinite(report.slopes_lower[0])
+    with pytest.raises(DomainError, match="reaches below the curve's vertex"):
+        endpoint_tangency_check(ov, (math.nextafter(largest, 1.0),))
+
+
+def test_endpoint_tangency_takes_offsets_up_to_the_vertex():
+    # 1 - 1.25*0.45 = 0.4375 lies just above the vertex 3/7.
+    report = endpoint_tangency_check(OverlapSpec(0.6, 0.3), (0.45,))
+    assert report.slopes_lower == (pytest.approx(-0.4741286945164486, rel=1e-12),)
+
+
 def test_beta_zero_endpoint_slope_is_finite():
     # At beta = 0 the curve is the hyperbola q2 = s^2/q1, whose slope at the
     # endpoint (s^2, 1) equals -1/s^2: finite, so no tangency to the border.

@@ -216,3 +216,71 @@ def test_underflowing_vertex_product_keeps_its_relative_digits(eta1, s, s_prime)
     ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
     assert abs(q.q_avg - ref) <= 1e-9 * ref, (q.q_avg, float(ref))
     assert abs(qmin_referee.residual(pt.q1, pt.q2, s, s_prime)) <= 1e-9 * s
+
+
+@pytest.mark.parametrize(
+    "eta1, s, s_prime",
+    [
+        # Once 2.0e-310, 38% below the minimum.
+        (1e-300, 1e-150, 9.999999999e-151),
+        # Once 0.66% off, at the zero-slope end.
+        (1e-300, 3.2997198072130594e-150, 3.2997198072049243e-150),
+    ],
+    ids=["tangency", "zero-slope-end"],
+)
+def test_underflowing_vertex_product_refuses_a_coarse_hyperbola(eta1, s, s_prime):
+    # beta*sqrt(eta2/eta1) is 1.0 and 3.3 here, far beyond 1e-12.
+    with pytest.raises(NumericError, match=r"relative error term beta\*sqrt\(eta2/eta1\)"):
+        qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
+
+
+def hyperbola_corpus(n: int, seed: int):
+    """n seeded (eta1, s, s') cases on the hyperbola, across its error bound.
+
+    s is log-uniform over 1e-160..1e-147 and s - s' over 1e-14..1 of s,
+    kept where (s - s')(s + s') underflows; eta1 is set so that
+    s'*sqrt(eta2/eta1) is log-uniform over 1e-16..1e-6, and kept where the
+    minimum, about 2*sqrt(eta1)*(s - s'), is above 1e-310, so that relative
+    digits can be judged.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cases = []
+    while len(cases) < n:
+        s = 10.0 ** rng.uniform(-160.0, -147.0)
+        s_prime = s * (1.0 - 10.0 ** rng.uniform(-14.0, 0.0))
+        eta1 = (s_prime / 10.0 ** rng.uniform(-16.0, -6.0)) ** 2
+        if (
+            0.0 < s_prime < s
+            and (s - s_prime) * (s + s_prime) < sys.float_info.min
+            and 2.0 * math.sqrt(eta1) * (s - s_prime) > 1e-310
+        ):
+            cases.append((float(eta1), float(s), float(s_prime)))
+    return cases
+
+
+def test_hyperbola_answers_keep_their_relative_digits_or_refuse():
+    outcomes = []
+    for eta1, s, s_prime in hyperbola_corpus(40, 1901):
+        try:
+            q, _ = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
+        except NumericError:
+            assert s_prime * math.sqrt((1.0 - eta1) / eta1) > 1e-12
+            outcomes.append("refused")
+            continue
+        ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
+        assert abs(q.q_avg - ref) <= 1e-9 * ref, (eta1, s, s_prime, q.q_avg, float(ref))
+        outcomes.append("answered")
+    assert {"answered", "refused"} == set(outcomes)
+
+
+def test_hyperbola_answers_a_certain_state_and_small_error_terms():
+    # At eta1 = 0 the minimum is the zero-slope end itself, on the curve.
+    q, _ = qmin_at(Priors.of(0.0), OverlapSpec(1e-150, 9.999999999e-151))
+    ref, _, _ = qmin_referee.qmin(0.0, 1e-150, 9.999999999e-151)
+    assert abs(q.q_avg - ref) <= 1e-9 * ref
+    # The error term is 1.8e-148 here: the answer keeps every bit.
+    q, _ = qmin_at(
+        Priors.of(3.4639688583912255e-4),
+        OverlapSpec(3.2997198072130594e-150, 3.2997198072049243e-150),
+    )
+    assert q.q_avg == 3.027643508732693e-163

@@ -17,6 +17,7 @@ from statesep import (
     OverlapSpec,
     Priors,
     QminSample,
+    TradeoffSample,
     critical_overlap,
     curve_point,
     max_clones,
@@ -931,21 +932,41 @@ def _leaves(rec):
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep, cls",
     [
-        lambda: qmin_curve(OverlapSpec(0.6, 0.3), 33),
-        lambda: qmin_curve(OverlapSpec(0.8, 0.4), 9),
-        lambda: tradeoff_curve(Priors.of(0.2), 0.6, 33),
-        lambda: tradeoff_curve(Priors.of(0.5), 0.6, 33),
-        lambda: tradeoff_curve(Priors.of(0.0), 0.6, 33),
-        lambda: tradeoff_curve(Priors.of(1.0), 0.3, 9),
+        (lambda: qmin_curve(OverlapSpec(0.6, 0.3), 33), QminSample),
+        (lambda: qmin_curve(OverlapSpec(0.8, 0.4), 9), QminSample),
+        (lambda: tradeoff_curve(Priors.of(0.2), 0.6, 33), TradeoffSample),
+        (lambda: tradeoff_curve(Priors.of(0.5), 0.6, 33), TradeoffSample),
+        (lambda: tradeoff_curve(Priors.of(0.0), 0.6, 33), TradeoffSample),
+        (lambda: tradeoff_curve(Priors.of(1.0), 0.3, 9), TradeoffSample),
+        # The vertex row below the range, an interior row, the zero-slope end.
+        (
+            lambda: [solvers._curve_row(t, OverlapSpec(0.6, 0.3)) for t in (0.0, 0.7, 1.0)],
+            QminSample,
+        ),
     ],
-    ids=["qmin", "qmin-vertex", "generic", "equal-priors", "certainty", "certainty-swapped"],
+    ids=[
+        "qmin",
+        "qmin-vertex",
+        "generic",
+        "equal-priors",
+        "certainty",
+        "certainty-swapped",
+        "curve-row",
+    ],
 )
-def test_sweep_records_match_the_public_constructors(sweep):
-    # The records are the constructors' named tuples: immutable, slot-free,
-    # plain floats throughout, with the field-by-field repr.
+def test_sweep_records_match_the_public_constructors(sweep, cls):
+    # The sweeps build their records with tuple.__new__, past the named
+    # tuples' own __new__: each must be an instance of its class, equal to
+    # what that class's constructor builds from its fields, immutable,
+    # slot-free, plain floats throughout, with the field-by-field repr.
     for smp in sweep():
+        assert type(smp) is cls
+        if cls is QminSample:
+            assert type(smp.point) is FailurePoint
+        # Field by field, so that a NaN theta equals itself.
+        assert _leaves(type(smp)(*smp)) == _leaves(smp)
         assert {t for _, _, t, _ in _leaves(smp)} == {"float"}
         fields = ", ".join(f"{name}={v!r}" for name, v in zip(smp._fields, smp))
         assert repr(smp) == f"{type(smp).__name__}({fields})"
@@ -954,7 +975,7 @@ def test_sweep_records_match_the_public_constructors(sweep):
         for name in smp._fields:
             with pytest.raises(AttributeError):
                 setattr(smp, name, 0.25)
-        if isinstance(smp, QminSample):
+        if cls is QminSample:
             for name in ("q1", "q2"):
                 with pytest.raises(AttributeError):
                     setattr(smp.point, name, 0.25)
@@ -1042,7 +1063,7 @@ def _fault_tradeoff_q(monkeypatch, k):
         monkeypatch,
         "_tradeoff_rows",
         "q = num / den if den else num * math.copysign(inf, den)",
-        "q = _fault(len(rows), q)",
+        "q = _fault(len(qs), q)",
         lambda i, q: math.nan if i == k else q,
     )
 
