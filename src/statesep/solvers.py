@@ -36,17 +36,17 @@ form, with both ends of the tangency range emitted as explicit points.
 (through ``_curve_row``) run it on one parameter value.  The sweep and
 ``qmin_at`` take the tangency condition from one helper,
 ``_tangency_terms``.  ``_tradeoff_rows`` is the one implementation of the
-tradeoff formulas; an independent scalar form is kept in the tests as its
-referee.  Each loop raises at the first failing sample, guards first, and
-then makes the range checks of ``FailurePoint`` (q1, q2, in its
-constructor) and ``FailureBudget`` (Q).  ``QminSample`` and
-``TradeoffSample`` are named tuples, and the sweeps build every record
-with ``tuple.__new__`` on its class: the generated ``__new__`` makes only
-that call, so a record equals what the constructor builds from its
-fields.  A ``TradeoffSample`` is four plain floats, its angle and budget
-included.  The t-curve has no per-sample guard left;
-``qmin_curve`` keeps its eta1 monotonicity guard, and ``t_slope_zero``
-refuses an s whose square is below the normal float range.
+tradeoff formulas, in the half-angle offset of each ellipse angle from
+the sweep's start; the tests evaluate the angle formulas in mpmath as its
+referee.  Each loop raises at the first failing sample, in the range
+checks of ``FailurePoint`` (q1, q2, in its constructor) and
+``FailureBudget`` (Q).  ``QminSample`` and ``TradeoffSample`` are named
+tuples, and the sweeps build every record with ``tuple.__new__`` on its
+class: the generated ``__new__`` makes only that call, so a record equals
+what the constructor builds from its fields.  A ``TradeoffSample`` is four
+plain floats.  Neither sweep has a per-sample guard; each checks the
+order of its columns, and refuses an s*s (``t_slope_zero``) or s*delta
+below the normal float range.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ __all__ = [
 UNBOUNDED = math.inf
 
 # Priors closer to equal (or to certainty) than this take tradeoff_curve's
-# degenerate closed forms; the angle sweep's formulas lose precision as
-# 1/|delta| (resp. 1/eta1) before they fail outright.
+# closed forms: at delta = 0 and at eta1 = 0 the sweep's angle range is a
+# single point, and next to certainty it shrinks like eta1**1.5 beside
+# -pi/2, below the spacing of the floats there.
 _DEGENERATE_PRIOR_TOL = 1e-9
 
 # Runtime guard on the monotonicity of eta1 along curve sweeps.
@@ -733,99 +734,98 @@ def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
 # tradeoff curve s'(Q) at fixed initial overlap
 
 
-def _singular_error(theta: float, s: float, delta: float, st: float, ct: float) -> NumericError:
-    return NumericError(
-        f"tradeoff formulas singular at theta={theta!r}, s={s!r}, delta={delta!r}: "
-        f"delta + sin(theta) = {delta + st!r}, cos(theta) = {ct!r}"
-    )
+def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
+    """``(delta, r, w, tau_plus)`` of the half-angle form (``_tradeoff_rows``).
 
-
-def _negative_sp2_error(sp2: float, theta: float, s: float, delta: float) -> NumericError:
-    return NumericError(
-        f"negative squared overlap {sp2!r} at theta={theta!r}, s={s!r}, delta={delta!r}"
-    )
-
-
-def _cot_overflow_error(theta: float, s: float, delta: float, st: float, ct: float) -> NumericError:
-    return NumericError(
-        f"tradeoff formulas overflow at theta={theta!r}, s={s!r}, delta={delta!r}: "
-        f"cos(theta)/sin(theta) = {ct!r}/{st!r} exceeds the float range"
-    )
+    r = 2*sqrt(eta1*(1 - eta1)) avoids sqrt(1 - delta**2), which cancels as
+    eta1 -> 0; every term is a product of nonnegative ones.
+    """
+    delta = 1.0 - 2.0 * eta1
+    r = 2.0 * math.sqrt(eta1 * (1.0 - eta1))
+    sd = s * delta
+    w = math.sqrt(r * r + sd * sd)
+    tau_plus = (1.0 - s) * (1.0 + s) * r * r * r / ((w + sd) * (w + s) * (w + s))
+    return delta, r, w, tau_plus
 
 
 def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
+    """Ellipse angles (theta_lo, theta_hi) where the tradeoff sweep starts and ends.
+
+    theta_lo is the trivial protocol.  Full separation is at theta = 0 in
+    the tangency regime (eta1 >= s**2/(1 + s**2)), and else at the
+    half-angle offset tau_plus from theta_lo.
+    """
     theta_lo = -math.atan(s * delta / math.sqrt(1.0 - delta * delta))
     if eta1 >= s * s / (1.0 + s * s):
-        theta_hi = 0.0
-    else:
-        c = 2.0 * s * math.sqrt(1.0 - delta * delta) / (
-            1.0 - delta + s * s * (1.0 + delta)
-        )
-        theta_hi = -math.acos(min(max(c, -1.0), 1.0))
-    return theta_lo, theta_hi
+        return theta_lo, 0.0
+    return theta_lo, theta_lo + 2.0 * math.atan(_tradeoff_frame(s, eta1)[3])
 
 
 def _tradeoff_rows(
-    thetas: Iterable[float], s: float, delta: float
+    thetas: Iterable[float], s: float, eta1: float, theta_lo: float, q_end: float
 ) -> tuple[list[float], list[float]]:
-    """Columns (s_primes, qs) of the tradeoff curve at each ellipse angle theta <= 0.
+    """Columns (s_primes, qs) of the tradeoff curve at the ellipse angles ``thetas``.
 
-    theta = 0 is the upper endpoint of the equal-slope family: full
-    separation (s' = 0) at the tangency-regime discrimination cost
-    s*sqrt(1 - delta^2).  Elsewhere s'^2 and Q come from the parametric
-    formulas, Q clamped to [0, 1] and s' capped at s.  The angles are taken
-    in order, and each raises at its first failed check: NumericError where
-    the formulas are singular (delta + sin(theta) or cos(theta) is 0),
-    where s'^2 is negative beyond its rounding noise, or where cot(theta)
-    overflows; then ``FailureBudget``'s range check of Q as DomainError.
-    The two columns come back as lists, one entry per angle, so that the
-    caller adds the sweep's ends and builds the records without a
-    transpose.
+    The paper's formulas at the angle theta, with S = sin(theta) and
+    C = cos(theta), are
+
+        s'**2 = r*rho**2/C*(r*(1 + s**2)*C - 2*s*(1 + delta*S)),
+        Q = (s*r + delta*s'**2*C/S)/((1 - s'**2)*C),   rho = -S/(delta + S).
+
+    Each angle is taken as its offset tau = tan((theta - theta_lo)/2) from
+    the sweep's start, so a row is exact at theta_lo + (theta - theta_lo)
+    and theta_lo's rounding moves only the labels.  With
+    sin(theta_lo) = -s*delta/w and cos(theta_lo) = r/w (``_tradeoff_frame``)
+    the half-angle identities give, each times w*(1 + tau**2),
+
+        S         = -(tau0 - tau)*(s*delta*tau + w + r),
+        C         = r*(1 - tau)*(1 + tau) + 2*s*delta*tau,
+        delta + S = delta*(w - s) + (2*r + delta*(w + s)*tau)*tau,
+        bracket   = (w + s)**2*(tau_plus - tau)*(tau - tau_minus),
+
+    with w - s = r**2*(1 - s)*(1 + s)/(w + s), tau0 = s*delta/(w + r) at
+    theta = 0, and tau_minus = -(1 - s)*(1 + s)*r*(w + s*delta)/(w + s)**2.
+    So s' = rho*sqrt(r*(w + s)**2*(tau_plus - tau)*(tau - tau_minus)/C),
+    never squared; it is s at tau = 0, and each factor is taken over its
+    value there, so that the first rows keep the ulps of s.  Q, with its
+    common factors cleared, is 2*r*w**3*tau*(1 + tau**2) over
+    c0 + c1*tau + ... + c4*tau**4: c0 = delta*(w - s)**2,
+    c1 = 2*r*(2*(w - s) + s*w**2), c2 = 6*delta*r**2*(1 - s)*(1 + s),
+    c3 = 2*r*(2*w + s*(2 - w**2)), c4 = delta*(w + s)**2.  Below
+    min(tau0, tau_plus) every factor is a sum of nonnegative terms; from
+    there on (tau0 ends the tangency regime and tau_plus the lopsided one,
+    and they cross at the second-order transition eta1 = s**2/(1 + s**2))
+    the row is full separation, (0, q_end).  Q is capped at q_end and s'
+    at s, and each Q gets ``FailureBudget``'s range check, which only NaN
+    fails.  The columns come back as lists, for the caller to add the ends.
     """
-    root = math.sqrt(1.0 - delta * delta)
-    s_root = s * root
-    envelope = root * (1.0 + s * s)
-    two_s = 2.0 * s
-    sin, cos, sqrt, inf = math.sin, math.cos, math.sqrt, math.inf
+    delta, r, w, tau_plus = _tradeoff_frame(s, eta1)
+    sd, gap, w_s, w_r = s * delta, (1.0 - s) * (1.0 + s), w + s, w + r
+    w_gap = r * r * gap / w_s  # w - s
+    tau0, tau_minus = sd / w_r, -gap * r * (w + sd) / (w_s * w_s)
+    tau_end = tau0 if tau0 < tau_plus else tau_plus
+    # rho's factors and C over their tau = 0 values; Q's c0..c4 over its numerator's constant.
+    two_r, rho_0, q_num = 2.0 * r, delta * w_gap, 2.0 * r * w * w * w
+    k0, k1, k2, k3 = sd / w_r, two_r / rho_0, delta * w_s / rho_0, 2.0 * sd / r
+    c0, c1 = delta * w_gap * w_gap / q_num, two_r * (2.0 * w_gap + s * w * w) / q_num
+    c2, c3 = 6.0 * delta * r * r * gap / q_num, two_r * (2.0 * w + s * (2.0 - w * w)) / q_num
+    c4, tan, sqrt = delta * w_s * w_s / q_num, math.tan, math.sqrt
     s_primes: list[float] = []
     qs: list[float] = []
     add_s_prime, add_q = s_primes.append, qs.append
     for theta in thetas:
-        if theta == 0.0:
-            s_prime, q = 0.0, s_root
+        tau = tan((theta - theta_lo) / 2.0)
+        if tau >= tau_end:
+            s_prime, q = 0.0, q_end
         else:
-            st, ct = sin(theta), cos(theta)
-            if delta + st == 0.0 or ct == 0.0:
-                raise _singular_error(theta, s, delta, st, ct)
-            gain = root * (st / (delta + st)) ** 2 / ct
-            term_envelope = envelope * ct
-            term_budget = two_s * (1.0 + delta * st)
-            sp2 = gain * (term_envelope - term_budget)
-            if sp2 < 0.0:
-                # Where the two terms cancel (the full-separation end of the
-                # sweep, severe for near-certainty priors) rounding leaves a
-                # negative residue of order eps times the amplification; only
-                # values beyond that noise floor indicate a real bug.
-                noise = 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget))
-                if sp2 < -(noise if noise > 1e-12 else 1e-12):
-                    raise _negative_sp2_error(sp2, theta, s, delta)
-                sp2 = 0.0
-            cot = ct / st
-            if cot == inf or cot == -inf:
-                # For |theta| below about 1e-308 (tiny s*delta), where
-                # delta*sp2*cot would be 0*inf.
-                raise _cot_overflow_error(theta, s, delta, st, ct)
-            num = s_root + delta * sp2 * cot
-            den = (1.0 - sp2) * ct
-            # An s'^2 that rounds to exactly 1 zeroes den; divide as IEEE
-            # does (num/±0 is num*±inf) rather than raise.
-            q = num / den if den else num * math.copysign(inf, den)
-            s_prime = sqrt(sp2)
-            # min(max(q, 0.0), 1.0), keeping NaN.
-            if q < 0.0:
-                q = 0.0
-            elif q > 1.0:
-                q = 1.0
+            t2 = tau * tau
+            rho = (1.0 - tau / tau0) * (1.0 + k0 * tau) / (1.0 + (k1 + k2 * tau) * tau)
+            cos = 1.0 - t2 + k3 * tau
+            s_prime = s * rho * sqrt((1.0 - tau / tau_plus) * (1.0 - tau / tau_minus) / cos)
+            den = c0 + (c1 + (c2 + (c3 + c4 * tau) * tau) * tau) * tau
+            q = tau * (1.0 + t2) / den
+            if q > q_end:
+                q = q_end
         if not 0.0 <= q <= 1.0:
             raise _prob_error("q_avg", q)
         add_s_prime(s if s < s_prime else s_prime)
@@ -848,15 +848,15 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     trivial s' = s) up to the unambiguous-discrimination cost (full
     separation, s' = 0), and s_prime nonincreasing from s to 0.
 
-    Equal priors and certainty priors bypass the angle sweep and use their
-    explicit closed forms; their samples carry theta = 0 and theta = NaN
-    respectively.  The angle sweep's interior comes from ``_tradeoff_rows``,
-    one angle at a time with ``math``; a failed guard raises NumericError
-    naming the first offending theta, and a sweep whose Q falls, whose s'
-    rises (beyond 1e-10) or whose interior Q exceeds the final q_ud raises
-    NumericError as a whole.  Every branch range-checks its Q values as
-    ``FailureBudget`` would before it builds the records, four plain floats
-    each, with ``tuple.__new__`` on ``TradeoffSample`` from the columns.
+    Priors within 1e-9 of equal or of certainty take closed forms, with
+    theta = 0 and NaN: there the angle range is a point, or shrinks like
+    eta1**1.5 beside -pi/2.  Others take ``_tradeoff_rows``.  A 50-digit
+    referee in the tests confirms sampled rows to 1e-9 relative, with s out
+    to subnormal values and to 1e-12 of 1, and eta1 out to the 1e-9
+    cutoffs.  The sweep refuses with NumericError where s*delta is below
+    the normal float range, or where Q falls or s' rises by more than
+    1e-10.  Every branch range-checks Q as ``FailureBudget`` would, and
+    builds the records with ``tuple.__new__``.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -878,14 +878,18 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         s_primes = [sqrt_clamped((s * s - q) / (1.0 - q)) for q in qs]
         _range_checked(qs)
     else:
+        if s * delta < _TINY:
+            raise NumericError(
+                f"tradeoff sweep needs s*delta to be a normal float, got "
+                f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
+            )
         thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
-        s_primes, qs = _tradeoff_rows(thetas[1:-1], s, delta)
+        q_end = float(q_ud(prn, s))
+        s_primes, qs = _tradeoff_rows(thetas[1:-1], s, prn.eta1, thetas[0], q_end)
         # The sweep starts at the trivial protocol and ends at full
-        # separation; both endpoint values are exact identities, so they are
-        # emitted directly instead of through the cancellation-prone generic
-        # formulas.
+        # separation; both are exact identities, emitted directly.
         s_primes = [s, *s_primes, 0.0]
-        qs = [0.0, *qs, float(q_ud(prn, s))]
+        qs = [0.0, *qs, q_end]
         _check_tradeoff_order(s_primes, qs, s, prn.eta1)
     return list(map(_tradeoff_sample, zip(thetas, repeat(s), s_primes, qs)))
 
@@ -893,23 +897,15 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
 def _check_tradeoff_order(
     s_primes: list[float], qs: list[float], s: float, eta1: float
 ) -> None:
-    """Refuse an angle sweep whose columns are out of order.
-
-    Q must not fall and s' must not rise by more than ``_MONOTONE_TOL``,
-    and no interior Q may exceed the discrimination cost the sweep ends
-    at: near s = 1 or eta1 = 0 the parametric formulas lose every digit
-    before any per-angle guard fails.
-    """
+    """Refuse an angle sweep whose Q falls or s' rises by more than ``_MONOTONE_TOL``."""
     if sorted(qs) == qs and sorted(s_primes, reverse=True) == s_primes:
-        return  # sorted, so no interior Q exceeds the last one either
+        return
     q_drop = max(map(sub, qs, qs[1:]))
     sp_rise = max(map(sub, s_primes[1:], s_primes))
-    q_top = max(qs[1:-1], default=0.0)
-    if q_drop > _MONOTONE_TOL or sp_rise > _MONOTONE_TOL or q_top > qs[-1]:
+    if q_drop > _MONOTONE_TOL or sp_rise > _MONOTONE_TOL:
         raise NumericError(
             f"tradeoff sweep out of order at eta1={eta1!r}, s={s!r}: Q falls by "
-            f"{q_drop!r}, s_prime rises by {sp_rise!r}, interior Q peaks at "
-            f"{q_top!r} against q_ud={qs[-1]!r}; the angle formulas cannot "
+            f"{q_drop!r}, s_prime rises by {sp_rise!r}; the angle formulas cannot "
             "resolve these priors"
         )
 

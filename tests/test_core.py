@@ -402,6 +402,26 @@ def test_endpoint_tangency_rejects_offsets_past_the_vertex(s, s_prime, offsets):
         endpoint_tangency_check(ov, (math.nextafter(largest, 1.0),))
 
 
+@pytest.mark.parametrize(
+    "s, s_prime, offset, probe",
+    [
+        (0.6, 0.3, 1e-17, "1.0"),
+        (0.6, 0.3, 1e-16, "0.9999999999999999"),
+        # Every admissible offset is this small here (the bound is 1.8e-16).
+        (0.9999999999999999, 0.5, 1.5e-16, "0.9999999999999999"),
+    ],
+    ids=["1e-17", "1e-16", "s-next-to-one"],
+)
+def test_endpoint_tangency_rejects_offsets_below_the_stencil_resolution(s, s_prime, offset, probe):
+    # 1 - offset -/+ offset/4 round to one float, so the lower slope was 0
+    # and slopes_upper's 1/m raised ZeroDivisionError.
+    with pytest.raises(DomainError, match=rf"offset {offset!r} is too small .* round to {probe}$"):
+        endpoint_tangency_check(OverlapSpec(s, s_prime), (1e-3, offset) if s < 0.9 else (offset,))
+    # At 1e-15 the probes lie a few ulps apart, and the slopes are finite.
+    report = endpoint_tangency_check(OverlapSpec(0.6, 0.3), (1e-15,))
+    assert math.isfinite(report.slopes_lower[0]) and math.isfinite(report.slopes_upper[0])
+
+
 def test_endpoint_tangency_takes_offsets_up_to_the_vertex():
     # 1 - 1.25*0.45 = 0.4375 lies just above the vertex 3/7.
     report = endpoint_tangency_check(OverlapSpec(0.6, 0.3), (0.45,))

@@ -225,3 +225,19 @@ def test_chi2_pvalue_closed_form_matches_scipy(s_prime, input_index, dof):
         expected *= tallies[keep].sum() / expected.sum()
         ref = float(stats.chisquare(tallies[keep].astype(float), expected).pvalue)
         assert _chi2_pvalue(tallies, probs, counts.shots) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seed, worst, passed",
+    [(242, 1.1366102299446743, False), (20250810 + 9, 0.740970647191916, True)],
+    ids=["seed-242-fails", "release-gate-seed"],
+)
+def test_optics_statistics_check_reports_the_measured_deviation(seed, worst, passed):
+    # Seed 242 (statesep verify --samples 6 --seed 233) draws input 2's
+    # failure rate 3.4 sigma off: the check fails by chance, and reports the
+    # deviation it measured, 1.14 of the three-sigma band, rather than inf.
+    from statesep import verify
+
+    result = verify.check_optics_statistics(1_000_000, seed)
+    assert (result.worst, result.passed) == (worst, passed)
+    assert math.isfinite(result.worst) and result.tolerance == 1.0

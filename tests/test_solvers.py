@@ -5,6 +5,7 @@ import math
 import pickle
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,7 +39,7 @@ import helpers
 import qmin_referee
 import test_qmin_at_edges
 from statesep import solvers
-from statesep.solvers import _EPS, _cot_overflow_error, _negative_sp2_error, _singular_error
+from statesep.solvers import _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -343,33 +344,29 @@ def test_tradeoff_monotone():
     ],
     ids=["q-saturates-at-1", "interior-q-above-q_ud", "q-falls-at-tiny-eta1"],
 )
-def test_tradeoff_curve_refuses_out_of_order_sweeps(eta1, s):
-    # Each passes every per-angle guard, but its Q column falls or peaks
-    # above the final discrimination cost.
-    with pytest.raises(NumericError, match="out of order"):
-        tradeoff_curve(Priors.of(eta1), s, 512)
+def test_tradeoff_curve_former_out_of_order_sweeps_are_answered(eta1, s):
+    # The angle formulas used to leave these Q columns falling or peaking
+    # above the final discrimination cost, and the sweep refused them.
+    _check_angle_formula_rows(eta1, s, tradeoff_curve(Priors.of(eta1), s, 512))
 
 
-def test_tradeoff_curve_edge_sweeps_are_ordered_or_refused():
+def test_tradeoff_curve_edge_sweeps_are_answered_in_order():
     # s within 1e-9..1e-1 of 1, eta1 down to 1e-8, or both: every sweep is
-    # returned in order or refused as a numeric failure.
+    # answered, in order, and rows 1, n//2 and n-2 agree with the 50-digit
+    # angle formulas.
     rng = np.random.default_rng(20261019)
-    outcomes = set()
     for i in range(240):
         eta1, s = rng.uniform(0.0, 1.0), rng.uniform(0.01, 0.99)
         if i % 3 != 1:
             s = 1.0 - _decade(rng, -9, -1)
         if i % 3 != 0:
             eta1 = _decade(rng, -8, -1)
-        try:
-            samples = tradeoff_curve(Priors.of(float(eta1)), float(s), 512)
-        except NumericError as exc:
-            outcomes.add("out of order" if "out of order" in str(exc) else "per-angle")
-            continue
-        rows = [(float(m.theta), m.s_prime, float(m.q)) for m in samples]
-        assert not _tradeoff_out_of_order(rows), (eta1, s)
-        outcomes.add("ok")
-    assert outcomes == {"ok", "out of order", "per-angle"}
+        eta1, s = float(eta1), float(s)
+        samples = tradeoff_curve(Priors.of(eta1), s, 512)
+        qs, sps = [m.q for m in samples], [m.s_prime for m in samples]
+        assert qs == sorted(qs) and sps == sorted(sps, reverse=True), (eta1, s)
+        if _is_angle_sweep(eta1):
+            _check_angle_formula_rows(eta1, s, samples, (1, 256, 510))
 
 
 def test_tradeoff_equal_priors_closed_form():
@@ -667,23 +664,15 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
         brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
 
 
-@pytest.mark.parametrize(
-    "solve, message",
-    [
-        (
-            lambda: tradeoff_curve(Priors.of(4.13e-6), 0.9999999999977576, 512),
-            r"delta \+ sin\(theta\) = 0\.0",
-        ),
-    ],
-    ids=["tradeoff_curve-singular-angle"],
-)
-def test_singular_formulas_raise_numeric_error(solve, message):
-    with pytest.raises(NumericError, match=message):
-        solve()
+def test_tradeoff_curve_former_singular_angle_is_answered():
+    # delta + sin(theta) rounded to 0 at one angle of this sweep, and the
+    # sweep refused it; the half-angle form has no such denominator.
+    rows = tradeoff_curve(Priors.of(4.13e-6), 0.9999999999977576, 512)
+    _check_angle_formula_rows(4.13e-6, 0.9999999999977576, rows)
 
 
 # ---------------------------------------------------------------------------
-# the sweeps against the scalar helpers and the scalar tradeoff referee
+# the sweeps against the scalar helpers and the 50-digit angle formulas
 
 
 def _outcome(fn):
@@ -707,36 +696,68 @@ def _qmin_rows_scalar(ov, n):
     ]
 
 
-def _tradeoff_eval(theta: float, s: float, delta: float) -> tuple[float, float]:
-    """(s_prime, Q) on the tradeoff curve at angle theta < 0."""
-    st, ct = math.sin(theta), math.cos(theta)
-    if delta + st == 0.0 or ct == 0.0:
-        raise _singular_error(theta, s, delta, st, ct)
-    one = 1.0 - delta * delta
-    gain = math.sqrt(one) * (st / (delta + st)) ** 2 / ct
-    term_envelope = math.sqrt(one) * (1.0 + s * s) * ct
-    term_budget = 2.0 * s * (1.0 + delta * st)
-    sp2 = gain * (term_envelope - term_budget)
-    # Where the two terms cancel (the full-separation end of the sweep,
-    # severe for near-certainty priors) rounding leaves a negative residue
-    # of order eps times the amplification; only values beyond that noise
-    # floor indicate a real bug.
-    noise = max(1e-12, 32.0 * _EPS * abs(gain) * (abs(term_envelope) + abs(term_budget)))
-    if sp2 < -noise:
-        raise _negative_sp2_error(sp2, theta, s, delta)
-    sp2 = max(sp2, 0.0)
-    if math.isinf(ct / st):
-        raise _cot_overflow_error(theta, s, delta, st, ct)
-    q = (s * math.sqrt(one) + delta * sp2 * (ct / st)) / ((1.0 - sp2) * ct)
-    return math.sqrt(sp2), min(max(q, 0.0), 1.0)
+_MP = mpmath.MPContext()
+_MP.dps = 50
+# Largest relative difference of a row from the 50-digit angle formulas.
+_ANGLE_ROW_TOL = 1e-12
 
 
-def _tradeoff_sample(theta: float, s: float, delta: float) -> tuple[float, float]:
-    if theta == 0.0:
-        # Upper endpoint of the equal-slope family: full separation at the
-        # tangency-regime discrimination cost.
-        return 0.0, s * math.sqrt(1.0 - delta * delta)
-    return _tradeoff_eval(theta, s, delta)
+def _angle_formula_row(eta1: float, s: float, offset: float):
+    """(s', Q) from the paper's angle formulas in mpmath, or None past an end.
+
+    ``eta1 <= 1/2`` is the sweep's normalized prior, and ``offset`` a row's
+    angle minus the sweep's first angle.  The angle is the exact start
+    theta_lo = -atan(s*delta/r), with delta = 1 - 2*eta1 and
+    r = 2*sqrt(eta1*(1 - eta1)), plus that offset, so that theta_lo's own
+    rounding in the sweep moves only its labels.  At offset 0 the row is
+    the trivial protocol (s, 0), and past full separation (sin(theta) >= 0,
+    or s'**2 <= 0) there is no row.
+
+    Next to theta_lo the bracket of s'**2 cancels down to about
+    r**4*(1 - s**2)**2 of its terms, and Q's denominator holds 1 - s'**2,
+    so the formulas run at 50 digits plus about
+    log10(1/(r**4*(1 - s**2)**3)): 50 alone leave none next to s = 1.
+    """
+    if offset == 0:
+        return s, 0.0
+    r_float = 2.0 * math.sqrt(eta1 * (1.0 - eta1))
+    lost = -math.log10(r_float**4 * ((1.0 - s) * (1.0 + s)) ** 3)
+    with _MP.workdps(50 + max(int(lost), 0)):
+        e1, s = _MP.mpf(eta1), _MP.mpf(s)
+        delta, r = 1 - 2 * e1, 2 * _MP.sqrt(e1 * (1 - e1))
+        theta = -_MP.atan(s * delta / r) + _MP.mpf(offset)
+        ct, st = _MP.cos_sin(theta)
+        if st >= 0:
+            return None
+        bracket = r * (1 + s * s) * ct - 2 * s * (1 + delta * st)
+        sp2 = r * (st / (delta + st)) ** 2 / ct * bracket
+        if sp2 <= 0:
+            return None
+        return _MP.sqrt(sp2), (s * r + delta * sp2 * ct / st) / ((1 - sp2) * ct)
+
+
+def _is_angle_sweep(eta1):
+    """Whether tradeoff_curve walks the angle sweep, not a closed form, at eta1."""
+    prn, _ = Priors.of(eta1).normalized()
+    return min(prn.delta, prn.eta1) > solvers._DEGENERATE_PRIOR_TOL
+
+
+def _check_angle_formula_rows(eta1, s, samples, rows=None):
+    """An angle sweep's rows (all, or those indexed by ``rows``) agree with
+    the angle formulas to ``_ANGLE_ROW_TOL``, relative, and its ends are the
+    trivial protocol and full separation at q_ud, exactly."""
+    prn, _ = Priors.of(eta1).normalized()
+    theta_0 = _MP.mpf(samples[0].theta)
+    assert samples[0][1:] == (s, s, 0.0)
+    assert samples[-1][1:] == (s, 0.0, float(q_ud(prn, s)))
+    for k in range(1, len(samples) - 1) if rows is None else rows:
+        smp = samples[k]
+        want = _angle_formula_row(prn.eta1, s, _MP.mpf(smp.theta) - theta_0)
+        if want is None:
+            assert (smp.s_prime, smp.q) == (0.0, samples[-1].q), (eta1, s, k, smp)
+            continue
+        for got, ref in zip((smp.s_prime, smp.q), want):
+            assert abs(got - ref) <= _ANGLE_ROW_TOL * abs(ref), (eta1, s, k, smp, want)
 
 
 def _qmin_rows(ov, n):
@@ -744,22 +765,6 @@ def _qmin_rows(ov, n):
         (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
         for m in qmin_curve(ov, n)
     ]
-
-
-def _tradeoff_rows_scalar(pr, s, n):
-    """tradeoff_curve's samples on the angle sweep, one _tradeoff_sample at a time."""
-    prn, _ = pr.normalized()
-    thetas = np.linspace(*solvers._tradeoff_range(s, prn.delta, prn.eta1), n).tolist()
-    rows = [(thetas[0], s, 0.0)]
-    for theta in thetas[1:-1]:
-        s_prime, q = _tradeoff_sample(theta, s, prn.delta)
-        FailureBudget(q)
-        rows.append((theta, min(s_prime, s), q))
-    return rows + [(thetas[-1], 0.0, float(q_ud(prn, s)))]
-
-
-def _tradeoff_rows(pr, s, n):
-    return [(m.theta, m.s_prime, m.q) for m in tradeoff_curve(pr, s, n)]
 
 
 def _decade(rng, lo, hi):
@@ -791,8 +796,8 @@ _NEGATIVE_Q1_CASE = (0.3, 8.002035938234122e-30, 3.197006282588512e-30, 7)
     ids=[f"case{i}" for i in range(48)] + ["negative-q1"],
 )
 def test_sweeps_match_scalar_helpers_in_hex(eta1, s, s_prime, n):
-    # Every sample (or the error raised) of the array sweeps is what the
-    # scalar helpers give at the same grid t / theta, bit for bit.
+    # Every sample (or the error raised) of the qmin sweep is what the
+    # scalar helper gives at the same grid t, bit for bit.
     ov = OverlapSpec(s, s_prime)
     want = _outcome(lambda: _qmin_rows_scalar(ov, n))
     got = _outcome(lambda: _qmin_rows(ov, n))
@@ -806,40 +811,29 @@ def test_sweeps_match_scalar_helpers_in_hex(eta1, s, s_prime, n):
     else:
         assert _hex_rows(got[1]) == _hex_rows(want[1])
 
-    pr = Priors.of(eta1)
-    want = _outcome(lambda: _tradeoff_rows_scalar(pr, s, n))
-    got = _outcome(lambda: _tradeoff_rows(pr, s, n))
-    if want[0] == "raised":
-        assert got == want
-    elif got[0] == "raised":
-        assert got[1] is NumericError and "out of order" in got[2]
-        assert _tradeoff_out_of_order(want[1])
-    else:
-        assert _hex_rows(got[1]) == _hex_rows(want[1])
 
-
-def _tradeoff_out_of_order(rows):
-    """Whether (theta, s', Q) rows break tradeoff_curve's order guard."""
-    sps = [row[1] for row in rows]
-    qs = [row[2] for row in rows]
-    return (
-        max(a - b for a, b in zip(qs, qs[1:])) > solvers._MONOTONE_TOL
-        or max(b - a for a, b in zip(sps, sps[1:])) > solvers._MONOTONE_TOL
-        or max(qs[1:-1], default=0.0) > qs[-1]
-    )
+@pytest.mark.parametrize(
+    "eta1, s, n",
+    [case[:2] + case[3:] for case in _sweep_cases(20261018, 48)],
+    ids=[f"case{i}" for i in range(48)],
+)
+def test_tradeoff_rows_match_50_digit_angle_formulas(eta1, s, n):
+    # Every row of the half-angle sweep is the paper's angle formulas at
+    # the row's offset from the sweep's exact start, to 1e-12 relative.
+    samples = tradeoff_curve(Priors.of(eta1), s, n)
+    if _is_angle_sweep(eta1):
+        _check_angle_formula_rows(eta1, s, samples)
 
 
 def test_sweep_cases_reach_the_guards():
-    # The hex comparison above must see failing sweeps as well as clean ones.
-    # The t-curve has no per-sample guard left and answers every case; the
-    # tradeoff rows keep their negative-s'^2 guard.
+    # Neither sweep has a per-sample guard left: the t-curve and the
+    # half-angle tradeoff rows answer every case.
     qmin, tradeoff = set(), set()
     for eta1, s, s_prime, n in _sweep_cases(20261018, 48):
         qmin.add(_outcome(lambda: _qmin_rows_scalar(OverlapSpec(s, s_prime), n))[0])
-        out = _outcome(lambda: _tradeoff_rows_scalar(Priors.of(eta1), s, n))
-        tradeoff.add(out[2].split(" ")[0] if out[0] == "raised" else "ok")
+        tradeoff.add(_outcome(lambda: tradeoff_curve(Priors.of(eta1), s, n))[0])
     assert qmin == {"ok"}
-    assert {"ok", "negative"} <= tradeoff
+    assert tradeoff == {"ok"}
 
 
 def test_float_constants_match_numpy_finfo():
@@ -902,17 +896,18 @@ def test_valid_curve_inputs_raise_numeric_error(ov, message):
     assert test_qmin_at_edges.check_qmin_at(0.3, ov.s, ov.s_prime) == "answered"
 
 
-@pytest.mark.parametrize("s", [1e-307, 1e-320])
+@pytest.mark.parametrize("s", [1e-320])
 def test_tradeoff_curve_at_subnormal_s_is_numeric_error(s):
-    # Where cos(theta)/sin(theta) overflows, delta*s'^2*cot(theta) is 0*inf:
-    # the sweep, like its referee, raises NumericError naming theta instead
-    # of leaving a NaN Q for FailureBudget to call a DomainError.
-    pr = Priors.of(0.3)
-    with pytest.raises(NumericError, match=r"overflow at theta=-[0-9.e-]+, s=1e-3"):
-        tradeoff_curve(pr, s, 512)
-    assert _outcome(lambda: _tradeoff_rows(pr, s, 512)) == _outcome(
-        lambda: _tradeoff_rows_scalar(pr, s, 512)
-    )
+    # Where s*delta is below the normal range, the angle range is a few
+    # subnormal steps wide: the sweep raises NumericError instead of
+    # returning rows with a handful of digits.
+    with pytest.raises(NumericError, match=r"s\*delta to be a normal float, got s\*delta=4e-321"):
+        tradeoff_curve(Priors.of(0.3), s, 512)
+
+
+def test_tradeoff_curve_at_s_1e_307_is_answered():
+    # cos(theta)/sin(theta) used to overflow here, and the sweep refused.
+    _check_angle_formula_rows(0.3, 1e-307, tradeoff_curve(Priors.of(0.3), 1e-307, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,14 +1052,14 @@ def test_qmin_curve_earlier_failure_wins(monkeypatch, k, wins):
         qmin_curve(OverlapSpec(0.6, 0.3), 33)
 
 
-def _fault_tradeoff_q(monkeypatch, k):
-    """Make the tradeoff sweep's Q NaN at interior grid index k."""
+def _fault_tradeoff_q(monkeypatch, values):
+    """Make the tradeoff sweep's Q at interior grid index i the given value ({i: value})."""
     _with_fault(
         monkeypatch,
         "_tradeoff_rows",
-        "q = num / den if den else num * math.copysign(inf, den)",
+        "q = tau * (1.0 + t2) / den",
         "q = _fault(len(qs), q)",
-        lambda i, q: math.nan if i == k else q,
+        lambda i, q: values.get(i, q),
     )
 
 
@@ -1086,7 +1081,7 @@ def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branc
         FailureBudget(math.nan)
     eta1 = {"generic": 0.2, "equal-priors": 0.5, "certainty": 0.0}[branch]
     if branch == "generic":
-        _fault_tradeoff_q(monkeypatch, 6)  # grid index 6 is sample 7
+        _fault_tradeoff_q(monkeypatch, {6: math.nan})  # grid index 6 is sample 7
     else:
         _fault_grid(monkeypatch, 7)
     with pytest.raises(DomainError) as got:
@@ -1094,22 +1089,23 @@ def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branc
     assert str(got.value) == str(want.value) == "q_avg must lie in [0, 1], got nan"
 
 
-# This sweep's negative-s'^2 guard fires at sample 269 (grid index 268).
+# The negative-s'^2 guard used to refuse this sweep at sample 269 (grid
+# index 268); it is answered now.
 _NEGATIVE_SP2_CASE = (1.9302922127230343e-08, 0.9710224874752635, 512)
 
 
-@pytest.mark.parametrize("k, wins", [(99, "q"), (268, "guard"), (300, "guard")])
-def test_tradeoff_curve_earlier_failure_wins(monkeypatch, k, wins):
+@pytest.mark.parametrize("k", [99, 300, None], ids=["nan-before-drop", "nan-after-drop", "drop"])
+def test_tradeoff_curve_row_check_precedes_the_order_check(monkeypatch, k):
     eta1, s, n = _NEGATIVE_SP2_CASE
-    prn, _ = Priors.of(eta1).normalized()
-    theta = solvers._linspace(*solvers._tradeoff_range(s, prn.delta, prn.eta1), n)[1:-1][268]
-    with pytest.raises(NumericError, match="negative squared overlap") as guard:
-        tradeoff_curve(Priors.of(eta1), s, n)
-    assert f"at theta={theta!r}," in str(guard.value)
-    _fault_tradeoff_q(monkeypatch, k)
-    if wins == "q":
-        with pytest.raises(DomainError, match="q_avg must lie in"):
+    if k is None:
+        _check_angle_formula_rows(eta1, s, tradeoff_curve(Priors.of(eta1), s, n))
+    # Q = 0 at grid index 268 makes the column fall, which the order check
+    # after the loop refuses; a NaN Q at index k fails FailureBudget's range
+    # check inside the loop first, before or after the drop alike.
+    _fault_tradeoff_q(monkeypatch, {268: 0.0} if k is None else {268: 0.0, k: math.nan})
+    if k is None:
+        with pytest.raises(NumericError, match="out of order"):
             tradeoff_curve(Priors.of(eta1), s, n)
     else:
-        with pytest.raises(NumericError, match="negative squared overlap"):
+        with pytest.raises(DomainError, match="q_avg must lie in .* got nan"):
             tradeoff_curve(Priors.of(eta1), s, n)
