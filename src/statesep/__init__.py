@@ -27,12 +27,10 @@ _EXPORTS = {
         "OverlapSpec",
         "FailurePoint",
         "FailureBudget",
-        "EndpointTangencyReport",
         "sqrt_clamped",
         "average_failure",
         "unitarity_residual",
         "in_feasible_set",
-        "endpoint_tangency_check",
     ),
     "conics": (
         "ConicPoint",

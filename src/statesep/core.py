@@ -30,13 +30,11 @@ __all__ = [
     "OverlapSpec",
     "FailurePoint",
     "FailureBudget",
-    "EndpointTangencyReport",
     "sqrt_clamped",
     "average_failure",
     "unitarity_residual",
     "in_feasible_set",
     "lower_half_q2",
-    "endpoint_tangency_check",
 ]
 
 # Absolute tolerance on the unitarity residual; all quantities are O(1) so
@@ -280,92 +278,3 @@ def lower_half_q2(q1: float, s: float, beta: float) -> float:
     # Rounding can lift q2 an ulp or two above 1 when s is that close to 1.
     q2 = y * y
     return q2 if q2 < 1.0 else 1.0
-
-
-@dataclass(frozen=True)
-class EndpointTangencyReport:
-    """Finite-difference slopes of the constraint curve near its endpoints.
-
-    ``slopes_lower`` holds dq2/dq1 estimates approaching (1, s^2) at each
-    probe offset in q1, ``slopes_upper`` the estimates approaching (s^2, 1).
-    For beta > 0 the former diverge (vertical tangency) and the latter
-    vanish (horizontal tangency).
-    """
-
-    s: float
-    beta: float
-    offsets: tuple[float, ...]
-    slopes_lower: tuple[float, ...]
-    slopes_upper: tuple[float, ...]
-    vertical_divergence: bool
-    horizontal_flattening: bool
-
-
-def endpoint_tangency_check(
-    ov: OverlapSpec,
-    offsets: tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6),
-    slope_threshold: float = 1e2,
-) -> EndpointTangencyReport:
-    """Probe the curve's tangency to q1=1 and q2=1 at its endpoints.
-
-    Estimates dq2/dq1 at q1 = 1 - offset for each offset by central
-    differences on the closed-form lower-half branch; the mirror image gives
-    the slopes near (s^2, 1).  ``offsets`` must be one or more values in
-    (0, 1), and none may exceed (1 - vertex)/1.25: the stencil reaches
-    down to q1 = 1 - 1.25*offset, and the lower half starts at the vertex
-    q1 = q2 = (s - beta)/(1 - beta).  An offset so small that the
-    stencil's two probes round to one float raises DomainError too.
-    Requires beta > 0: at beta = 0 the curve is an arc of the hyperbola
-    q1*q2 = s^2 whose endpoint slopes are finite, so there is no tangency
-    to detect.
-    """
-    if ov.beta == 0.0:
-        raise DomainError(
-            "endpoint tangency is only defined for beta > 0; "
-            "at beta = 0 the curve is the hyperbola q1*q2 = s**2"
-        )
-    if ov.s == 0.0 or ov.s == 1.0:
-        raise DomainError("endpoint tangency requires 0 < s < 1")
-    offsets = tuple(offsets)
-    if not offsets or not all(0.0 < delta < 1.0 for delta in offsets):
-        raise DomainError(f"offsets must be one or more values in (0, 1), got {offsets!r}")
-    # The stencil's lower probe, q1 = 1 - 1.25*offset, must not pass the
-    # vertex.
-    vertex = (ov.s - ov.beta) / (1.0 - ov.beta)
-    largest = (1.0 - vertex) / 1.25
-    probes = []
-    for delta in offsets:
-        if delta > largest:
-            raise DomainError(
-                f"offset {delta!r} reaches below the curve's vertex q1={vertex!r}: "
-                f"the largest admissible offset is (1 - vertex)/1.25, {largest!r}"
-            )
-        a, h = 1.0 - delta, delta / 4.0
-        # Next to the bound, a - h can round an ulp or so below the vertex.
-        q1_hi, q1_lo = a + h, max(a - h, vertex)
-        if q1_hi == q1_lo:
-            raise DomainError(
-                f"offset {delta!r} is too small for the slope stencil: its probes "
-                f"q1 = 1 - offset -/+ offset/4 both round to {q1_hi!r}"
-            )
-        probes.append((q1_hi, q1_lo, h))
-
-    slopes = []
-    for q1_hi, q1_lo, h in probes:
-        q2_hi = lower_half_q2(q1_hi, ov.s, ov.beta)
-        q2_lo = lower_half_q2(q1_lo, ov.s, ov.beta)
-        slopes.append((q2_hi - q2_lo) / (2.0 * h))
-    slopes_lower = tuple(slopes)
-    # The curve is symmetric under q1 <-> q2, so the slope near (s^2, 1) is
-    # the reciprocal of the slope near (1, s^2).
-    slopes_upper = tuple(1.0 / m for m in slopes_lower)
-
-    return EndpointTangencyReport(
-        s=ov.s,
-        beta=ov.beta,
-        offsets=offsets,
-        slopes_lower=slopes_lower,
-        slopes_upper=slopes_upper,
-        vertical_divergence=abs(slopes_lower[-1]) > slope_threshold,
-        horizontal_flattening=abs(slopes_upper[-1]) < 1.0 / slope_threshold,
-    )

@@ -95,9 +95,13 @@ UNBOUNDED = math.inf
 
 # Priors closer to equal (or to certainty) than this take tradeoff_curve's
 # closed forms: at delta = 0 and at eta1 = 0 the sweep's angle range is a
-# single point, and next to certainty it shrinks like eta1**1.5 beside
-# -pi/2, below the spacing of the floats there.
+# single point, and next to certainty it shrinks like (eta1/s**2)**1.5,
+# below the spacing of the floats there.
 _DEGENERATE_PRIOR_TOL = 1e-9
+# The certainty closed form is off by about (eta1/s**2)**2 of Q, so it also
+# needs eta1 below this multiple of s**2; above it the angle range spans
+# about 1e-9 or more, which the sweep resolves.
+_CERTAINTY_RATIO = 1e-6
 
 # Runtime guard on the monotonicity of eta1 along curve sweeps.
 _MONOTONE_TOL = 1e-10
@@ -751,14 +755,17 @@ def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
 def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
     """Ellipse angles (theta_lo, theta_hi) where the tradeoff sweep starts and ends.
 
-    theta_lo is the trivial protocol.  Full separation is at theta = 0 in
-    the tangency regime (eta1 >= s**2/(1 + s**2)), and else at the
-    half-angle offset tau_plus from theta_lo.
+    theta_lo = -atan2(s*delta, r) is the trivial protocol, with r from
+    ``_tradeoff_frame`` in place of sqrt(1 - delta**2), which cancels next
+    to certainty.  Full separation is at theta = 0 in the tangency regime
+    (eta1 >= s**2/(1 + s**2)), and else at the half-angle offset tau_plus
+    from theta_lo.
     """
-    theta_lo = -math.atan(s * delta / math.sqrt(1.0 - delta * delta))
+    _, r, _, tau_plus = _tradeoff_frame(s, eta1)
+    theta_lo = -math.atan2(s * delta, r)
     if eta1 >= s * s / (1.0 + s * s):
         return theta_lo, 0.0
-    return theta_lo, theta_lo + 2.0 * math.atan(_tradeoff_frame(s, eta1)[3])
+    return theta_lo, theta_lo + 2.0 * math.atan(tau_plus)
 
 
 def _tradeoff_rows(
@@ -848,12 +855,13 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     trivial s' = s) up to the unambiguous-discrimination cost (full
     separation, s' = 0), and s_prime nonincreasing from s to 0.
 
-    Priors within 1e-9 of equal or of certainty take closed forms, with
-    theta = 0 and NaN: there the angle range is a point, or shrinks like
-    eta1**1.5 beside -pi/2.  Others take ``_tradeoff_rows``.  A 50-digit
-    referee in the tests confirms sampled rows to 1e-9 relative, with s out
-    to subnormal values and to 1e-12 of 1, and eta1 out to the 1e-9
-    cutoffs.  The sweep refuses with NumericError where s*delta is below
+    Priors within 1e-9 of equal take a closed form with theta = 0, and
+    those within 1e-9 of certainty and below 1e-6*s**2 one with theta NaN:
+    there the angle range is a point, or shrinks like (eta1/s**2)**1.5.
+    Others take ``_tradeoff_rows``.  A 50-digit referee in the tests
+    confirms sampled rows to 1e-9 relative, with s out to subnormal values
+    and to 1e-12 of 1, and eta1 out to 0 and to the equal-prior cutoff.
+    The sweep refuses with NumericError where s*delta is below
     the normal float range, or where Q falls or s' rises by more than
     1e-10.  Every branch range-checks Q as ``FailureBudget`` would, and
     builds the records with ``tuple.__new__``.
@@ -871,12 +879,16 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         thetas = repeat(0.0)
         qs = _range_checked(_linspace(0.0, s, n_samples))
         s_primes = [(s - q) / (1.0 - q) for q in qs]
-    elif prn.eta1 <= _DEGENERATE_PRIOR_TOL:
-        # Certainty on state 2: Q = q2 = (s^2 - s'^2)/(1 - s'^2).
+    elif prn.eta1 <= _DEGENERATE_PRIOR_TOL and prn.eta1 <= _CERTAINTY_RATIO * s * s:
+        # Next to certainty on state 2 the optimum at s' is, to first order
+        # in eta1, the curve's zero-slope end (_zero_slope_end): there
+        # q2 = (s^2 - s'^2)/(1 - s'^2) and q1 = q2/s^2, and Q = eta1*q1 +
+        # eta2*q2.  q2 runs over the grid; at q2 = 0 (s' = s) Q is 0.
         thetas = repeat(math.nan)
-        qs = _linspace(0.0, s * s, n_samples)
-        s_primes = [sqrt_clamped((s * s - q) / (1.0 - q)) for q in qs]
-        _range_checked(qs)
+        s2, eta1, eta2 = s * s, prn.eta1, prn.eta2
+        q2s = _linspace(0.0, s2, n_samples)
+        s_primes = [sqrt_clamped((s2 - q2) / (1.0 - q2)) for q2 in q2s]
+        qs = _range_checked([0.0 if q2 == 0.0 else eta1 * (q2 / s2) + eta2 * q2 for q2 in q2s])
     else:
         if s * delta < _TINY:
             raise NumericError(

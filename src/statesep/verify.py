@@ -109,6 +109,14 @@ def check_curve_on_constraint(seed: int) -> CheckResult:
     return _result("curve-on-constraint", worst, 1e-12)
 
 
+def _gradient_slope(q1, q2, beta):
+    """Slope dq2/dq1 = -F_q1/F_q2 of the curve F = beta*sqrt(p1*p2) + sqrt(q1*q2) - s = 0."""
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    return -(np.sqrt(q2 / q1) - beta * np.sqrt(p2 / p1)) / (
+        np.sqrt(q1 / q2) - beta * np.sqrt(p1 / p2)
+    )
+
+
 def check_slope_range(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
@@ -122,10 +130,15 @@ def check_slope_range(seed: int) -> CheckResult:
             (a - b for a, b in zip(slopes, slopes[1:])), default=-math.inf
         )
         worst = max(worst, increase_violation, abs(slopes[-1]))
-        # Limit value -1 at the vertex, probed just inside the range.
+        # Every interior row's slope against the constraint's gradient, plus
+        # rows 1e-10..1e-2 of the range from the vertex, where it tends to -1.
         t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
-        smp = solvers._curve_row(t_lo + 1e-10 * (t_hi - t_lo), ov)
-        worst = max(worst, abs(smp.dq2_dt / smp.dq1_dt + 1.0))
+        edge = [t_lo + 10.0**-k * (t_hi - t_lo) for k in range(10, 1, -1)]
+        rows = samples[1:-1] + solvers._t_curve(edge, ov)
+        q1, q2, slope = np.array(
+            [(smp.point.q1, smp.point.q2, smp.dq2_dt / smp.dq1_dt) for smp in rows]
+        ).T
+        worst = max(worst, float(np.max(np.abs(slope - _gradient_slope(q1, q2, sp)))))
     return _result("curve-slope-range", worst, 1e-4)
 
 

@@ -44,27 +44,16 @@ def dense_ud_min(eta1, s, n=20001, refine=80):
     return min(float(vals[i]), float(fc), float(fd))
 
 
-def curve_q_raw(t, s, sp):
-    """Constraint-curve point from the symmetric parametrization, inlined."""
-    x = (1.0 - (1.0 + sp) * t) / (sp / s)
-    y = (1.0 - (1.0 - sp) * t) / (sp / s)
-    rx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    ry = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
-    q1 = 0.5 * (1.0 - x * y + rx * ry)
-    q2 = 0.5 * (1.0 - x * y - rx * ry)
-    return q1, q2
+def curve_slope(q1, q2, beta):
+    """Slope dq2/dq1 = -F_q1/F_q2 of the unitarity curve F = 0, from F's definition.
 
-
-def curve_dq_raw(t, s, sp):
-    """Curve-point derivatives from the inlined parametrization."""
-    x = (1.0 - (1.0 + sp) * t) / (sp / s)
-    y = (1.0 - (1.0 - sp) * t) / (sp / s)
-    rx = np.sqrt(1.0 - x * x)
-    ry = np.sqrt(1.0 - y * y)
-    q1, q2 = curve_q_raw(t, s, sp)
-    d1 = np.sqrt(q1 * (1.0 - q1)) / (sp / s) * ((1.0 + sp) / rx + (1.0 - sp) / ry)
-    d2 = np.sqrt(q2 * (1.0 - q2)) / (sp / s) * ((1.0 + sp) / rx - (1.0 - sp) / ry)
-    return d1, d2
+    With p_i = 1 - q_i, F_q1 = (sqrt(q2/q1) - beta*sqrt(p2/p1))/2 and
+    F_q2 = (sqrt(q1/q2) - beta*sqrt(p1/p2))/2.
+    """
+    p1, p2 = 1.0 - q1, 1.0 - q2
+    return -(np.sqrt(q2 / q1) - beta * np.sqrt(p2 / p1)) / (
+        np.sqrt(q1 / q2) - beta * np.sqrt(p1 / p2)
+    )
 
 
 def lower_q2_bisect(q1, s, beta, iters=90):

@@ -200,7 +200,7 @@ _STDOUT_SHA256 = [
     ),
     (
         ["verify", "--samples", "2", "--shots", "20000", "--seed", "903"],
-        "10439a391e870b1752fa0d07d540df97ff13d9004d13951f336251dac2a1bc19",
+        "8f8cb226eeaa0476dacfbb5cdec0180832fc96e2caabdddb1c6eb4dc050c1590",
     ),
 ]
 
@@ -461,14 +461,31 @@ def _offset_interferometer(monkeypatch):
     monkeypatch.setattr(optics, "build_interferometer", built)
 
 
+def _bend_interior_slope(monkeypatch):
+    import statesep.solvers as solvers
+
+    original = solvers._t_curve
+
+    def bent(ts, ov):
+        # Off by 1e-2*(q1 - q2) inside the curve, exact at the vertex: the
+        # slope still runs from -1 to 0, monotonically.
+        return [
+            smp._replace(dq2_dt=smp.dq2_dt * (1.0 + 1e-2 * (smp.point.q1 - smp.point.q2)))
+            for smp in original(ts, ov)
+        ]
+
+    monkeypatch.setattr(solvers, "_t_curve", bent)
+
+
 @pytest.mark.parametrize(
     "inject, failing_rows",
     [
         (_halve_maxsep_root, {"round-trip-consistency"}),
         (_flip_residual_beta_sign, {"lemma-set-nesting", "lemma-convexity"}),
         (_offset_interferometer, {"optics-exactness"}),
+        (_bend_interior_slope, {"curve-slope-range"}),
     ],
-    ids=["maxsep-root", "residual-beta-sign", "interferometer-offset"],
+    ids=["maxsep-root", "residual-beta-sign", "interferometer-offset", "interior-slope"],
 )
 def test_verify_catches_injected_sign_error(capsys, monkeypatch, inject, failing_rows):
     # Mutation smoke test: corrupt what a check measures, and that check

@@ -16,7 +16,6 @@ from statesep import (
     OverlapSpec,
     Priors,
     average_failure,
-    endpoint_tangency_check,
     in_feasible_set,
     sqrt_clamped,
     unitarity_residual,
@@ -310,16 +309,91 @@ def test_hyperbola_degeneration_at_beta_zero():
 # endpoint tangency
 
 
-def test_endpoint_tangency_divergence():
-    report = endpoint_tangency_check(OverlapSpec(0.6, 0.3))
-    assert report.vertical_divergence and report.horizontal_flattening
-    assert abs(report.slopes_lower[-1]) > 1e2  # at q1 = 1 - 1e-6
-    assert abs(report.slopes_upper[-1]) < 1e-2
+@pytest.mark.parametrize(
+    "s, beta",
+    [
+        (0.6, 0.3),
+        (0.6, 0.59),
+        (0.6, math.nextafter(0.6, 0.0)),
+        (0.6, 0.0),
+        (0.2, 0.1),
+        (1e-3, 5e-4),
+        (1e-9, 5e-10),
+        (0.2, 0.0),
+    ],
+    ids=[
+        "interior",
+        "near-s",
+        "ulp-below-s",
+        "beta-zero",
+        "low-s",
+        "small-s",
+        "tiny-s",
+        "beta-zero-low-s",
+    ],
+)
+def test_endpoint_tangency_from_the_gradient(s, beta):
+    # Toward (1, s^2), F_q1 grows like -beta*sqrt(p2/p1)/2 while F_q2 stays
+    # finite, so for beta > 0 the lower half's slope grows without bound like
+    # beta*s*sqrt(1 - s^2)/sqrt(p1) (vertical tangency), and its mirror
+    # toward (s^2, 1) tends to 0 (horizontal tangency).  At beta = 0 the
+    # curve is the hyperbola q1*q2 = s^2, with finite end slopes -s^2 and
+    # -1/s^2.  The approach to each limit is within 3*sqrt(p1) relative for
+    # beta > 0, and within 3*p1 at beta = 0.
+    limit = beta * s * math.sqrt(1.0 - s * s)
+    for k in range(2, 13):
+        q1 = 1.0 - 10.0**-k
+        p1 = 1.0 - q1
+        q2 = lower_half_q2(q1, s, beta)
+        slope, mirror = helpers.curve_slope(q1, q2, beta), helpers.curve_slope(q2, q1, beta)
+        if beta > 0.0:
+            rel = 3.0 * math.sqrt(p1)
+            assert slope * math.sqrt(p1) == pytest.approx(limit, rel=rel)
+            assert mirror / math.sqrt(p1) == pytest.approx(1.0 / limit, rel=rel)
+        else:
+            assert slope == pytest.approx(-s * s, rel=3.0 * p1)
+            assert mirror == pytest.approx(-1.0 / (s * s), rel=3.0 * p1)
 
 
-def test_endpoint_tangency_near_s():
-    report = endpoint_tangency_check(OverlapSpec(0.6, 0.59))
-    assert report.vertical_divergence and report.horizontal_flattening
+@pytest.mark.parametrize(
+    "s, beta",
+    [
+        (0.6, 0.3),
+        (0.6, 0.59),
+        (0.6, math.nextafter(0.6, 0.0)),
+        (0.6, 0.0),
+        (0.2, 0.1),
+        (0.85, 0.4),
+        (0.9, 0.05),
+        (0.999, 0.5),
+        (1e-3, 5e-4),
+        (1e-3, 0.0),
+    ],
+    ids=[
+        "interior",
+        "near-s",
+        "ulp-below-s",
+        "beta-zero",
+        "low-s",
+        "high-s",
+        "small-beta",
+        "s-near-one",
+        "small-s",
+        "beta-zero-small-s",
+    ],
+)
+def test_gradient_slope_is_the_bisected_curves_derivative(s, beta):
+    # The gradient slope, the reference for the endpoint lemma and for the
+    # sweep's slopes, is the derivative of the lower half found by plain
+    # bisection: central differences of width 2e-3*p1 at q1 = 1 - p1 agree
+    # with it to 1e-6 relative, next to the vertical end included.
+    for p1 in (1e-3, 1e-4, 1e-5, 1e-6):
+        q1, h = 1.0 - p1, 1e-3 * p1
+        above = helpers.lower_q2_bisect(q1 + h, s, beta)
+        below = helpers.lower_q2_bisect(q1 - h, s, beta)
+        ref = (above - below) / (2.0 * h)
+        slope = helpers.curve_slope(q1, lower_half_q2(q1, s, beta), beta)
+        assert slope == pytest.approx(ref, rel=1e-6)
 
 
 def test_lower_half_refuses_q1_below_the_curve_range():
@@ -340,94 +414,6 @@ def test_lower_half_refuses_q1_below_the_curve_range():
         assert q2 == pytest.approx(q1 / (q1 + beta * beta * (1.0 - q1)), rel=1e-12)
 
 
-def test_endpoint_tangency_at_s_prime_next_to_s():
-    # s' one ulp below s: the closed form's D holds the factor (s - beta),
-    # here a single ulp.  The slopes must match central differences of the
-    # bisection referee at the same probes.
-    s = 0.6
-    sp = math.nextafter(s, 0.0)
-    report = endpoint_tangency_check(OverlapSpec(s, sp))
-    assert report.vertical_divergence and report.horizontal_flattening
-    for delta, slope in zip(report.offsets, report.slopes_lower):
-        a, h = 1.0 - delta, delta / 4.0
-        ref = (helpers.lower_q2_bisect(a + h, s, sp) - helpers.lower_q2_bisect(a - h, s, sp)) / (
-            2.0 * h
-        )
-        assert slope == pytest.approx(ref, rel=1e-9)
-
-
-def test_endpoint_tangency_rejects_beta_zero():
-    with pytest.raises(DomainError):
-        endpoint_tangency_check(OverlapSpec(0.6, 0.0))
-
-
-@pytest.mark.parametrize(
-    "offsets",
-    [(), (-0.1,), (1.5,), (math.nan,), (0.0,), (1.0,), (1e-3, math.inf)],
-    ids=["empty", "negative", "above-one", "nan", "zero", "one", "inf-after-valid"],
-)
-def test_endpoint_tangency_rejects_offsets_outside_the_open_unit_interval(offsets):
-    with pytest.raises(DomainError, match=r"offsets must be one or more values in \(0, 1\)"):
-        endpoint_tangency_check(OverlapSpec(0.6, 0.3), offsets)
-
-
-@pytest.mark.parametrize(
-    "s, s_prime, offsets",
-    [
-        # Once a NumericError from lower_half_q2 at q1 = 0.25.
-        (0.6, 0.3, (0.6,)),
-        # Once -0.70, a slope across the vertex rather than an endpoint slope.
-        (0.6, 0.3, (0.5,)),
-        # Once a NumericError: the default offsets start at 1e-3, past the
-        # vertex at 0.999998.
-        (0.999999, 0.5, (1e-3, 1e-4, 1e-5, 1e-6)),
-        # At the bound itself 1 - 1.25*offset rounds an ulp or so below the
-        # vertex here, and below 0 where s' is next to s.
-        (0.6, 0.5999999999999996, (0.99,)),
-        (1e-9, 5e-10, (0.99,)),
-    ],
-    ids=["below-the-range", "across-the-vertex", "vertex-next-to-one", "rounded-0.8", "small-s"],
-)
-def test_endpoint_tangency_rejects_offsets_past_the_vertex(s, s_prime, offsets):
-    # The stencil reaches q1 = 1 - 1.25*offset.  The error names the
-    # largest offset admitted, (1 - vertex)/1.25, which must answer.
-    ov = OverlapSpec(s, s_prime)
-    largest = (1.0 - (s - s_prime) / (1.0 - s_prime)) / 1.25
-    with pytest.raises(DomainError, match="reaches below the curve's vertex") as err:
-        endpoint_tangency_check(ov, offsets)
-    assert str(err.value).endswith(f"admissible offset is (1 - vertex)/1.25, {largest!r}")
-    report = endpoint_tangency_check(ov, (largest,))
-    assert report.offsets == (largest,) and math.isfinite(report.slopes_lower[0])
-    with pytest.raises(DomainError, match="reaches below the curve's vertex"):
-        endpoint_tangency_check(ov, (math.nextafter(largest, 1.0),))
-
-
-@pytest.mark.parametrize(
-    "s, s_prime, offset, probe",
-    [
-        (0.6, 0.3, 1e-17, "1.0"),
-        (0.6, 0.3, 1e-16, "0.9999999999999999"),
-        # Every admissible offset is this small here (the bound is 1.8e-16).
-        (0.9999999999999999, 0.5, 1.5e-16, "0.9999999999999999"),
-    ],
-    ids=["1e-17", "1e-16", "s-next-to-one"],
-)
-def test_endpoint_tangency_rejects_offsets_below_the_stencil_resolution(s, s_prime, offset, probe):
-    # 1 - offset -/+ offset/4 round to one float, so the lower slope was 0
-    # and slopes_upper's 1/m raised ZeroDivisionError.
-    with pytest.raises(DomainError, match=rf"offset {offset!r} is too small .* round to {probe}$"):
-        endpoint_tangency_check(OverlapSpec(s, s_prime), (1e-3, offset) if s < 0.9 else (offset,))
-    # At 1e-15 the probes lie a few ulps apart, and the slopes are finite.
-    report = endpoint_tangency_check(OverlapSpec(0.6, 0.3), (1e-15,))
-    assert math.isfinite(report.slopes_lower[0]) and math.isfinite(report.slopes_upper[0])
-
-
-def test_endpoint_tangency_takes_offsets_up_to_the_vertex():
-    # 1 - 1.25*0.45 = 0.4375 lies just above the vertex 3/7.
-    report = endpoint_tangency_check(OverlapSpec(0.6, 0.3), (0.45,))
-    assert report.slopes_lower == (pytest.approx(-0.4741286945164486, rel=1e-12),)
-
-
 def test_beta_zero_endpoint_slope_is_finite():
     # At beta = 0 the curve is the hyperbola q2 = s^2/q1, whose slope at the
     # endpoint (s^2, 1) equals -1/s^2: finite, so no tangency to the border.
@@ -435,22 +421,3 @@ def test_beta_zero_endpoint_slope_is_finite():
     h = 1e-9
     slope = ((s * s / (s * s + h)) - (s * s / (s * s - h))) / (2 * h)
     assert slope == pytest.approx(-1.0 / (s * s), rel=1e-6)
-
-
-def test_endpoint_tangency_matches_parametrization():
-    # Independent route: find t with q1(t) = 1 - 1e-6 on the inlined
-    # parametrization and compare slopes dq2/dq1 = q2'/q1'.
-    s, sp = 0.6, 0.3
-    target = 1.0 - 1e-6
-    lo, hi = (1.0 - sp * sp / (s * s)) / (1.0 - sp * sp), 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if helpers.curve_q_raw(mid, s, sp)[0] < target:
-            lo = mid
-        else:
-            hi = mid
-    d1, d2 = helpers.curve_dq_raw(0.5 * (lo + hi), s, sp)
-    slope_param = d2 / d1
-    report = endpoint_tangency_check(OverlapSpec(s, sp))
-    assert report.slopes_lower[-1] == pytest.approx(slope_param, rel=0.15)
-    assert slope_param > 1e2

@@ -146,10 +146,10 @@ def test_qmin_curve_slope_runs_minus_one_to_zero():
     assert all(b >= a - 1e-10 for a, b in zip(slopes, slopes[1:]))
     assert slopes[-1] == pytest.approx(0.0, abs=1e-10)
     assert math.isinf(samples[0].dq1_dt)  # vertex derivatives blow up
-    # The slope tends to -1 at the vertex; probe the limit just inside.
-    t_lo, t_hi = samples[0].t, samples[-1].t
-    d1, d2 = helpers.curve_dq_raw(t_lo + 1e-12 * (t_hi - t_lo), s, sp)
-    assert d2 / d1 == pytest.approx(-1.0, abs=1e-5)
+    # Each interior row's slope is the constraint's, -F_q1/F_q2 at its point.
+    for smp, slope in zip(samples[1:-1], slopes):
+        q1, q2 = smp.point.q1, smp.point.q2
+        assert slope == pytest.approx(helpers.curve_slope(q1, q2, sp), abs=1e-14)
 
 
 def test_qmin_curve_vanishes_as_separation_vanishes():
@@ -365,7 +365,7 @@ def test_tradeoff_curve_edge_sweeps_are_answered_in_order():
         samples = tradeoff_curve(Priors.of(eta1), s, 512)
         qs, sps = [m.q for m in samples], [m.s_prime for m in samples]
         assert qs == sorted(qs) and sps == sorted(sps, reverse=True), (eta1, s)
-        if _is_angle_sweep(eta1):
+        if _is_angle_sweep(eta1, s):
             _check_angle_formula_rows(eta1, s, samples, (1, 256, 510))
 
 
@@ -736,10 +736,11 @@ def _angle_formula_row(eta1: float, s: float, offset: float):
         return _MP.sqrt(sp2), (s * r + delta * sp2 * ct / st) / ((1 - sp2) * ct)
 
 
-def _is_angle_sweep(eta1):
-    """Whether tradeoff_curve walks the angle sweep, not a closed form, at eta1."""
+def _is_angle_sweep(eta1, s):
+    """Whether tradeoff_curve walks the angle sweep, not a closed form, at (eta1, s)."""
     prn, _ = Priors.of(eta1).normalized()
-    return min(prn.delta, prn.eta1) > solvers._DEGENERATE_PRIOR_TOL
+    certain = prn.eta1 <= min(solvers._DEGENERATE_PRIOR_TOL, solvers._CERTAINTY_RATIO * s * s)
+    return prn.delta > solvers._DEGENERATE_PRIOR_TOL and not certain
 
 
 def _check_angle_formula_rows(eta1, s, samples, rows=None):
@@ -821,8 +822,20 @@ def test_tradeoff_rows_match_50_digit_angle_formulas(eta1, s, n):
     # Every row of the half-angle sweep is the paper's angle formulas at
     # the row's offset from the sweep's exact start, to 1e-12 relative.
     samples = tradeoff_curve(Priors.of(eta1), s, n)
-    if _is_angle_sweep(eta1):
+    if _is_angle_sweep(eta1, s):
         _check_angle_formula_rows(eta1, s, samples)
+
+
+@pytest.mark.parametrize("eta1, s", [(1e-8, 0.6), (1e-8, 0.999), (2e-9, 0.6)])
+def test_tradeoff_start_label_is_theta_lo_to_an_ulp(eta1, s):
+    # theta_lo = -atan(s*delta/sqrt(1 - delta**2)).  Next to certainty
+    # sqrt(1 - delta**2) cancels; taken that way, the label was 1768 to
+    # 9812 ulps off at these priors, more than the sweep's whole angle range
+    # at the last two.
+    delta = 1 - 2 * _MP.mpf(eta1)
+    want = -_MP.atan(s * delta / _MP.sqrt(1 - delta * delta))
+    theta = tradeoff_curve(Priors.of(eta1), s, 24)[0].theta
+    assert abs(_MP.mpf(theta) - want) <= math.ulp(theta)
 
 
 def test_sweep_cases_reach_the_guards():
