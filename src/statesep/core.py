@@ -100,7 +100,12 @@ class Priors:
         return self.eta2 - self.eta1
 
     def swapped(self) -> "Priors":
-        return Priors(self.eta2, self.eta1)
+        # The fields are checked already, and the prior-sum check is
+        # symmetric, so the swap only writes them through the slots.
+        new = _new(Priors)
+        _set_eta1(new, self.eta2)
+        _set_eta2(new, self.eta1)
+        return new
 
     def normalized(self) -> tuple["Priors", bool]:
         """Equivalent priors with eta1 <= 1/2, plus whether a swap happened.
@@ -177,7 +182,10 @@ class FailurePoint:
         return 1.0 - self.q2
 
     def swapped(self) -> "FailurePoint":
-        return FailurePoint(self.q2, self.q1)
+        new = _new(FailurePoint)  # the fields are checked already
+        _set_q1(new, self.q2)
+        _set_q2(new, self.q1)
+        return new
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -196,9 +204,10 @@ class FailureBudget:
         return self.q_avg
 
 
-# The constructors above write each checked field through its slot
-# descriptor; the frozen __setattr__ would refuse, and object.__setattr__
-# is a slower route to the same descriptor.
+# The constructors and swaps above write each checked field through its
+# slot descriptor; the frozen __setattr__ would refuse, and
+# object.__setattr__ is a slower route to the same descriptor.
+_new = object.__new__
 _set_eta1, _set_eta2 = Priors.eta1.__set__, Priors.eta2.__set__
 _set_s, _set_s_prime = OverlapSpec.s.__set__, OverlapSpec.s_prime.__set__
 _set_kappa = OverlapSpec.kappa.__set__

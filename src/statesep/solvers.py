@@ -33,9 +33,13 @@ parametric curve formulas: on the curve sqrt(q1*q2) = s*t and
 sqrt((1-q1)*(1-q2)) = s*(1-t)/s' exactly, so q1 and q2 come in factored
 form, with both ends of the tangency range emitted as explicit points.
 ``qmin_curve`` runs it over the grid, and ``curve_point`` and ``verify``
-(through ``_curve_row``) run it on one parameter value.  The sweep and
-``qmin_at`` take the tangency condition from one helper,
-``_tangency_terms``.  ``_tradeoff_rows`` is the one implementation of the
+(through ``_curve_row``) run it on one parameter value.  The tangency
+terms q1*B - beta*(1-q1)*A and q2*B - beta*(1-q2)*A are written out in
+``_t_curve``, which solves them for the prior, and in ``qmin_at``'s Brent
+step, which root-finds them, so that a step costs no extra call; verify's
+``round-trip-consistency`` runs both and cross-checks the two copies.
+``q_ud`` wraps the float kernel ``_q_ud``, which the other solvers call
+directly.  ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas, in the half-angle offset of each ellipse angle from
 the sweep's start; the tests evaluate the angle formulas in mpmath as its
 referee.  Each loop raises at the first failing sample, in the range
@@ -172,28 +176,25 @@ def _bracketed_root(
     NumericError when f does not change sign between lo and hi, when f
     returns NaN, or when the iteration does not converge.
     """
-
-    def failed(reason: str) -> NumericError:
-        return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
-
     xpre, xcur = lo, hi
     fpre = f(xpre) if f_lo is None else f_lo
     fcur = f(xcur) if f_hi is None else f_hi
     if math.isnan(fpre) or math.isnan(fcur):
-        raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
+        raise _root_error(what, lo, hi, f"f(lo)={fpre!r}, f(hi)={fcur!r}")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise failed(f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
+        raise _root_error(what, lo, hi, f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
 
     # (xcur, fcur) is the best estimate, xblk the contrapoint that keeps the
     # root bracketed, xpre the previous iterate; spre/scur are the last two
     # step lengths.  The loop calls no builtin: |a| < |b| is tested as
     # -|b| < a < |b|, |b| is b or -b by the sign of b, and NaN is the one
     # float unequal to itself.  Each test has abs()'s result for every
-    # float, NaN and -0.0 included.
+    # float, NaN and -0.0 included.  The tolerances are read from locals.
+    xtol, rtol = _ROOT_XTOL, _ROOT_RTOL
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -203,7 +204,7 @@ def _bracketed_root(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (_ROOT_XTOL + _ROOT_RTOL * (xcur if xcur > 0.0 else -xcur)) / 2
+        delta = (xtol + rtol * (xcur if xcur > 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or -delta < sbis < delta:
             return xcur
@@ -241,8 +242,14 @@ def _bracketed_root(
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
         if fcur != fcur:
-            raise failed(f"f({xcur!r}) is NaN")
-    raise failed(f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
+            raise _root_error(what, lo, hi, f"f({xcur!r}) is NaN")
+    raise _root_error(
+        what, lo, hi, f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})"
+    )
+
+
+def _root_error(what: str, lo: float, hi: float, reason: str) -> NumericError:
+    return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +267,19 @@ def q_ud(pr: Priors, s: float) -> FailureBudget:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s!r}")
+    return FailureBudget(_q_ud(pr.eta1, pr.eta2, s))
+
+
+def _q_ud(eta1: float, eta2: float, s: float) -> float:
+    """``q_ud``'s value as a plain float, for checked priors and s in [0, 1]."""
     lo = s * s / (1.0 + s * s)
-    if pr.eta1 <= lo:
-        q = pr.eta1 + s * s * pr.eta2
-    elif pr.eta1 >= 1.0 - lo:
-        q = pr.eta1 * s * s + pr.eta2
+    if eta1 <= lo:
+        q = eta1 + s * s * eta2
+    elif eta1 >= 1.0 - lo:
+        q = eta1 * s * s + eta2
     else:
-        q = 2.0 * math.sqrt(pr.eta1 * pr.eta2) * s
-    return FailureBudget(min(q, 1.0))  # the prior-sum slack can lift q past 1
+        q = 2.0 * math.sqrt(eta1 * eta2) * s
+    return 1.0 if q > 1.0 else q  # the prior-sum slack can lift q past 1
 
 
 def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
@@ -350,20 +362,6 @@ def _zero_slope_end(s: float, beta: float) -> tuple[float, float]:
     return q2 / (q2 + beta * beta * (1.0 - q2)), q2
 
 
-def _tangency_terms(
-    q1: float, q2: float, a: float, b: float, beta: float
-) -> tuple[float, float]:
-    """``(g1, g2) = (q1*B - beta*(1-q1)*A, q2*B - beta*(1-q2)*A)`` at a curve point.
-
-    With A = sqrt(q1*q2) and B = sqrt((1-q1)*(1-q2)) passed as ``a`` and
-    ``b``, g1 and g2 are 2*A*B*dF/dq2 and 2*A*B*dF/dq1 for the constraint
-    F.  The objective line with priors (eta1, eta2) is tangent where
-    eta1*g1 = eta2*g2: ``qmin_at`` root-finds that condition, and the
-    sweep solves it for the prior.
-    """
-    return q1 * b - beta * (1.0 - q1) * a, q2 * b - beta * (1.0 - q2) * a
-
-
 def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     """The constraint curve at each parameter value in ``ts``, one sample per t.
 
@@ -382,7 +380,11 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     For s' >= s/2, where s - s' is exact, 1 - A - B is taken as
     (A*(1-s') - (s-s'))/s' and 1 - B as that plus A; as s' -> s and s' -> 1
     the plain differences would lose the digits the point needs.  eta1 is
-    g2/(g1 + g2) from ``_tangency_terms``, capped at 1/2, and with
+    g2/(g1 + g2), capped at 1/2, for the tangency terms
+    g1 = q1*B - s'*(1-q1)*A and g2 = q2*B - s'*(1-q2)*A; these are
+    2*A*B*dF/dq2 and 2*A*B*dF/dq1 for the constraint F, and ``qmin_at``'s
+    Brent step writes out the same two terms (``round-trip-consistency``
+    in ``verify`` runs both copies against each other).  With
     S' = 2*s*(A + B/s') and P' = 2*s*A the derivatives of q1 + q2 and
     q1*q2, dq1/dt = (q1*S' - P')/r and dq2/dt = (P' - q2*S')/r.
 
@@ -426,7 +428,8 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
             if q1 > 1.0:  # by rounding, at the zero-slope end
                 q1 = 1.0
             q2 = a * (a / q1)
-            g1, g2 = _tangency_terms(q1, q2, a, b, sp)
+            g1 = q1 * b - sp * (1.0 - q1) * a
+            g2 = q2 * b - sp * (1.0 - q2) * a
             ds, dp = 2.0 * s * (a + b / sp), 2.0 * s * a
             d1 = (q1 * ds - dp) / r
             if g2 <= 0.0:
@@ -566,7 +569,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         # Identical inputs cannot be separated at all.
         return _ret(1.0, FailurePoint(1.0, 1.0))
     if ov.s_prime == 0.0:
-        return _ret(float(q_ud(prn, ov.s)), ud_tangency_point(prn, ov.s))
+        return _ret(_q_ud(prn.eta1, prn.eta2, ov.s), ud_tangency_point(prn, ov.s))
 
     s, beta = ov.s, ov.beta
     eta1, eta2 = prn.eta1, prn.eta2
@@ -597,12 +600,12 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         # for tiny beta; the float below 1 is within rounding of q1z.
         hi = 1.0 - _EPS / 2.0
 
+    sqrt = math.sqrt
+
     def tangency(q1: float) -> float:
         q2 = lower_half_q2(q1, s, beta)
-        g1, g2 = _tangency_terms(
-            q1, q2, math.sqrt(q1 * q2), math.sqrt((1.0 - q1) * (1.0 - q2)), beta
-        )
-        return eta1 * g1 - eta2 * g2
+        a, b = sqrt(q1 * q2), sqrt((1.0 - q1) * (1.0 - q2))
+        return eta1 * (q1 * b - beta * (1.0 - q1) * a) - eta2 * (q2 * b - beta * (1.0 - q2) * a)
 
     # Each end is evaluated once: Brent gets these values back.
     f_lo, f_hi = tangency(vertex), tangency(hi)
@@ -675,24 +678,23 @@ def max_separation(
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q_max must lie in [0, 1), got {q!r}")
     prn, _ = pr.normalized()
+    eta1, eta2 = prn.eta1, prn.eta2
 
     # s' vanishes linearly as the budget approaches the discrimination
     # cost, so budgets within rounding of it take the trivial branch.
-    if q >= float(q_ud(prn, s)) * (1.0 - 1e-13):
+    if q >= _q_ud(eta1, eta2, s) * (1.0 - 1e-13):
         return 0.0, math.nan
-    eta1, eta2, delta = prn.eta1, prn.eta2, prn.delta
+    delta = eta2 - eta1
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
         return s, math.nan if delta == 1.0 else _tradeoff_range(s, delta, eta1)[0]
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
-
-    def on_line(t: float) -> tuple[float, float]:
-        q1 = t * q1_hi
-        q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
-        return q1, 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
+    sqrt = math.sqrt
 
     def slope(t: float) -> float:
-        q1, q2 = on_line(t)
-        a, p1, p2 = math.sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
+        q1 = t * q1_hi
+        q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
+        q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
+        a, p1, p2 = sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
         return (s - a) * a * (p2 + p1 * k) - (q2 + q1 * k) * p1 * p2
 
     lo, hi = (q - eta2) / eta1 if q > eta2 else 0.0, 1.0  # q1_hi = 1 where lo > 0
@@ -702,7 +704,9 @@ def max_separation(
         f_lo = slope(lo := math.nextafter(lo, hi))
     if (f_hi := slope(hi)) == 0.0:
         f_hi = slope(hi := math.nextafter(hi, lo))
-    q1, q2 = on_line(_bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi))
+    q1 = _bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi) * q1_hi
+    q2 = (q - eta1 * q1) / eta2
+    q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
     # beta without cancellation: A taken apart where q1*q2 underflows, and
     # next to s = 1, s - A as ((1 - A^2) - (1 - s^2))/(s + A), with
     # 1 - A^2 = p1 + p2*q1.
@@ -896,7 +900,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
                 f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
             )
         thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
-        q_end = float(q_ud(prn, s))
+        q_end = _q_ud(prn.eta1, prn.eta2, s)
         s_primes, qs = _tradeoff_rows(thetas[1:-1], s, prn.eta1, thetas[0], q_end)
         # The sweep starts at the trivial protocol and ends at full
         # separation; both are exact identities, emitted directly.
@@ -938,11 +942,12 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    qud = float(q_ud(pr.normalized()[0], s))
+    prn, _ = pr.normalized()
+    qud = _q_ud(prn.eta1, prn.eta2, s)
     if q >= qud * (1.0 - 1e-13):
-        return TradeoffSample(math.nan, s, 0.0, qud)
+        return _tradeoff_sample((math.nan, s, 0.0, qud))
     s_prime, theta = max_separation(pr, s, q)
-    return TradeoffSample(theta, s, s_prime, q)
+    return _tradeoff_sample((theta, s, s_prime, q))
 
 
 # ---------------------------------------------------------------------------

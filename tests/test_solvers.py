@@ -1,5 +1,6 @@
 import __future__
 import copy
+import hashlib
 import inspect
 import math
 import pickle
@@ -662,6 +663,46 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
     # The cases are the ones in which brentq itself gives up.
     with pytest.raises(scipy_error):
         brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+
+
+# ---------------------------------------------------------------------------
+# the point queries' output bits
+
+
+# sha256 of the point-query corpus below, one repr (or error class) per line.
+_POINT_QUERY_DIGEST = "e2a3593925f2871d4b9ecd6cb7d07041dda6b0baba556d0120b2df8ae616ea13"
+
+
+def _point_query_lines():
+    """One line per answer of qmin_at, max_separation, tradeoff_at and
+    max_clones on seeded interior and edge inputs, each prior also mirrored:
+    the answer's repr, or the class of the error it raises."""
+    rng = np.random.default_rng(2210)
+    interior = rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (200, 3)).tolist()
+    for eta1, s, frac in interior + _edge_inputs(rng, 400):
+        for pr in (Priors.of(eta1), Priors.of(eta1).swapped()):
+            budget = frac * float(q_ud(pr, s))
+            for solve in (
+                lambda: qmin_at(pr, OverlapSpec(s, frac * s)),
+                lambda: qmin_at(pr, OverlapSpec(s, 0.0)),
+                lambda: max_separation(pr, s, budget),
+                lambda: tradeoff_at(pr, s, budget),
+                lambda: tradeoff_at(pr, s, 1.0),
+                lambda: max_clones(s, budget, pr),
+            ):
+                try:
+                    yield repr(solve())
+                except (DomainError, NumericError) as exc:
+                    yield type(exc).__name__
+
+
+def test_point_query_bits_are_pinned():
+    # Every bit of every answer, and which inputs raise, is what it was
+    # when pinned: a change to the solvers' arithmetic or branches shows here.
+    lines = list(_point_query_lines())
+    assert len(lines) == 7200
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _POINT_QUERY_DIGEST
 
 
 def test_tradeoff_curve_former_singular_angle_is_answered():
