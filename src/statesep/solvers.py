@@ -686,7 +686,7 @@ def max_separation(
         return 0.0, math.nan
     delta = eta2 - eta1
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
-        return s, math.nan if delta == 1.0 else _tradeoff_range(s, delta, eta1)[0]
+        return s, math.nan if delta == 1.0 else _tradeoff_range(s, eta1)[0]
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
     sqrt = math.sqrt
 
@@ -756,16 +756,16 @@ def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
     return delta, r, w, tau_plus
 
 
-def _tradeoff_range(s: float, delta: float, eta1: float) -> tuple[float, float]:
+def _tradeoff_range(s: float, eta1: float) -> tuple[float, float]:
     """Ellipse angles (theta_lo, theta_hi) where the tradeoff sweep starts and ends.
 
-    theta_lo = -atan2(s*delta, r) is the trivial protocol, with r from
-    ``_tradeoff_frame`` in place of sqrt(1 - delta**2), which cancels next
-    to certainty.  Full separation is at theta = 0 in the tangency regime
-    (eta1 >= s**2/(1 + s**2)), and else at the half-angle offset tau_plus
-    from theta_lo.
+    theta_lo = -atan2(s*delta, r) is the trivial protocol, with delta =
+    1 - 2*eta1 and r from ``_tradeoff_frame``, r in place of
+    sqrt(1 - delta**2), which cancels next to certainty.  Full separation
+    is at theta = 0 in the tangency regime (eta1 >= s**2/(1 + s**2)), and
+    else at the half-angle offset tau_plus from theta_lo.
     """
-    _, r, _, tau_plus = _tradeoff_frame(s, eta1)
+    delta, r, _, tau_plus = _tradeoff_frame(s, eta1)
     theta_lo = -math.atan2(s * delta, r)
     if eta1 >= s * s / (1.0 + s * s):
         return theta_lo, 0.0
@@ -899,7 +899,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
                 f"tradeoff sweep needs s*delta to be a normal float, got "
                 f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
             )
-        thetas = _linspace(*_tradeoff_range(s, delta, prn.eta1), n_samples)
+        thetas = _linspace(*_tradeoff_range(s, prn.eta1), n_samples)
         q_end = _q_ud(prn.eta1, prn.eta2, s)
         s_primes, qs = _tradeoff_rows(thetas[1:-1], s, prn.eta1, thetas[0], q_end)
         # The sweep starts at the trivial protocol and ends at full

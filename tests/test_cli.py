@@ -185,7 +185,7 @@ _STDOUT_SHA256 = [
     (["maxsep", "--eta1", "0.1", "--q-max", "0.4"], "7a673e0c66d07d27e879c0a84ddcf4b34e44c7094f56bea622fe59e2d3efda44"),
     (["tradeoff", "--eta1", "0.5", "--s", "0.6"], "efd60c0e5dfc2ebb441a6b283c7778990089eca7e5f612fd45062ffc4c3b1df3"),
     (["tradeoff", "--eta1", "0", "--s", "0.6"], "483e82bec21ee8921badace471f33634eb5d5b174e9769c1277ea23f0f7f9a84"),
-    (["tradeoff", "--eta1", "0.2", "--s", "0.6"], "f3fd128f6e8029955775ec10df156d1b696fd729edd72f5f71517a4d94cda4fc"),
+    (["tradeoff", "--eta1", "0.2", "--s", "0.6"], "0c148f7c85ba74e73dfad4245fe90a1e78828ed1a7ceb8307b5664b010a84d8e"),
     (
         ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "20000"],
         "3861ed6ee4bf28358b23c8edcc722e4d2c5b162eaec45ebaffc02d8d960163a6",
@@ -196,7 +196,7 @@ _STDOUT_SHA256 = [
     ),
     (
         ["tradeoff", "--eta1", "0.2", "--s", "0.6", "--format", "json"],
-        "fb4fe0b65e6f213a452fe8e56f172b82c01e82a68583f6e1da113bf50347c4f8",
+        "583c73e35f56fd2b60e9543464d31345c1ed47fb6bfe0c4ed895453f6adef1b4",
     ),
     (
         ["verify", "--samples", "2", "--shots", "20000", "--seed", "903"],

@@ -867,12 +867,13 @@ def test_tradeoff_rows_match_50_digit_angle_formulas(eta1, s, n):
         _check_angle_formula_rows(eta1, s, samples)
 
 
-@pytest.mark.parametrize("eta1, s", [(1e-8, 0.6), (1e-8, 0.999), (2e-9, 0.6)])
+@pytest.mark.parametrize("eta1, s", [(1e-8, 0.6), (1e-8, 0.999), (2e-9, 0.6), (0.2, 0.6)])
 def test_tradeoff_start_label_is_theta_lo_to_an_ulp(eta1, s):
     # theta_lo = -atan(s*delta/sqrt(1 - delta**2)).  Next to certainty
     # sqrt(1 - delta**2) cancels; taken that way, the label was 1768 to
     # 9812 ulps off at these priors, more than the sweep's whole angle range
-    # at the last two.
+    # at the last two.  delta is 1 - 2*eta1, as in the frame that gives r:
+    # eta2 - eta1 put the label at (0.2, 0.6) 1.5 ulp off.
     delta = 1 - 2 * _MP.mpf(eta1)
     want = -_MP.atan(s * delta / _MP.sqrt(1 - delta * delta))
     theta = tradeoff_curve(Priors.of(eta1), s, 24)[0].theta
