@@ -100,9 +100,7 @@ class Priors:
         return self.eta2 - self.eta1
 
     def swapped(self) -> "Priors":
-        # The fields are checked already, and the prior-sum check is
-        # symmetric, so the swap only writes them through the slots.
-        new = _new(Priors)
+        new = _new(Priors)  # the fields are checked, and the sum check is symmetric
         _set_eta1(new, self.eta2)
         _set_eta2(new, self.eta1)
         return new

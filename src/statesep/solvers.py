@@ -33,13 +33,10 @@ parametric curve formulas: on the curve sqrt(q1*q2) = s*t and
 sqrt((1-q1)*(1-q2)) = s*(1-t)/s' exactly, so q1 and q2 come in factored
 form, with both ends of the tangency range emitted as explicit points.
 ``qmin_curve`` runs it over the grid, and ``curve_point`` and ``verify``
-(through ``_curve_row``) run it on one parameter value.  The tangency
-terms q1*B - beta*(1-q1)*A and q2*B - beta*(1-q2)*A are written out in
-``_t_curve``, which solves them for the prior, and in ``qmin_at``'s Brent
-step, which root-finds them, so that a step costs no extra call; verify's
-``round-trip-consistency`` runs both and cross-checks the two copies.
-``q_ud`` wraps the float kernel ``_q_ud``, which the other solvers call
-directly.  ``_tradeoff_rows`` is the one implementation of the
+(through ``_curve_row``) run it on one parameter value.  It and
+``qmin_at``'s Brent step each write out the tangency terms, and verify's
+``round-trip-consistency`` checks the two copies against each other.
+``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas, in the half-angle offset of each ellipse angle from
 the sweep's start; the tests evaluate the angle formulas in mpmath as its
 referee.  Each loop raises at the first failing sample, in the range
@@ -193,7 +190,7 @@ def _bracketed_root(
     # step lengths.  The loop calls no builtin: |a| < |b| is tested as
     # -|b| < a < |b|, |b| is b or -b by the sign of b, and NaN is the one
     # float unequal to itself.  Each test has abs()'s result for every
-    # float, NaN and -0.0 included.  The tolerances are read from locals.
+    # float, NaN and -0.0 included.
     xtol, rtol = _ROOT_XTOL, _ROOT_RTOL
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):
@@ -380,11 +377,9 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     For s' >= s/2, where s - s' is exact, 1 - A - B is taken as
     (A*(1-s') - (s-s'))/s' and 1 - B as that plus A; as s' -> s and s' -> 1
     the plain differences would lose the digits the point needs.  eta1 is
-    g2/(g1 + g2), capped at 1/2, for the tangency terms
-    g1 = q1*B - s'*(1-q1)*A and g2 = q2*B - s'*(1-q2)*A; these are
-    2*A*B*dF/dq2 and 2*A*B*dF/dq1 for the constraint F, and ``qmin_at``'s
-    Brent step writes out the same two terms (``round-trip-consistency``
-    in ``verify`` runs both copies against each other).  With
+    g2/(g1 + g2), capped at 1/2, for g1 = q1*B - s'*(1-q1)*A and
+    g2 = q2*B - s'*(1-q2)*A, 2*A*B times dF/dq2 and dF/dq1 for the
+    constraint F (``qmin_at``'s Brent step root-finds the same terms); with
     S' = 2*s*(A + B/s') and P' = 2*s*A the derivatives of q1 + q2 and
     q1*q2, dq1/dt = (q1*S' - P')/r and dq2/dt = (P' - q2*S')/r.
 
@@ -759,11 +754,11 @@ def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
 def _tradeoff_range(s: float, eta1: float) -> tuple[float, float]:
     """Ellipse angles (theta_lo, theta_hi) where the tradeoff sweep starts and ends.
 
-    theta_lo = -atan2(s*delta, r) is the trivial protocol, with delta =
-    1 - 2*eta1 and r from ``_tradeoff_frame``, r in place of
-    sqrt(1 - delta**2), which cancels next to certainty.  Full separation
-    is at theta = 0 in the tangency regime (eta1 >= s**2/(1 + s**2)), and
-    else at the half-angle offset tau_plus from theta_lo.
+    theta_lo = -atan2(s*delta, r) is the trivial protocol, with delta and r
+    from ``_tradeoff_frame``: r in place of sqrt(1 - delta**2), which
+    cancels next to certainty.  Full separation is at theta = 0 in the
+    tangency regime (eta1 >= s**2/(1 + s**2)), and else at the half-angle
+    offset tau_plus from theta_lo.
     """
     delta, r, _, tau_plus = _tradeoff_frame(s, eta1)
     theta_lo = -math.atan2(s * delta, r)

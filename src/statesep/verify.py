@@ -180,9 +180,8 @@ def check_oracle_agreement(grid: int) -> CheckResult:
 def check_round_trip(seed: int) -> CheckResult:
     # A cycle through three kernels: the t-curve gives (eta1, Q_min) at s',
     # max_separation takes Q_min back to s', and qmin_at's q1 tangency
-    # takes that s' back to Q_min.  The t-curve and qmin_at's Brent step
-    # each write out the tangency terms, so this also checks one against
-    # the other.
+    # takes that s' back to Q_min; the first and last each write out the
+    # tangency terms, so the cycle checks one copy against the other.
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     for _ in range(1000):
