@@ -100,10 +100,7 @@ class Priors:
         return self.eta2 - self.eta1
 
     def swapped(self) -> "Priors":
-        new = _new(Priors)  # the fields are checked, and the sum check is symmetric
-        _set_eta1(new, self.eta2)
-        _set_eta2(new, self.eta1)
-        return new
+        return Priors(self.eta2, self.eta1)
 
     def normalized(self) -> tuple["Priors", bool]:
         """Equivalent priors with eta1 <= 1/2, plus whether a swap happened.
@@ -180,10 +177,7 @@ class FailurePoint:
         return 1.0 - self.q2
 
     def swapped(self) -> "FailurePoint":
-        new = _new(FailurePoint)  # the fields are checked already
-        _set_q1(new, self.q2)
-        _set_q2(new, self.q1)
-        return new
+        return FailurePoint(self.q2, self.q1)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -202,10 +196,9 @@ class FailureBudget:
         return self.q_avg
 
 
-# The constructors and swaps above write each checked field through its
-# slot descriptor; the frozen __setattr__ would refuse, and
-# object.__setattr__ is a slower route to the same descriptor.
-_new = object.__new__
+# The constructors above write each checked field through its slot
+# descriptor; the frozen __setattr__ would refuse, and object.__setattr__
+# is a slower route to the same descriptor.
 _set_eta1, _set_eta2 = Priors.eta1.__set__, Priors.eta2.__set__
 _set_s, _set_s_prime = OverlapSpec.s.__set__, OverlapSpec.s_prime.__set__
 _set_kappa = OverlapSpec.kappa.__set__

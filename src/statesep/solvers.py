@@ -12,7 +12,8 @@ separation problem:
   overlap under a failure budget, as the minimum along the budget line.
 * ``tradeoff_curve`` / ``tradeoff_at`` -- the full (Q, s') tradeoff for a
   fixed initial overlap; ``tradeoff_at`` is ``max_separation`` plus the
-  achieved budget, so every budget query shares one root-find.
+  achieved budget, so every budget query shares one root-find and one
+  full-separation test (``_budget_line_minimum``).
 * ``max_clones`` -- how many perfect clones a failure budget admits.
 * ``phase_transition_probe`` -- finite-difference detector for the kink in
   d^2Q/deta1^2 that appears only at full separation.
@@ -173,17 +174,21 @@ def _bracketed_root(
     NumericError when f does not change sign between lo and hi, when f
     returns NaN, or when the iteration does not converge.
     """
+
+    def failed(reason: str) -> NumericError:
+        return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
+
     xpre, xcur = lo, hi
     fpre = f(xpre) if f_lo is None else f_lo
     fcur = f(xcur) if f_hi is None else f_hi
     if math.isnan(fpre) or math.isnan(fcur):
-        raise _root_error(what, lo, hi, f"f(lo)={fpre!r}, f(hi)={fcur!r}")
+        raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise _root_error(what, lo, hi, f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
+        raise failed(f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
 
     # (xcur, fcur) is the best estimate, xblk the contrapoint that keeps the
     # root bracketed, xpre the previous iterate; spre/scur are the last two
@@ -191,7 +196,6 @@ def _bracketed_root(
     # -|b| < a < |b|, |b| is b or -b by the sign of b, and NaN is the one
     # float unequal to itself.  Each test has abs()'s result for every
     # float, NaN and -0.0 included.
-    xtol, rtol = _ROOT_XTOL, _ROOT_RTOL
     xblk = fblk = spre = scur = 0.0
     for _ in range(_ROOT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -201,7 +205,7 @@ def _bracketed_root(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * (xcur if xcur > 0.0 else -xcur)) / 2
+        delta = (_ROOT_XTOL + _ROOT_RTOL * (xcur if xcur > 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or -delta < sbis < delta:
             return xcur
@@ -239,14 +243,8 @@ def _bracketed_root(
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
         if fcur != fcur:
-            raise _root_error(what, lo, hi, f"f({xcur!r}) is NaN")
-    raise _root_error(
-        what, lo, hi, f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})"
-    )
-
-
-def _root_error(what: str, lo: float, hi: float, reason: str) -> NumericError:
-    return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
+            raise failed(f"f({xcur!r}) is NaN")
+    raise failed(f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +671,21 @@ def max_separation(
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q_max must lie in [0, 1), got {q!r}")
     prn, _ = pr.normalized()
-    eta1, eta2 = prn.eta1, prn.eta2
+    sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, float(q_ud(prn, s)))
+    return (0.0, math.nan) if sep is None else sep
 
+
+def _budget_line_minimum(
+    eta1: float, eta2: float, s: float, q: float, qud: float
+) -> tuple[float, float] | None:
+    """``max_separation``'s (s', theta) for checked inputs with eta1 <= 1/2.
+
+    None where the budget ``q`` covers the discrimination cost ``qud``.
+    """
     # s' vanishes linearly as the budget approaches the discrimination
     # cost, so budgets within rounding of it take the trivial branch.
-    if q >= _q_ud(eta1, eta2, s) * (1.0 - 1e-13):
-        return 0.0, math.nan
+    if q >= qud * (1.0 - 1e-13):
+        return None
     delta = eta2 - eta1
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
         return s, math.nan if delta == 1.0 else _tradeoff_range(s, eta1)[0]
@@ -686,6 +693,7 @@ def max_separation(
     sqrt = math.sqrt
 
     def slope(t: float) -> float:
+        # The point on the line at t; the root's point below repeats these lines.
         q1 = t * q1_hi
         q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
         q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
@@ -699,7 +707,8 @@ def max_separation(
         f_lo = slope(lo := math.nextafter(lo, hi))
     if (f_hi := slope(hi)) == 0.0:
         f_hi = slope(hi := math.nextafter(hi, lo))
-    q1 = _bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi) * q1_hi
+    t = _bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi)
+    q1 = t * q1_hi  # as in slope
     q2 = (q - eta1 * q1) / eta2
     q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
     # beta without cancellation: A taken apart where q1*q2 underflows, and
@@ -939,10 +948,10 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
     prn, _ = pr.normalized()
     qud = _q_ud(prn.eta1, prn.eta2, s)
-    if q >= qud * (1.0 - 1e-13):
+    sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, qud)
+    if sep is None:
         return _tradeoff_sample((math.nan, s, 0.0, qud))
-    s_prime, theta = max_separation(pr, s, q)
-    return _tradeoff_sample((theta, s, s_prime, q))
+    return _tradeoff_sample((sep[1], s, sep[0], q))
 
 
 # ---------------------------------------------------------------------------

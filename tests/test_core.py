@@ -150,9 +150,6 @@ _INSTANCES = [
     OverlapSpec(0.6, 0.3, kappa=0.5),
     FailurePoint(0.3, 0.5),
     FailureBudget(0.45),
-    # swapped() writes the checked fields through the slots, without __init__.
-    Priors(0.3, 0.7).swapped(),
-    FailurePoint(0.3, 0.5).swapped(),
 ]
 
 

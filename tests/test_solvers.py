@@ -255,6 +255,10 @@ def test_max_separation_zero_budget_recovers_identity():
     for eta1 in (0.1, 0.3, 0.5):
         sp, _ = max_separation(Priors.of(eta1), 0.37, 0.0)
         assert sp == pytest.approx(0.37, abs=1e-9)
+    # Its angle is the tradeoff sweep's first label, bit for bit.
+    for eta1 in (0.1, 0.3):
+        pr = Priors.of(eta1)
+        assert max_separation(pr, 0.37, 0.0)[1] == tradeoff_curve(pr, 0.37, 24)[0].theta
 
 
 def test_max_separation_matches_qmin_inverse():
