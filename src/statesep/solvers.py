@@ -593,11 +593,9 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         # for tiny beta; the float below 1 is within rounding of q1z.
         hi = 1.0 - _EPS / 2.0
 
-    sqrt = math.sqrt
-
     def tangency(q1: float) -> float:
         q2 = lower_half_q2(q1, s, beta)
-        a, b = sqrt(q1 * q2), sqrt((1.0 - q1) * (1.0 - q2))
+        a, b = math.sqrt(q1 * q2), math.sqrt((1.0 - q1) * (1.0 - q2))
         return eta1 * (q1 * b - beta * (1.0 - q1) * a) - eta2 * (q2 * b - beta * (1.0 - q2) * a)
 
     # Each end is evaluated once: Brent gets these values back.
@@ -690,14 +688,13 @@ def _budget_line_minimum(
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
         return s, math.nan if delta == 1.0 else _tradeoff_range(s, eta1)[0]
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
-    sqrt = math.sqrt
 
     def slope(t: float) -> float:
         # The point on the line at t; the root's point below repeats these lines.
         q1 = t * q1_hi
         q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
         q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
-        a, p1, p2 = sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
+        a, p1, p2 = math.sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
         return (s - a) * a * (p2 + p1 * k) - (q2 + q1 * k) * p1 * p2
 
     lo, hi = (q - eta2) / eta1 if q > eta2 else 0.0, 1.0  # q1_hi = 1 where lo > 0
