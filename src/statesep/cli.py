@@ -29,7 +29,6 @@ error, 3 numeric failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -72,6 +71,8 @@ def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[tuple], p
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n"
+    import json
+
     doc = {
         "meta": _meta(args, params),
         "rows": [
@@ -158,6 +159,8 @@ def cmd_optics(args: argparse.Namespace) -> tuple[str, bool]:
     itf = optics.build_interferometer(args.s, args.s_prime)
     report = optics.certify_separation(itf, args.shots, args.seed)
     if args.format == "json":
+        import json
+
         params = {"s": args.s, "s_prime": args.s_prime, "shots": args.shots}
         doc = {"meta": _meta(args, params), "report": report}
         return json.dumps(doc, indent=2) + "\n", report["passed"]

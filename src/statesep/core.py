@@ -13,13 +13,19 @@ success-flag states.  The boundary curve of this set, its fixed endpoints
 are what every solver in this package leans on.
 
 All values are plain floats in [0, 1]; everything here is pure and
-immutable, so instances can be shared freely across threads.
+immutable, so instances can be shared freely across threads.  The four
+domain types (``Priors``, ``OverlapSpec``, ``FailurePoint``,
+``FailureBudget``) are frozen, slotted value classes: their constructors
+check every field, and a small private base gives them field-wise ``==``,
+hash, repr, ``__match_args__`` and copy/pickle through those constructors.
+They are not dataclasses, so ``dataclasses.replace``/``fields`` do not
+apply to them; this module imports no ``dataclasses`` until one of them is
+written to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
@@ -69,10 +75,53 @@ def _prob_error(name: str, value: float) -> DomainError:
     return DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Priors:
+class _Value:
+    """Frozen value semantics over the fields a subclass names in ``__slots__``.
+
+    Field-wise ``==`` (within one class), hash and repr, as a frozen
+    dataclass has them; copy and pickle rebuild through the subclass's
+    checking ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    # A write is always an error, so dataclasses loads only when one happens.
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Priors(_Value):
     """Prior probabilities (eta1, eta2) of the two input states."""
 
+    __slots__ = ("eta1", "eta2")
     eta1: float
     eta2: float
 
@@ -114,8 +163,7 @@ class Priors:
         return self, False
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class OverlapSpec:
+class OverlapSpec(_Value):
     """Initial overlap s, target overlap s_prime and success-flag overlap kappa.
 
     ``beta = s_prime * kappa`` is the quantity the unitarity constraint
@@ -124,9 +172,10 @@ class OverlapSpec:
     (``kappa = 0``).
     """
 
+    __slots__ = ("s", "s_prime", "kappa")
     s: float
     s_prime: float
-    kappa: float = 1.0
+    kappa: float
 
     def __init__(self, s: float, s_prime: float, kappa: float = 1.0) -> None:
         s = float(s)
@@ -151,10 +200,10 @@ class OverlapSpec:
         return self.s_prime * self.kappa
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FailurePoint:
+class FailurePoint(_Value):
     """Conditional failure probabilities (q1, q2) of a protocol."""
 
+    __slots__ = ("q1", "q2")
     q1: float
     q2: float
 
@@ -180,10 +229,10 @@ class FailurePoint:
         return FailurePoint(self.q2, self.q1)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FailureBudget:
+class FailureBudget(_Value):
     """An average failure probability, either achieved (Q) or allowed (Q_max)."""
 
+    __slots__ = ("q_avg",)
     q_avg: float
 
     def __init__(self, q_avg: float) -> None:

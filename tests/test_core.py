@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -153,41 +154,69 @@ _INSTANCES = [
 ]
 
 
+# The fields of each domain type, in constructor order.
+_FIELDS = {
+    Priors: ("eta1", "eta2"),
+    OverlapSpec: ("s", "s_prime", "kappa"),
+    FailurePoint: ("q1", "q2"),
+    FailureBudget: ("q_avg",),
+}
+
+
 @pytest.mark.parametrize("obj", _INSTANCES, ids=lambda o: repr(o))
 def test_domain_types_are_frozen_slotted_values(obj):
-    names = [f.name for f in dataclasses.fields(obj)]
+    names = _FIELDS[type(obj)]
     values = tuple(getattr(obj, name) for name in names)
     assert not hasattr(obj, "__dict__")
-    assert type(obj).__slots__ == tuple(names)
+    assert type(obj).__slots__ == names
+    assert type(obj).__match_args__ == names
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, 0.25)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(obj, name)
-    # The generated value semantics: field-wise ==, hash and repr.
+    # Field-wise ==, hash and repr, as a frozen dataclass has them.
     twin = type(obj)(*values)
     assert twin == obj and hash(twin) == hash(obj) == hash(values)
+    assert obj != values
     assert repr(obj) == f"{type(obj).__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in zip(names, values)
     ) + ")"
     assert type(obj)(**dict(zip(names, values))) == obj
     for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
         assert type(copied) is type(obj) and copied == obj and repr(copied) == repr(obj)
-    assert dataclasses.replace(obj) == obj
 
 
-def test_replace_runs_the_checks():
-    assert dataclasses.fields(OverlapSpec)[2].default == 1.0
-    assert dataclasses.replace(OverlapSpec(0.6, 0.3), s_prime=0.1) == OverlapSpec(0.6, 0.1)
-    assert dataclasses.replace(Priors.of(0.3), eta1=0.4, eta2=0.6) == Priors.of(0.4)
-    with pytest.raises(DomainError, match="s_prime must not exceed s"):
-        dataclasses.replace(OverlapSpec(0.6, 0.3), s_prime=0.9)
-    with pytest.raises(DomainError, match="priors must sum to 1"):
-        dataclasses.replace(Priors.of(0.3), eta1=0.4)
-    with pytest.raises(DomainError, match="q_avg must lie in"):
-        dataclasses.replace(FailureBudget(0.3), q_avg=-1.0)
-    with pytest.raises(DomainError, match="q2 must lie in"):
-        dataclasses.replace(FailurePoint(0.3, 0.2), q2=2.0)
+def test_domain_types_are_unequal_across_types():
+    pt = FailurePoint(0.5, 0.5)
+    assert pt != Priors(0.5, 0.5) and Priors(0.5, 0.5) != pt
+    assert pt != (0.5, 0.5) and (0.5, 0.5) != pt
+    assert FailureBudget(0.5) != 0.5
+    assert pt.__eq__(Priors(0.5, 0.5)) is NotImplemented
+
+
+def _unchecked(cls, *values):
+    """An instance whose fields skipped the constructor's checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(_FIELDS[cls], values):
+        getattr(cls, name).__set__(obj, value)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (_unchecked(FailurePoint, 2.0, 0.5), "q1 must lie in [0, 1], got 2.0"),
+        (_unchecked(Priors, 0.3, 0.6), "priors must sum to 1 within 1e-12, got 0.3 + 0.6"),
+        (_unchecked(OverlapSpec, 0.3, 0.6, 1.0), "s_prime must not exceed s"),
+        (_unchecked(FailureBudget, -1.0), "q_avg must lie in [0, 1], got -1.0"),
+    ],
+    ids=["FailurePoint", "Priors", "OverlapSpec", "FailureBudget"],
+)
+def test_copy_and_pickle_rebuild_through_the_checks(obj, message):
+    for rebuild in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rebuild(obj)
 
 
 def test_sqrt_clamped():

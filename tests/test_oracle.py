@@ -5,6 +5,8 @@ import pytest
 
 from statesep import (
     DomainError,
+    FailureBudget,
+    FailurePoint,
     NumericError,
     OverlapSpec,
     Priors,
@@ -33,6 +35,15 @@ def test_oracle_trivial_target():
     q, pt = oracle_qmin(Priors.of(0.37), OverlapSpec(0.5, 0.5))
     assert float(q) == 0.0
     assert (pt.q1, pt.q2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("eta1", [0.2, 0.8])
+def test_oracle_identical_states_always_fail(eta1):
+    # s = 1 with s' < 1: only the certain-failure point (1, 1) is feasible.
+    ov = OverlapSpec(1.0, 0.5)
+    expected = (FailureBudget(1.0), FailurePoint(1.0, 1.0))
+    assert qmin_at(Priors.of(eta1), ov) == expected
+    assert oracle_qmin(Priors.of(eta1), ov) == expected
 
 
 def test_oracle_swap_normalization():
