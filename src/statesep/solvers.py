@@ -41,8 +41,10 @@ form, with both ends of the tangency range emitted as explicit points.
 tradeoff formulas, in the half-angle offset of each ellipse angle from
 the sweep's start; the tests evaluate the angle formulas in mpmath as its
 referee.  Each loop raises at the first failing sample, in the range
-checks of ``FailurePoint`` (q1, q2, in its constructor) and
-``FailureBudget`` (Q).  ``QminSample`` and ``TradeoffSample`` are named
+checks of ``FailurePoint`` (q1, then q2) and ``FailureBudget`` (Q), which
+``_t_curve`` and ``_tradeoff_rows`` write out with the constructors' own
+messages; ``_t_curve`` then builds its point with ``object.__new__`` and
+core's slot setters.  ``QminSample`` and ``TradeoffSample`` are named
 tuples, and the sweeps build every record with ``tuple.__new__`` on its
 class: the generated ``__new__`` makes only that call, so a record equals
 what the constructor builds from its fields.  A ``TradeoffSample`` is four
@@ -55,9 +57,8 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from itertools import repeat
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (
@@ -68,6 +69,8 @@ from .core import (
     OverlapSpec,
     Priors,
     _prob_error,
+    _set_q1,
+    _set_q2,
     lower_half_q2,
     sqrt_clamped,
 )
@@ -143,13 +146,6 @@ class TradeoffSample(NamedTuple):
     s: float
     s_prime: float
     q: float
-
-
-# The sweeps build their records with tuple.__new__ on the class: the
-# named tuple's generated __new__ is a Python function that makes the same
-# call with its arguments packed, and nothing else.
-_qmin_sample = partial(tuple.__new__, QminSample)
-_tradeoff_sample = partial(tuple.__new__, TradeoffSample)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +357,9 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     """The constraint curve at each parameter value in ``ts``, one sample per t.
 
     A sample is the record ``QminSample(t, eta1, Q, FailurePoint(q1, q2),
-    dq1/dt, dq2/dt)``, built by ``tuple.__new__``, where eta1 is the prior
-    whose objective line is tangent at the point, and Q = eta1*q1 +
-    (1 - eta1)*q2, clamped to [0, 1].
+    dq1/dt, dq2/dt)``, where eta1 is the prior whose objective line is
+    tangent at the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to
+    [0, 1].
 
     On the curve A = sqrt(q1*q2) = s*t and B = sqrt((1-q1)*(1-q2)) =
     s*(1-t)/s' exactly, so q1 and q2 are the roots of
@@ -387,8 +383,11 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     infinite derivatives.  Where g2 <= 0, the zero-slope end and any t
     rounded past it, the row is the zero-slope point itself, with eta1 and
     dq2/dt 0.  The rows are taken in order; the only check is
-    ``FailurePoint``'s constructor, which raises DomainError at the first
-    offending t.
+    ``FailurePoint``'s range check of q1, then q2, written out as
+    ``_tradeoff_rows`` writes out ``FailureBudget``'s, which raises the
+    constructor's DomainError at the first offending t.  The point is then
+    built with ``object.__new__`` and core's slot setters, and the row with
+    ``tuple.__new__``, so neither runs a Python constructor.
 
     This is the one implementation of the parametric formulas: the sweep
     runs it over its grid and ``_curve_row`` over a single t.
@@ -399,7 +398,8 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     vertex = gap / (1.0 - sp)
     q1_end, q2_end = _zero_slope_end(s, sp)
     close = sp >= 0.5 * s
-    sqrt, inf = math.sqrt, math.inf
+    two_s = 2.0 * s
+    sqrt, inf, new_point, new_row = math.sqrt, math.inf, object.__new__, tuple.__new__
     rows: list[QminSample] = []
     add = rows.append
     for t in ts:
@@ -423,7 +423,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
             q2 = a * (a / q1)
             g1 = q1 * b - sp * (1.0 - q1) * a
             g2 = q2 * b - sp * (1.0 - q2) * a
-            ds, dp = 2.0 * s * (a + b / sp), 2.0 * s * a
+            ds, dp = two_s * (a + b / sp), two_s * a
             d1 = (q1 * ds - dp) / r
             if g2 <= 0.0:
                 q1, q2 = q1_end, q2_end
@@ -438,7 +438,15 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
             q = 0.0
         elif q > 1.0:
             q = 1.0
-        add(_qmin_sample((t, eta1, q, FailurePoint(q1, q2), d1, d2)))
+        # FailurePoint's range checks, written out; q1 is checked first.
+        if not 0.0 <= q1 <= 1.0:
+            raise _prob_error("q1", q1)
+        if not 0.0 <= q2 <= 1.0:
+            raise _prob_error("q2", q2)
+        point = new_point(FailurePoint)
+        _set_q1(point, q1)
+        _set_q2(point, q2)
+        add(new_row(QminSample, (t, eta1, q, point, d1, d2)))
     return rows
 
 
@@ -491,7 +499,7 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
     ts = _linspace(t_slope_minus_one(ov), t_slope_zero(ov), n_samples)
     samples = _t_curve(ts, ov)
-    eta1 = [smp.eta1 for smp in samples]
+    eta1 = list(map(itemgetter(1), samples))
     worst = max(map(sub, eta1[1:], eta1))
     if worst > _MONOTONE_TOL:
         raise NumericError(
@@ -908,7 +916,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         s_primes = [s, *s_primes, 0.0]
         qs = [0.0, *qs, q_end]
         _check_tradeoff_order(s_primes, qs, s, prn.eta1)
-    return list(map(_tradeoff_sample, zip(thetas, repeat(s), s_primes, qs)))
+    return list(map(tuple.__new__, repeat(TradeoffSample), zip(thetas, repeat(s), s_primes, qs)))
 
 
 def _check_tradeoff_order(
@@ -947,8 +955,8 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
     qud = _q_ud(prn.eta1, prn.eta2, s)
     sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, qud)
     if sep is None:
-        return _tradeoff_sample((math.nan, s, 0.0, qud))
-    return _tradeoff_sample((sep[1], s, sep[0], q))
+        return tuple.__new__(TradeoffSample, (math.nan, s, 0.0, qud))
+    return tuple.__new__(TradeoffSample, (sep[1], s, sep[0], q))
 
 
 # ---------------------------------------------------------------------------

@@ -709,6 +709,47 @@ def test_point_query_bits_are_pinned():
     assert digest == _POINT_QUERY_DIGEST
 
 
+# sha256 of the sweep corpus below, one repr (or error class) per line.
+_SWEEP_DIGEST = "f86474263d4ebed4302321b9b95ee09b0820cffae4e8e983f0b45a9392df0bb4"
+
+
+def _sweep_lines():
+    """One line per row of qmin_curve and tradeoff_curve on seeded interior
+    and edge inputs at 2, 7 and 512 samples: the row's repr, or the class
+    of the error the sweep raises.  Each tradeoff prior is also mirrored,
+    and the fixed priors reach the equal-prior and certainty branches."""
+    rng = np.random.default_rng(2510)
+    interior = rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (6, 3)).tolist()
+    branches = [(0.5, 0.6, 0.5), (0.5 - 1e-10, 0.3, 0.5), (0.0, 0.6, 0.5), (1e-10, 0.6, 0.5)]
+    sweeps = [
+        # A refusal of each kind: the eta1 guard next to s = 1, s*delta
+        # below the normal range, and an s' outside (0, s).
+        lambda n: qmin_curve(OverlapSpec(0.9999999999999911, 0.9313299158166922), n),
+        lambda n: tradeoff_curve(Priors.of(0.3), 1e-320, n),
+        lambda n: qmin_curve(OverlapSpec(0.6, 0.0), n),
+    ]
+    for eta1, s, frac in interior + _edge_inputs(rng, 12) + branches:
+        sweeps += [
+            lambda n, s=s, sp=frac * s: qmin_curve(OverlapSpec(s, sp), n),
+            lambda n, pr=Priors.of(eta1), s=s: tradeoff_curve(pr, s, n),
+            lambda n, pr=Priors.of(eta1).swapped(), s=s: tradeoff_curve(pr, s, n),
+        ]
+    for sweep in sweeps:
+        for n in (2, 7, 512):
+            try:
+                yield from map(repr, sweep(n))
+            except (DomainError, NumericError) as exc:
+                yield type(exc).__name__
+
+
+def test_sweep_bits_are_pinned():
+    # Every bit of every sweep row, and which sweeps raise, is what it was
+    # when pinned: a change to the sweeps' arithmetic or records shows here.
+    lines = list(_sweep_lines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (34402, _SWEEP_DIGEST)
+
+
 def test_tradeoff_curve_former_singular_angle_is_answered():
     # delta + sin(theta) rounded to 0 at one angle of this sweep, and the
     # sweep refused it; the half-angle form has no such denominator.
@@ -1018,7 +1059,10 @@ def test_sweep_records_match_the_public_constructors(sweep, cls):
     for smp in sweep():
         assert type(smp) is cls
         if cls is QminSample:
+            # The t-curve builds its points past FailurePoint's constructor.
             assert type(smp.point) is FailurePoint
+            twin = FailurePoint(smp.point.q1, smp.point.q2)
+            assert smp.point == twin and hash(smp.point) == hash(twin)
         # Field by field, so that a NaN theta equals itself.
         assert _leaves(type(smp)(*smp)) == _leaves(smp)
         assert {t for _, _, t, _ in _leaves(smp)} == {"float"}
