@@ -755,12 +755,21 @@ def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
     """``(delta, r, w, tau_plus)`` of the half-angle form (``_tradeoff_rows``).
 
     r = 2*sqrt(eta1*(1 - eta1)) avoids sqrt(1 - delta**2), which cancels as
-    eta1 -> 0; every term is a product of nonnegative ones.
+    eta1 -> 0; every term is a product of nonnegative ones.  The smallest of
+    them is r*w**3 (half the rows' Q numerator), and the frame raises
+    NumericError where it is below the normal float range: only for s and
+    sqrt(eta1) both below about 1e-77, where tau_plus's terms and the rows'
+    Q coefficients underflow.
     """
     delta = 1.0 - 2.0 * eta1
     r = 2.0 * math.sqrt(eta1 * (1.0 - eta1))
     sd = s * delta
     w = math.sqrt(r * r + sd * sd)
+    if r * w * w * w < _TINY:
+        raise NumericError(
+            f"tradeoff sweep cannot resolve eta1={eta1!r} at s={s!r}: its angle frame "
+            f"underflows (r*w**3 = {r * w * w * w!r} is below the normal float range)"
+        )
     tau_plus = (1.0 - s) * (1.0 + s) * r * r * r / ((w + sd) * (w + s) * (w + s))
     return delta, r, w, tau_plus
 
@@ -874,10 +883,11 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     Others take ``_tradeoff_rows``.  A 50-digit referee in the tests
     confirms sampled rows to 1e-9 relative, with s out to subnormal values
     and to 1e-12 of 1, and eta1 out to 0 and to the equal-prior cutoff.
-    The sweep refuses with NumericError where s*delta is below
-    the normal float range, or where Q falls or s' rises by more than
-    1e-10.  Every branch range-checks Q as ``FailureBudget`` would, and
-    builds the records with ``tuple.__new__``.
+    The sweep refuses with NumericError where s*delta is below the normal
+    float range, where the angle frame underflows (``_tradeoff_frame``: s
+    and sqrt(eta1) both below about 1e-77), or where Q falls or s' rises
+    by more than 1e-10.  Every branch range-checks Q as ``FailureBudget``
+    would, and builds the records with ``tuple.__new__``.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")

@@ -22,6 +22,7 @@ import math
 import sys
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,3 +173,39 @@ def test_s_delta_below_the_normal_range_is_refused():
 def test_certainty_closed_form_is_off_next_to_certainty():
     # It was 9.9e-8 off here, when it took eta1 in (0, 1e-9] as 0.
     assert check_tradeoff_curve(1e-9, 0.1, 24) == "answered"
+
+
+@pytest.mark.parametrize(
+    "eta1, s",
+    [(1e-300, 1e-300), (1e-200, 1e-100)],
+    ids=["tau-plus-0-over-0", "q-numerator-0"],
+)
+def test_underflowing_angle_frame_is_refused(eta1, s):
+    # Both leaked ZeroDivisionError: tau_plus's numerator and denominator
+    # underflowed to 0 at the first, and the rows' Q numerator 2*r*w**3 at
+    # the second.
+    with pytest.raises(NumericError) as got:
+        tradeoff_curve(Priors.of(eta1), s, 7)
+    assert str(got.value) == (
+        f"tradeoff sweep cannot resolve eta1={eta1!r} at s={s!r}: its angle frame "
+        "underflows (r*w**3 = 0.0 is below the normal float range)"
+    )
+
+
+def test_tiny_overlaps_and_priors_answer_or_refuse():
+    # s log-uniform over 1e-320..1 and eta1 over 1e-324..1/2.  Before the
+    # frame's underflow check, 290 of these leaked ZeroDivisionError and 6
+    # answered wrong rows.  Each sweep answers or raises NumericError, and
+    # every 50th answer is judged (judging all 643 takes about 10 s).
+    rng = np.random.default_rng(2501)
+    answered = 0
+    for s, eta1 in 10.0 ** rng.uniform([-320.0, -324.0], [0.0, math.log10(0.5)], (1000, 2)):
+        try:
+            rows = tradeoff_curve(Priors.of(eta1), s, 7)
+        except NumericError:
+            continue
+        if answered % 50 == 0:
+            for row in (rows[1], rows[3], rows[5]):
+                assert row_is_right(eta1, s, row.s_prime, row.q), (eta1, s, row)
+        answered += 1
+    assert answered == 643
