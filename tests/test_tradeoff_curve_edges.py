@@ -199,7 +199,8 @@ def test_tiny_overlaps_and_priors_answer_or_refuse():
     # every 50th answer is judged (judging all 643 takes about 10 s).
     rng = np.random.default_rng(2501)
     answered = 0
-    for s, eta1 in 10.0 ** rng.uniform([-320.0, -324.0], [0.0, math.log10(0.5)], (1000, 2)):
+    draws = 10.0 ** rng.uniform([-320.0, -324.0], [0.0, math.log10(0.5)], (1000, 2))
+    for s, eta1 in draws.tolist():
         try:
             rows = tradeoff_curve(Priors.of(eta1), s, 7)
         except NumericError:
