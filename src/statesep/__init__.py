@@ -28,13 +28,10 @@ _EXPORTS = {
         "FailurePoint",
         "FailureBudget",
         "sqrt_clamped",
-        "average_failure",
         "unitarity_residual",
-        "in_feasible_set",
     ),
     "conics": (
         "ConicPoint",
-        "to_conic",
         "from_conic",
         "parabola_v",
         "ellipse_point",

@@ -19,13 +19,11 @@ tangency points can live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DomainError, FailurePoint, FailureBudget, Priors, sqrt_clamped
+from .core import DomainError, FailurePoint, FailureBudget, Priors, _Value, sqrt_clamped
 
 __all__ = [
     "ConicPoint",
-    "to_conic",
     "from_conic",
     "parabola_v",
     "ellipse_point",
@@ -34,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConicPoint:
+class ConicPoint(_Value):
     """A point (u, v) = (geometric mean, arithmetic mean) of a failure pair.
 
     u <= v always (AM-GM); v <= 1 additionally holds for images of actual
@@ -43,19 +40,16 @@ class ConicPoint:
     is not enforced here.
     """
 
+    __slots__ = ("u", "v")
     u: float
     v: float
 
-    def __post_init__(self):
-        if self.u < 0.0 or self.v < 0.0:
+    def __init__(self, u: float, v: float) -> None:
+        self._fill(u, v)
+        if u < 0.0 or v < 0.0:
             raise DomainError(f"conic coordinates must be nonnegative, got {self!r}")
-        if self.u > self.v + 1e-12:
+        if u > v + 1e-12:
             raise DomainError(f"geometric mean exceeds arithmetic mean: {self!r}")
-
-
-def to_conic(pt: FailurePoint) -> ConicPoint:
-    """Map a failure point to its mean coordinates (u, v)."""
-    return ConicPoint(math.sqrt(pt.q1 * pt.q2), 0.5 * (pt.q1 + pt.q2))
 
 
 def from_conic(cp: ConicPoint) -> tuple[FailurePoint, FailurePoint]:
@@ -160,27 +154,20 @@ def tangency_residuals(
 ) -> tuple[float, float]:
     """Residuals of the ellipse/parabola tangency system.
 
-    The first residual measures membership of the ellipse point in the
-    parabola, the second the mismatch of their slopes (parabola minus
-    ellipse, as ``conic_slopes`` gives them); both vanish at the optimal
+    The first residual is the height of the ellipse point
+    (``ellipse_point``) above the parabola (``parabola_v``) at its u, the
+    second the mismatch of their slopes (parabola minus ellipse, as
+    ``conic_slopes`` gives them); both vanish at the optimal
     tangency angle of unequal priors.  For equal priors the ellipse is the
     horizontal segment v = Q and the optimum sits at its end theta = 0,
     where the parabola still slopes: the slope residual is the parabola's
     slope there, not 0.  At sin(theta) = 0 with unequal priors the ellipse
-    slope, and with it the slope residual, is a signed ``inf``.
+    slope, and with it the slope residual, is a signed ``inf``.  An angle
+    with cos(theta) < 0, which no solver reports, has no conic point (u < 0)
+    and is refused.
     """
-    delta = _check_delta(pr)
+    cp = ellipse_point(theta, q, pr)
     if s_prime <= 0.0:
         raise DomainError("tangency system requires s_prime > 0")
-    q_avg = float(q)
-    st, ct = math.sin(theta), math.cos(theta)
-    one = 1.0 - delta * delta
-    u = q_avg * ct / math.sqrt(one)
-
-    member = q_avg * (1.0 + delta * st) / one - (
-        0.5
-        + q_avg * q_avg * ct * ct / (2.0 * one)
-        - (u - s) ** 2 / (2.0 * s_prime * s_prime)
-    )
-    ellipse, parabola = conic_slopes(theta, pr, u, s, s_prime)
-    return member, parabola - ellipse
+    ellipse, parabola = conic_slopes(theta, pr, cp.u, s, s_prime)
+    return cp.v - parabola_v(cp.u, s, s_prime), parabola - ellipse

@@ -5,12 +5,13 @@ states with overlap ``s_prime``, flagging failure with probability ``q_i``
 when fed state ``i``.  Physically realizable protocols are exactly those
 whose failure point ``(q1, q2)`` satisfies the unitarity constraint
 
-    sqrt(p1 * p2) * beta + sqrt(q1 * q2) >= s,        p_i = 1 - q_i,
+    sqrt(p1 * p2) * s_prime + sqrt(q1 * q2) >= s,        p_i = 1 - q_i.
 
-where ``beta = s_prime * kappa`` and ``kappa`` is the overlap of the two
-success-flag states.  The boundary curve of this set, its fixed endpoints
-``(1, s**2)`` and ``(s**2, 1)``, and the convexity of the enclosed region
-are what every solver in this package leans on.
+The optimal protocols share one success flag, so the target overlap enters
+the constraint as it is; the kernels below call it ``beta``.  The boundary
+curve of this set, its fixed endpoints ``(1, s**2)`` and ``(s**2, 1)``, and
+the convexity of the enclosed region are what every solver in this package
+leans on.
 
 All values are plain floats in [0, 1]; everything here is pure and
 immutable, so instances can be shared freely across threads.  The four
@@ -18,9 +19,11 @@ domain types (``Priors``, ``OverlapSpec``, ``FailurePoint``,
 ``FailureBudget``) are frozen, slotted value classes: their constructors
 check every field, and a small private base gives them field-wise ``==``,
 hash, repr, ``__match_args__`` and copy/pickle through those constructors.
-They are not dataclasses, so ``dataclasses.replace``/``fields`` do not
-apply to them; this module imports no ``dataclasses`` until one of them is
-written to.
+The package's other value classes (``conics.ConicPoint``, optics'
+``ModeState``, ``Interferometer`` and ``ShotCounts``, and
+``verify.CheckResult``) share that base.  None of them is a dataclass, so
+``dataclasses.replace``/``fields`` do not apply to them; the package
+imports no ``dataclasses`` until one of them is written to.
 """
 
 from __future__ import annotations
@@ -30,22 +33,15 @@ import math
 __all__ = [
     "DomainError",
     "NumericError",
-    "RESIDUAL_TOL",
     "SQRT_CLAMP_TOL",
     "Priors",
     "OverlapSpec",
     "FailurePoint",
     "FailureBudget",
     "sqrt_clamped",
-    "average_failure",
     "unitarity_residual",
-    "in_feasible_set",
     "lower_half_q2",
 ]
-
-# Absolute tolerance on the unitarity residual; all quantities are O(1) so
-# double precision leaves ample headroom.
-RESIDUAL_TOL = 1e-12
 
 # Square-root arguments within this distance below zero are rounding debris
 # from the curve endpoints and are clamped; anything more negative is a bug.
@@ -106,6 +102,11 @@ class _Value:
     def __reduce__(self):
         return type(self), self._values()
 
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, past the frozen ``__setattr__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     # A write is always an error, so dataclasses loads only when one happens.
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -164,40 +165,30 @@ class Priors(_Value):
 
 
 class OverlapSpec(_Value):
-    """Initial overlap s, target overlap s_prime and success-flag overlap kappa.
+    """Initial overlap s and target overlap s_prime, with s_prime <= s.
 
-    ``beta = s_prime * kappa`` is the quantity the unitarity constraint
-    actually depends on; optimal separation uses identical flags
-    (``kappa = 1``) while unambiguous discrimination uses orthogonal ones
-    (``kappa = 0``).
+    The unitarity constraint sees the target through s_prime alone: the
+    protocols here succeed into one shared flag state.  s_prime = 0 is
+    unambiguous discrimination.
     """
 
-    __slots__ = ("s", "s_prime", "kappa")
+    __slots__ = ("s", "s_prime")
     s: float
     s_prime: float
-    kappa: float
 
-    def __init__(self, s: float, s_prime: float, kappa: float = 1.0) -> None:
+    def __init__(self, s: float, s_prime: float) -> None:
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise _prob_error("s", s)
         s_prime = float(s_prime)
         if not 0.0 <= s_prime <= 1.0:
             raise _prob_error("s_prime", s_prime)
-        kappa = float(kappa)
-        if not 0.0 <= kappa <= 1.0:
-            raise _prob_error("kappa", kappa)
         if s_prime > s:
             raise DomainError(
                 f"s_prime must not exceed s, got s_prime={s_prime!r} > s={s!r}"
             )
         _set_s(self, s)
         _set_s_prime(self, s_prime)
-        _set_kappa(self, kappa)
-
-    @property
-    def beta(self) -> float:
-        return self.s_prime * self.kappa
 
 
 class FailurePoint(_Value):
@@ -250,34 +241,21 @@ class FailureBudget(_Value):
 # is a slower route to the same descriptor.
 _set_eta1, _set_eta2 = Priors.eta1.__set__, Priors.eta2.__set__
 _set_s, _set_s_prime = OverlapSpec.s.__set__, OverlapSpec.s_prime.__set__
-_set_kappa = OverlapSpec.kappa.__set__
 _set_q1, _set_q2 = FailurePoint.q1.__set__, FailurePoint.q2.__set__
 _set_q_avg = FailureBudget.q_avg.__set__
 
 
-def average_failure(pt: FailurePoint, pr: Priors) -> FailureBudget:
-    """Prior-weighted average failure probability eta1*q1 + eta2*q2."""
-    # The 1e-12 slack in the prior-sum invariant can push the weighted sum
-    # a hair outside [0, 1]; the true value never is.
-    return FailureBudget(min(max(pr.eta1 * pt.q1 + pr.eta2 * pt.q2, 0.0), 1.0))
-
-
 def unitarity_residual(pt: FailurePoint, ov: OverlapSpec) -> float:
-    """Residual sqrt(p1*p2)*beta + sqrt(q1*q2) - s of the unitarity constraint.
+    """Residual sqrt(p1*p2)*s_prime + sqrt(q1*q2) - s of the unitarity constraint.
 
     Zero iff ``pt`` lies on the constraint curve; positive inside the
     feasible region.  Symmetric under q1 <-> q2.
     """
     return (
-        sqrt_clamped(pt.p1 * pt.p2) * ov.beta
+        sqrt_clamped(pt.p1 * pt.p2) * ov.s_prime
         + sqrt_clamped(pt.q1 * pt.q2)
         - ov.s
     )
-
-
-def in_feasible_set(pt: FailurePoint, ov: OverlapSpec, tol: float = RESIDUAL_TOL) -> bool:
-    """Whether ``pt`` is realizable by some protocol with the given overlaps."""
-    return unitarity_residual(pt, ov) >= -tol
 
 
 def _off_range_error(q1: float, s: float, beta: float) -> NumericError:

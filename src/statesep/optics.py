@@ -22,11 +22,10 @@ disjoint integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, sqrt_clamped
+from .core import DomainError, _Value, sqrt_clamped
 
 __all__ = [
     "ModeState",
@@ -42,28 +41,23 @@ __all__ = [
 _MATRIX_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModeState:
+class ModeState(_Value):
     """Single-photon state over the three ports, as complex amplitudes."""
 
+    __slots__ = ("amplitudes",)
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (3,):
             raise DomainError(f"expected 3 mode amplitudes, got shape {amps.shape}")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise DomainError(f"mode state must be normalized, |amps|^2 = {norm2!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        """Detection probabilities per port."""
-        return np.abs(self.amplitudes) ** 2
+        self._fill(amps)
 
 
-@dataclass(frozen=True)
-class Interferometer:
+class Interferometer(_Value):
     """Protocol unitary with its two beam-splitter factors.
 
     Instances produced by :func:`build_interferometer` satisfy
@@ -72,11 +66,17 @@ class Interferometer:
     negative controls; :func:`certify_separation` is what checks them.
     """
 
+    __slots__ = ("u", "bs1", "bs2", "s", "s_prime")
     u: np.ndarray
     bs1: np.ndarray
     bs2: np.ndarray
     s: float
     s_prime: float
+
+    def __init__(
+        self, u: np.ndarray, bs1: np.ndarray, bs2: np.ndarray, s: float, s_prime: float
+    ) -> None:
+        self._fill(u, bs1, bs2, s, s_prime)
 
     @property
     def q_expected(self) -> float:
@@ -84,19 +84,20 @@ class Interferometer:
         return (self.s - self.s_prime) / (1.0 - self.s_prime)
 
 
-@dataclass(frozen=True)
-class ShotCounts:
+class ShotCounts(_Value):
     """Detector tallies of a photon-counting run."""
 
+    __slots__ = ("n1", "n2", "n3", "shots", "seed")
     n1: int
     n2: int
     n3: int
     shots: int
     seed: int
 
-    def __post_init__(self):
-        if self.n1 + self.n2 + self.n3 != self.shots:
+    def __init__(self, n1: int, n2: int, n3: int, shots: int, seed: int) -> None:
+        if n1 + n2 + n3 != shots:
             raise DomainError("detector counts must sum to the number of shots")
+        self._fill(n1, n2, n3, shots, seed)
 
     @property
     def empirical_q(self) -> float:
@@ -199,8 +200,6 @@ def simulate(itf: Interferometer, input_index: int, shots: int, seed: int) -> Sh
 def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray, shots: int) -> float:
     """Goodness-of-fit p-value across detectors, zero-probability cells dropped."""
     keep = probs > 0.0
-    if keep.sum() < 2:
-        return 1.0
     expected = probs[keep] * shots
     observed = counts[keep].astype(float)
     # chisquare requires matching totals; renormalize expected onto the
@@ -209,7 +208,9 @@ def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray, shots: int) -> float:
     expected *= observed.sum() / expected.sum()
     stat = float(np.sum((observed - expected) ** 2 / expected))
     # Three detectors leave at most two degrees of freedom, where the
-    # chi-square survival function has closed forms.
+    # chi-square survival function has closed forms.  A single live cell
+    # (no degree of freedom) has probability 1.0 and every count, so its
+    # statistic is exactly 0 and the last line gives p = 1.
     if observed.size == 2:
         return math.erfc(math.sqrt(stat / 2.0))
     return math.exp(-stat / 2.0)

@@ -115,7 +115,7 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoin
     endpoints, and golden-sections the best bracket (at most 60 steps, down
     to a width of 1e-10).
     """
-    s, beta = ov.s, ov.beta
+    s, beta = ov.s, ov.s_prime
     prn, swapped = pr.normalized()
 
     def _ret(q: float, q1: float, q2: float) -> tuple[FailureBudget, FailurePoint]:

@@ -157,26 +157,24 @@ def _bracketed_root(
     lo: float,
     hi: float,
     what: str,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
+    f_lo: float,
+    f_hi: float,
 ) -> float:
-    """Root of f on [lo, hi] by Brent's method.
+    """Root of f on [lo, hi] by Brent's method, given f_lo = f(lo) and f_hi = f(hi).
 
     Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4,
     in the step order of SciPy's ``brentq`` (same interpolate, extrapolate
     and bisect choices, xtol 1e-14, rtol 4*eps, 100 iterations), so the
-    roots are bit-identical to it.  A caller that has already evaluated
-    f(lo) or f(hi) passes the value as ``f_lo`` or ``f_hi``.  Raises
-    NumericError when f does not change sign between lo and hi, when f
-    returns NaN, or when the iteration does not converge.
+    roots are bit-identical to it.  Each caller has already evaluated f at
+    both ends and hands the values in.  Raises NumericError when f does not
+    change sign between lo and hi, when f returns NaN, or when the
+    iteration does not converge.
     """
 
     def failed(reason: str) -> NumericError:
         return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
 
-    xpre, xcur = lo, hi
-    fpre = f(xpre) if f_lo is None else f_lo
-    fcur = f(xcur) if f_hi is None else f_hi
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
     if math.isnan(fpre) or math.isnan(fcur):
         raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
     if fpre == 0.0:
@@ -312,15 +310,10 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# the parametrized constraint curve (identical success flags, kappa = 1)
+# the parametrized constraint curve
 
 
 def _require_curve_overlaps(ov: OverlapSpec) -> None:
-    if ov.kappa != 1.0:
-        raise DomainError(
-            "curve parametrization assumes identical success flags (kappa = 1), "
-            f"got kappa={ov.kappa!r}"
-        )
     if not 0.0 < ov.s_prime < ov.s:
         raise DomainError(
             f"curve parametrization requires 0 < s_prime < s, got "
@@ -358,8 +351,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
 
     A sample is the record ``QminSample(t, eta1, Q, FailurePoint(q1, q2),
     dq1/dt, dq2/dt)``, where eta1 is the prior whose objective line is
-    tangent at the point, and Q = eta1*q1 + (1 - eta1)*q2, clamped to
-    [0, 1].
+    tangent at the point, and Q = eta1*q1 + (1 - eta1)*q2.
 
     On the curve A = sqrt(q1*q2) = s*t and B = sqrt((1-q1)*(1-q2)) =
     s*(1-t)/s' exactly, so q1 and q2 are the roots of
@@ -371,9 +363,11 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     For s' >= s/2, where s - s' is exact, 1 - A - B is taken as
     (A*(1-s') - (s-s'))/s' and 1 - B as that plus A; as s' -> s and s' -> 1
     the plain differences would lose the digits the point needs.  eta1 is
-    g2/(g1 + g2), capped at 1/2, for g1 = q1*B - s'*(1-q1)*A and
-    g2 = q2*B - s'*(1-q2)*A, 2*A*B times dF/dq2 and dF/dq1 for the
-    constraint F (``qmin_at``'s Brent step root-finds the same terms); with
+    g2/(g1 + g2) for g1 = q1*B - s'*(1-q1)*A and g2 = q2*B - s'*(1-q2)*A,
+    2*A*B times dF/dq2 and dF/dq1 for the constraint F (``qmin_at``'s Brent
+    step root-finds the same terms).  As g1 - g2 = (q1 - q2)*(B + s'*A),
+    eta1 is at most 1/2 wherever q1 >= q2, and Q, a weighting of q1 and q2
+    by it, lies in [0, 1]; off the vertex row r keeps q1 above q2.  With
     S' = 2*s*(A + B/s') and P' = 2*s*A the derivatives of q1 + q2 and
     q1*q2, dq1/dt = (q1*S' - P')/r and dq2/dt = (P' - q2*S')/r.
 
@@ -418,7 +412,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
         else:
             r = sqrt(f1 * (lo + a) * (hi - a) * (hi + a))
             q1 = (lo * hi + a * a + r) / 2.0
-            if q1 > 1.0:  # by rounding, at the zero-slope end
+            if q1 > 1.0:  # by rounding, next to t = 1, where dq1/dt is then exactly 0
                 q1 = 1.0
             q2 = a * (a / q1)
             g1 = q1 * b - sp * (1.0 - q1) * a
@@ -431,13 +425,7 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
             else:
                 d2 = (dp - q2 * ds) / r
                 eta1 = g2 / (g1 + g2)
-                if eta1 > 0.5:
-                    eta1 = 0.5
         q = eta1 * q1 + (1.0 - eta1) * q2
-        if q < 0.0:
-            q = 0.0
-        elif q > 1.0:
-            q = 1.0
         # FailurePoint's range checks, written out; q1 is checked first.
         if not 0.0 <= q1 <= 1.0:
             raise _prob_error("q1", q1)
@@ -519,7 +507,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
         Prior probabilities; priors with eta1 > 1/2 are handled by the
         swap symmetry and the failure point is mirrored back.
     ov : OverlapSpec
-        Initial and target overlaps with kappa = 1 (identical flags).
+        Initial and target overlaps.
 
     Returns
     -------
@@ -532,8 +520,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     Degenerate targets dispatch to closed forms: s_prime = s costs
     nothing, s = 1 cannot be separated, s_prime = 0 is unambiguous
     discrimination.  Otherwise the objective line touches the curve's
-    lower half q2(q1) (``core.lower_half_q2``) where, with A = sqrt(q1*q2)
-    and B = sqrt((1-q1)*(1-q2)),
+    lower half q2(q1) (``core.lower_half_q2``, with beta = s_prime) where,
+    with A = sqrt(q1*q2) and B = sqrt((1-q1)*(1-q2)),
 
         f(q1) = eta1*(q1*B - beta*(1-q1)*A) - eta2*(q2*B - beta*(1-q2)*A)
 
@@ -555,10 +543,6 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     (1e12*beta)**2) qmin_at raises NumericError; only eta1 = 0, whose
     answer is the zero-slope end itself, is answered there.
     """
-    if ov.s_prime > 0.0 and ov.kappa != 1.0:
-        raise DomainError(
-            "optimal-separation solvers assume identical success flags (kappa = 1)"
-        )
     prn, swapped = pr.normalized()
 
     def _ret(q: float, point: FailurePoint) -> tuple[FailureBudget, FailurePoint]:
@@ -572,7 +556,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     if ov.s_prime == 0.0:
         return _ret(_q_ud(prn.eta1, prn.eta2, ov.s), ud_tangency_point(prn, ov.s))
 
-    s, beta = ov.s, ov.beta
+    s, beta = ov.s, ov.s_prime
     eta1, eta2 = prn.eta1, prn.eta2
     vertex = (s - beta) / (1.0 - beta)
     n0 = (s - beta) * (s + beta)

@@ -11,23 +11,27 @@ its own seeds, so each release property has this one implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import conics, optics, solvers
-from .core import OverlapSpec, Priors, lower_half_q2
+from .core import OverlapSpec, Priors, _Value, lower_half_q2
 from .oracle import oracle_qmin
 
 __all__ = ["CheckResult", "run_all"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
+    """One release-gate row: the worst deviation a check measured, and its bound."""
+
+    __slots__ = ("name", "worst", "tolerance", "passed")
     name: str
     worst: float
     tolerance: float
     passed: bool
+
+    def __init__(self, name: str, worst: float, tolerance: float, passed: bool) -> None:
+        self._fill(name, worst, tolerance, passed)
 
 
 def _result(name: str, worst: float, tolerance: float) -> CheckResult:
@@ -205,10 +209,9 @@ def check_conic_consistency(seed: int) -> CheckResult:
         eta1 = float(rng.uniform(0.05, 0.45))
         s = float(rng.uniform(0.2, 0.9))
         pr = Priors.of(eta1)
+        # At most 0.95 of the discrimination cost, so s' > 0 (above 0.012).
         q_cap = float(rng.uniform(0.3, 0.95)) * float(solvers.q_ud(pr, s))
         sp, theta = solvers.max_separation(pr, s, q_cap)
-        if sp <= 0.0:
-            continue
         r1, r2 = conics.tangency_residuals(theta, q_cap, pr, s, sp)
         worst = max(worst, abs(r1), abs(r2))
         cp = conics.ellipse_point(theta, q_cap, pr)
@@ -225,9 +228,7 @@ def check_separation_onset(seed: int) -> CheckResult:
         eta1 = float(rng.uniform(0.05, 0.5))
         pr = Priors.of(eta1)
         q_cap = float(rng.uniform(0.05, 0.9))
-        s_cr = solvers.critical_overlap(pr, q_cap)
-        if not 0.0 < s_cr < 1.0:
-            continue
+        s_cr = solvers.critical_overlap(pr, q_cap)  # in (0, 0.95) for these draws
         # Full separation saturates the budget exactly at the onset.
         worst = max(worst, abs(float(solvers.q_ud(pr, s_cr)) - q_cap))
         if s_cr > 1e-3:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -140,6 +139,22 @@ def test_json_output_schema(capsys):
     assert doc["meta"]["version"]
     assert len(doc["rows"]) == 5
     assert set(doc["rows"][0]) == {"theta", "q", "s_prime"}
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["qmin", "--s", "0.6", "--s-prime", "0"], "t"),
+        (["tradeoff", "--eta1", "0", "--s", "0.6"], "theta"),
+    ],
+    ids=["qmin-no-t", "tradeoff-nan-theta"],
+)
+def test_json_writes_missing_and_nan_cells_as_null(capsys, argv, column):
+    # The full-separation qmin rows have no t, and the certainty tradeoff
+    # rows a NaN theta; JSON has no NaN, so both are null.
+    code, out = run_cli(capsys, *argv, "--samples", "3", "--format", "json")
+    assert code == 0 and "NaN" not in out
+    assert [row[column] for row in json.loads(out)["rows"]] == [None, None, None]
 
 
 def test_byte_stable_output(tmp_path, capsys):
@@ -423,6 +438,19 @@ def test_verify_small_run_passes(capsys):
     assert any(row[0] == "oracle-agreement" for row in rows)
 
 
+def test_check_results_are_frozen_values():
+    import dataclasses
+
+    from statesep.verify import CheckResult
+
+    row = CheckResult("oracle-agreement", 5.6e-16, 1e-6, True)
+    assert row == CheckResult("oracle-agreement", 5.6e-16, 1e-6, True)
+    assert row != ("oracle-agreement", 5.6e-16, 1e-6, True)
+    assert repr(row) == "CheckResult(name='oracle-agreement', worst=5.6e-16, tolerance=1e-06, passed=True)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.passed = False
+
+
 def _halve_maxsep_root(monkeypatch):
     import statesep.solvers as solvers
 
@@ -456,7 +484,7 @@ def _offset_interferometer(monkeypatch):
         # The third column never meets a protocol input, so apply() still
         # gets normalized states and verify runs to the end.
         u[2, 2] += 1e-9
-        return dataclasses.replace(itf, u=u)
+        return optics.Interferometer(u, itf.bs1, itf.bs2, itf.s, itf.s_prime)
 
     monkeypatch.setattr(optics, "build_interferometer", built)
 

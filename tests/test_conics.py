@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,24 +22,29 @@ from statesep import (
     t_slope_minus_one,
     t_slope_zero,
     tangency_residuals,
-    to_conic,
 )
+
+
+def _mean_coordinates(pt):
+    """The conic image (u, v) of a failure point, straight from its definition."""
+    return ConicPoint(math.sqrt(pt.q1 * pt.q2), 0.5 * (pt.q1 + pt.q2))
 
 
 # ---------------------------------------------------------------------------
 # transform and inverse
 
 
-def test_to_conic_values():
-    cp = to_conic(FailurePoint(0.25, 0.25))
-    assert (cp.u, cp.v) == (0.25, 0.25)
-    s = 0.6
-    cp = to_conic(FailurePoint(1.0, s * s))
-    assert cp.u == pytest.approx(s, abs=1e-15)
-    assert cp.v == pytest.approx(0.5 * (1 + s * s), abs=1e-15)
-    cp = to_conic(FailurePoint(0.3, 0.5))
-    assert cp.u == pytest.approx(math.sqrt(0.15), abs=1e-15)
-    assert cp.v == pytest.approx(0.4, abs=1e-15)
+def test_conic_point_checks_and_value_semantics():
+    cp = ConicPoint(0.3, 0.4)
+    assert cp == ConicPoint(v=0.4, u=0.3) and hash(cp) == hash((0.3, 0.4))
+    assert repr(cp) == "ConicPoint(u=0.3, v=0.4)" and pickle.loads(pickle.dumps(cp)) == cp
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cp.u = 0.1
+    with pytest.raises(DomainError) as err:
+        ConicPoint(-0.1, 0.4)
+    assert str(err.value) == "conic coordinates must be nonnegative, got ConicPoint(u=-0.1, v=0.4)"
+    with pytest.raises(DomainError, match="geometric mean exceeds arithmetic mean"):
+        ConicPoint(0.5, 0.3)
 
 
 @given(q1=st.floats(0.0, 1.0), q2=st.floats(0.0, 1.0))
@@ -45,12 +52,12 @@ def test_to_conic_values():
 # 1 + 1.5e-8, beyond the old 1e-12 snap.
 @example(q1=1.0, q2=0.9999999999999999)
 def test_am_gm_and_round_trip(q1, q2):
-    cp = to_conic(FailurePoint(q1, q2))
+    cp = _mean_coordinates(FailurePoint(q1, q2))
     assert cp.u <= cp.v + 1e-12
     lower, upper = from_conic(cp)
     assert sorted((lower.q1, lower.q2)) == pytest.approx(sorted((q1, q2)), abs=1e-7)
     assert upper == lower.swapped()
-    back = to_conic(lower)
+    back = _mean_coordinates(lower)
     assert back.u == pytest.approx(cp.u, abs=1e-12)
     assert back.v == pytest.approx(cp.v, abs=1e-12)
 
@@ -106,7 +113,7 @@ def test_curve_points_map_onto_parabola():
     for s, sp in ((0.6, 0.3), (0.8, 0.1), (0.3, 0.25)):
         ov = OverlapSpec(s, sp)
         for t in np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), 33):
-            cp = to_conic(curve_point(float(t), ov))
+            cp = _mean_coordinates(curve_point(float(t), ov))
             assert parabola_v(cp.u, s, sp) == pytest.approx(cp.v, abs=1e-12)
 
 

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import math
 import pickle
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from statesep import (
     FailurePoint,
     OverlapSpec,
     Priors,
-    average_failure,
-    in_feasible_set,
     sqrt_clamped,
     unitarity_residual,
 )
@@ -44,12 +41,15 @@ def test_priors_validation():
 
 def test_overlap_spec_validation():
     ov = OverlapSpec(0.6, 0.3)
-    assert ov.beta == 0.3 and ov.kappa == 1.0
-    assert OverlapSpec(0.6, 0.3, kappa=0.5).beta == 0.15
+    assert (ov.s, ov.s_prime) == (0.6, 0.3)
     with pytest.raises(DomainError):
         OverlapSpec(0.3, 0.6)
-    with pytest.raises(DomainError):
-        OverlapSpec(0.6, 0.3, kappa=1.5)
+    # The target overlap is the whole of the constraint's beta: there is no
+    # success-flag overlap to set.
+    with pytest.raises(TypeError):
+        OverlapSpec(0.6, 0.3, kappa=0.5)
+    with pytest.raises(TypeError):
+        OverlapSpec(0.6, 0.3, 0.5)
 
 
 def test_failure_point_validation():
@@ -83,12 +83,8 @@ _NAN, _INF = math.nan, math.inf
         (lambda: Priors.of(-1e-300), "eta1 must lie in [0, 1], got -1e-300"),
         (lambda: OverlapSpec(1.5, 0.3), "s must lie in [0, 1], got 1.5"),
         (lambda: OverlapSpec(_NAN, _NAN), "s must lie in [0, 1], got nan"),
-        (lambda: OverlapSpec(-1, 2, 3), "s must lie in [0, 1], got -1.0"),
+        (lambda: OverlapSpec(-1, 2), "s must lie in [0, 1], got -1.0"),
         (lambda: OverlapSpec(0.6, -0.1), "s_prime must lie in [0, 1], got -0.1"),
-        (lambda: OverlapSpec(0.6, 0.3, 1.5), "kappa must lie in [0, 1], got 1.5"),
-        (lambda: OverlapSpec(0.6, 0.3, kappa=_NAN), "kappa must lie in [0, 1], got nan"),
-        # kappa's range is checked before the order of s and s_prime.
-        (lambda: OverlapSpec(0.3, 0.6, 2.0), "kappa must lie in [0, 1], got 2.0"),
         (
             lambda: OverlapSpec(0.3, 0.6),
             "s_prime must not exceed s, got s_prime=0.6 > s=0.3",
@@ -132,9 +128,9 @@ def test_constructors_coerce_with_float():
     assert (pr.eta1, pr.eta2) == (0.0, 1.0) and _plain(pr.eta1, pr.eta2)
     pr = Priors.of(np.float32(0.25))
     assert (pr.eta1, pr.eta2) == (0.25, 0.75) and _plain(pr.eta1, pr.eta2)
-    ov = OverlapSpec(np.float64(0.6), FailureBudget(0.3), kappa=1)
-    assert (ov.s, ov.s_prime, ov.kappa) == (0.6, 0.3, 1.0)
-    assert _plain(ov.s, ov.s_prime, ov.kappa)
+    ov = OverlapSpec(np.float64(0.6), FailureBudget(0.3))
+    assert (ov.s, ov.s_prime) == (0.6, 0.3)
+    assert _plain(ov.s, ov.s_prime)
     # float32 keeps its own value, not the decimal it was written as.
     pt = FailurePoint(np.float32(0.3), 1)
     assert pt.q1 == float(np.float32(0.3)) != 0.3 and pt.q2 == 1.0 and _plain(pt.q1, pt.q2)
@@ -147,7 +143,7 @@ _INSTANCES = [
     Priors(0.3, 0.7),
     Priors.of(0.0),
     OverlapSpec(0.6, 0.3),
-    OverlapSpec(0.6, 0.3, kappa=0.5),
+    OverlapSpec(0.6, 0.0),
     FailurePoint(0.3, 0.5),
     FailureBudget(0.45),
 ]
@@ -156,7 +152,7 @@ _INSTANCES = [
 # The fields of each domain type, in constructor order.
 _FIELDS = {
     Priors: ("eta1", "eta2"),
-    OverlapSpec: ("s", "s_prime", "kappa"),
+    OverlapSpec: ("s", "s_prime"),
     FailurePoint: ("q1", "q2"),
     FailureBudget: ("q_avg",),
 }
@@ -208,7 +204,7 @@ def _unchecked(cls, *values):
         (_unchecked(FailurePoint, 2.0, 0.5), "q1 must lie in [0, 1], got 2.0"),
         (_unchecked(Priors, 0.3, 0.6), "priors must sum to 1 within 1e-12, got 0.3 + 0.6"),
         (
-            _unchecked(OverlapSpec, 0.3, 0.6, 1.0),
+            _unchecked(OverlapSpec, 0.3, 0.6),
             "s_prime must not exceed s, got s_prime=0.6 > s=0.3",
         ),
         (_unchecked(FailureBudget, -1.0), "q_avg must lie in [0, 1], got -1.0"),
@@ -227,23 +223,6 @@ def test_sqrt_clamped():
     assert sqrt_clamped(4.0) == 2.0
     with pytest.raises(DomainError):
         sqrt_clamped(-1e-13)
-
-
-# ---------------------------------------------------------------------------
-# average failure
-
-
-def test_average_failure_trivial():
-    assert float(average_failure(FailurePoint(0, 0), Priors.of(0.3))) == 0.0
-    assert float(average_failure(FailurePoint(1, 1), Priors.of(0.3))) == 1.0
-
-
-def test_average_failure_weighted():
-    # Independent arithmetic: 1/4 * 3/10 + 3/4 * 1/2 = 9/20.
-    expected = Fraction(1, 4) * Fraction(3, 10) + Fraction(3, 4) * Fraction(1, 2)
-    assert expected == Fraction(9, 20)
-    got = float(average_failure(FailurePoint(0.3, 0.5), Priors.of(0.25)))
-    assert got == pytest.approx(float(expected), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +265,16 @@ def test_residual_swap_symmetry(q1, q2, s, frac):
     assert r1 == pytest.approx(r2, abs=1e-15)
 
 
+def _feasible(pt, ov):
+    """Membership of the feasible set: the residual is nonnegative up to rounding."""
+    return unitarity_residual(pt, ov) >= -1e-12
+
+
 def test_feasibility_trivial():
-    assert in_feasible_set(FailurePoint(1, 1), OverlapSpec(0.9, 0.2))
-    assert not in_feasible_set(FailurePoint(0, 0), OverlapSpec(0.6, 0.3))
+    assert _feasible(FailurePoint(1, 1), OverlapSpec(0.9, 0.2))
+    assert not _feasible(FailurePoint(0, 0), OverlapSpec(0.6, 0.3))
     # (0, 0) is feasible exactly when beta = s (trivial identity protocol).
-    assert in_feasible_set(FailurePoint(0, 0), OverlapSpec(0.6, 0.6))
+    assert _feasible(FailurePoint(0, 0), OverlapSpec(0.6, 0.6))
 
 
 def test_set_nesting_random():
@@ -318,12 +302,12 @@ def test_convexity_random():
 def test_convex_combination_api():
     ov = OverlapSpec(0.6, 0.3)
     p1, p2 = FailurePoint(1.0, 0.36), FailurePoint(0.5, 0.5)
-    assert in_feasible_set(p1, ov) and in_feasible_set(p2, ov)
+    assert _feasible(p1, ov) and _feasible(p2, ov)
     for lam in (0.25, 0.5, 0.75):
         mix = FailurePoint(
             lam * p1.q1 + (1 - lam) * p2.q1, lam * p1.q2 + (1 - lam) * p2.q2
         )
-        assert in_feasible_set(mix, ov)
+        assert _feasible(mix, ov)
 
 
 def test_hyperbola_degeneration_at_beta_zero():

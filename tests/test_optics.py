@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from statesep import (
     DomainError,
     Interferometer,
     ModeState,
+    ShotCounts,
     apply,
     build_interferometer,
     certify_separation,
@@ -21,6 +25,40 @@ def test_mode_state_validation():
         ModeState(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(DomainError):
         ModeState(np.array([1.0, 0.0]))
+
+
+def test_shot_counts_check_their_sum():
+    counts = ShotCounts(1, 2, 3, 6, 0)
+    assert (counts.n3, counts.shots, counts.empirical_q) == (3, 6, 0.5)
+    with pytest.raises(DomainError, match="detector counts must sum to the number of shots"):
+        ShotCounts(1, 2, 3, 7, 0)
+
+
+def _device_values():
+    itf = build_interferometer(0.6, 0.3)
+    return [protocol_input(0.6, 2), itf, simulate(itf, 1, 10_000, seed=7)]
+
+
+@pytest.mark.parametrize("obj", _device_values(), ids=["ModeState", "Interferometer", "ShotCounts"])
+def test_device_values_are_frozen_and_copy_through_their_constructors(obj):
+    names = type(obj).__slots__
+    assert type(obj).__match_args__ == names and not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, names[0], None)
+    values = [getattr(obj, name) for name in names]
+    assert repr(obj) == f"{type(obj).__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)
+    ) + ")"
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(copied) is type(obj)
+        for name, value in zip(names, values):
+            assert np.array_equal(getattr(copied, name), value)
+
+
+def test_mode_state_coerces_to_complex():
+    state = ModeState([0.6, 0.8, 0.0])
+    assert state.amplitudes.dtype == complex
+    assert state.amplitudes.tolist() == [0.6, 0.8, 0.0]
 
 
 def test_build_rejects_bad_overlaps():
@@ -188,6 +226,30 @@ def test_certify_flags_corrupted_device():
     report = certify_separation(bad, 10_000, seed=606)
     assert not report["passed"]
     assert not report["matrix"]["passed"]
+
+
+def test_certify_identity_device():
+    # At s' = s nothing is separated: input 1 leaves through port 1 alone,
+    # so its chi-square has one live cell, no degree of freedom, and p = 1.
+    report = certify_separation(build_interferometer(0.6, 0.6), 10_000, 1)
+    assert report["passed"] and report["q_expected"] == 0.0
+    run = report["runs"][0]
+    assert run["probabilities"] == [1.0, 0.0, 0.0] and run["counts"] == [10_000, 0, 0]
+    assert run["chi2_pvalue"] == 1.0 and run["chi2_passed"]
+
+
+def test_certify_reports_nan_overlap_when_a_success_branch_vanishes():
+    # A device that swaps ports 1 and 3 sends input 1 straight to the
+    # failure port: its success branch is zero, and the overlap of the two
+    # renormalized branches is undefined.  Certification reports NaN and
+    # fails the device, with no division by zero.
+    swap = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    bad = Interferometer(swap, swap, np.eye(3), 0.6, 0.3)
+    with np.errstate(all="raise"):
+        report = certify_separation(bad, 10_000, seed=7)
+    assert report["matrix"]["passed"]
+    assert math.isnan(report["protocol"]["s_prime_from_amplitudes"])
+    assert not report["protocol"]["passed"] and not report["passed"]
 
 
 def test_certify_requires_enough_shots():

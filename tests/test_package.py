@@ -97,7 +97,17 @@ def test_point_solvers_load_no_numpy():
     ids=["qmin", "tradeoff", "optics", "verify"],
 )
 def test_numpy_commands_run_from_a_fresh_process(argv, header):
-    script = f"import sys\nfrom statesep.cli import main\nsys.exit(main({argv!r}))"
+    # No command loads dataclasses: every value class shares core's base.
+    script = "\n".join(
+        [
+            "import sys",
+            "before = set(sys.modules)",
+            "from statesep.cli import main",
+            f"code = main({argv!r})",
+            "assert 'dataclasses' not in set(sys.modules) - before, 'dataclasses loaded'",
+            "sys.exit(code)",
+        ]
+    )
     assert _fresh(script).splitlines()[0] == header
 
 
@@ -145,3 +155,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         statesep.no_such_name
     assert not hasattr(statesep, "verify_all")
+    # Helpers that only the tests used are gone from the API.
+    for name in ("average_failure", "in_feasible_set", "to_conic"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(statesep, name)

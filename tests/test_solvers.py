@@ -102,14 +102,12 @@ def test_curve_point_on_constraint():
             assert pt.q2 <= pt.q1 + 1e-12
 
 
-def test_curve_point_range_and_flag_errors():
+def test_curve_point_range_errors():
     ov = OverlapSpec(0.6, 0.3)
     with pytest.raises(DomainError):
         curve_point(t_slope_minus_one(ov) - 1e-3, ov)
     with pytest.raises(DomainError):
         curve_point(t_slope_zero(ov) + 1e-3, ov)
-    with pytest.raises(DomainError):
-        curve_point(0.8, OverlapSpec(0.6, 0.3, kappa=0.9))
     with pytest.raises(DomainError):
         t_slope_minus_one(OverlapSpec(0.6, 0.0))
 
@@ -539,8 +537,8 @@ def _edge_inputs(rng, n):
 def _solver_brackets(monkeypatch):
     """(f, lo, hi, what, end values) of every bracket that qmin_at,
     max_separation and tradeoff_at hand to the root finder on seeded
-    interior and edge inputs; the end values are the f(lo), f(hi) a caller
-    passes in, if any."""
+    interior and edge inputs; the end values are the f(lo), f(hi) the
+    caller passes in."""
     brackets = []
     original = solvers._bracketed_root
 
@@ -588,9 +586,9 @@ def test_bracketed_root_is_bit_identical_to_brentq(monkeypatch):
         # brentq evaluates both ends itself, so this also checks the values
         # that qmin_at hands in.  Not on the log(q1) path: there qmin_at
         # hands in f(vertex), not f(exp(log(vertex))), which can differ in
-        # the last bit, so the port evaluates the ends itself as brentq does.
+        # the last bit, so the port gets the ends as brentq evaluates them.
         if what == "tangency abscissa log(q1)":
-            ends = ()
+            ends = (f(lo), f(hi))
         ours = _brent_outcome(lambda: solvers._bracketed_root(f, lo, hi, "test", *ends))
         ref = _brent_outcome(
             lambda: brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
@@ -610,7 +608,7 @@ def test_bracketed_root_bisects_where_the_interpolation_underflows(scale):
         return scale * (x**3 - 0.2)
 
     ref = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
-    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test", f(0.0), f(1.0)) == ref
 
 
 @pytest.mark.parametrize(
@@ -631,7 +629,7 @@ def test_bracketed_root_takes_brentqs_choice_on_zero_and_nan_steps(
         return scale * (x**3 - 0.2) * grow
 
     ref = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
-    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test", f(0.0), f(1.0)) == ref
     steps = []
     _with_fault(
         monkeypatch,
@@ -640,8 +638,24 @@ def test_bracketed_root_takes_brentqs_choice_on_zero_and_nan_steps(
         "_fault(num, den)",
         lambda num, den: den != 0.0 and steps.append(num / den),
     )
-    assert solvers._bracketed_root(f, 0.0, 1.0, "test") == ref
+    assert solvers._bracketed_root(f, 0.0, 1.0, "test", f(0.0), f(1.0)) == ref
     assert odd_step in {repr(step) for step in steps}
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_bracketed_root_returns_an_end_where_f_vanishes(end):
+    # brentq returns an end at which f is exactly 0 without iterating; so
+    # must the port, rather than call the bracket sign-less.
+    from scipy.optimize import brentq
+
+    lo, hi = 0.0, 1.0
+
+    def f(x):
+        return x - (lo if end == "lo" else hi)
+
+    ref = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
+    assert ref == (lo if end == "lo" else hi)
+    assert solvers._bracketed_root(f, lo, hi, "test", f(lo), f(hi)) == ref
 
 
 def _step(x):
@@ -663,7 +677,7 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
     from scipy.optimize import brentq
 
     with pytest.raises(NumericError, match=message):
-        solvers._bracketed_root(f, lo, hi, "test")
+        solvers._bracketed_root(f, lo, hi, "test", f(lo), f(hi))
     # The cases are the ones in which brentq itself gives up.
     with pytest.raises(scipy_error):
         brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
@@ -951,6 +965,18 @@ def test_qmin_curve_vertex_and_flat_end_bits():
     assert samples[-1].dq2_dt == 0.0 and math.copysign(1.0, samples[-1].dq2_dt) == 1.0
     assert samples[-1].eta1 == 0.0 and math.copysign(1.0, samples[-1].eta1) == 1.0
     assert samples[-1].point == FailurePoint(*solvers._zero_slope_end(0.8, 0.4))
+
+
+def test_qmin_curve_clamps_a_q1_rounded_past_one():
+    # At s' <= 1e-9 the sweep ends at t = 1, the curve's end (1, s**2), where
+    # dq1/dt = (q1 - 1)*2*s**2/r vanishes.  At this s the factored q1 rounds
+    # to 1 + 2**-52 there; clamped to 1 it gives that exact 0, unclamped
+    # 6.5e-17.
+    s = 0.3884895619350729
+    end = qmin_curve(OverlapSpec(s, 1e-9), 2)[-1]
+    assert end.t == 1.0 and end.eta1 == 0.0
+    assert end.point == FailurePoint(*solvers._zero_slope_end(s, 1e-9))
+    assert end.point.q1 == 1.0 and end.dq1_dt == 0.0
 
 
 def test_qmin_curve_monotonicity_guard_fires(monkeypatch):
