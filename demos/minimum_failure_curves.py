@@ -29,7 +29,7 @@ for smp in samples:
     print(f"  t={smp.t:.4f}  eta1={smp.eta1:.4f}  Q_min={smp.q_min:.6f}"
           f"  at (q1, q2)=({smp.point.q1:.4f}, {smp.point.q2:.4f})")
 
-print("\nBrute-force oracle cross-check (dense curve search, no parametrization):")
+print("\nBrute-force oracle cross-check (direct search along the curve, no parametrization):")
 for eta1 in (0.1, 0.3, 0.5):
     pr = Priors.of(eta1)
     solver_q = float(qmin_at(pr, OverlapSpec(S, sp))[0])

@@ -9,9 +9,9 @@ simulates a three-port linear-optics implementation of the equal-prior
 protocol, photon counts included.
 
 ``import statesep`` loads no NumPy: each public name is imported from its
-defining module on first access (PEP 562).  ``core``, ``conics`` and
-``solvers``, the curve sweeps included, use ``math`` alone; NumPy loads with
-the first use of ``oracle``, ``optics`` or ``verify``.
+defining module on first access (PEP 562).  ``core``, ``conics``,
+``solvers`` (the curve sweeps included) and ``oracle`` use ``math`` alone;
+NumPy loads with the first use of ``optics`` or ``verify``.
 """
 
 from importlib import import_module

@@ -285,9 +285,10 @@ def lower_half_q2(q1: float, s: float, beta: float) -> float:
     a sum of nonnegative terms over another, accurate to a few ulps
     relative at any q2 (and clamped to at most 1).  ``D`` is expanded as
     ``q1*(1-beta)*(1+beta) - (s-beta)*(s+beta)`` so that it does not cancel
-    as beta -> s.  Only ``+ - * /`` and ``sqrt`` are used, so the oracle's
-    numpy twin rounds identically.  There is no beta = 0 shortcut: at
-    beta = 0 this is the general formula on the hyperbola q1*q2 = s**2.
+    as beta -> s.  Only ``+ - * /`` and ``sqrt`` are used, all correctly
+    rounded, so no platform's libm changes a bit.  There is no beta = 0
+    shortcut: at beta = 0 this is the general formula on the hyperbola
+    q1*q2 = s**2.
 
     Raises :class:`NumericError` when q1 lies outside the curve's range,
     i.e. ``R < s`` beyond rounding, and when the denominator underflows to

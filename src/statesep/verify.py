@@ -167,7 +167,7 @@ def check_qmin_monotonicity(seed: int) -> CheckResult:
 
 
 def check_oracle_agreement(grid: int) -> CheckResult:
-    # Each oracle call samples its own curve, so the loop order does not
+    # Each oracle call searches its own curve, so the loop order does not
     # matter: the worst is a max over the same cases in any order.
     worst = 0.0
     for s in np.linspace(0.1, 0.9, grid):

@@ -215,7 +215,7 @@ _STDOUT_SHA256 = [
     ),
     (
         ["verify", "--samples", "2", "--shots", "20000", "--seed", "903"],
-        "8f8cb226eeaa0476dacfbb5cdec0180832fc96e2caabdddb1c6eb4dc050c1590",
+        "947a45c98abb63678cc3eeae0ace6d2fbcf77c5286294cdc65b544a7ea75b170",
     ),
 ]
 

@@ -18,7 +18,7 @@ _STDOUT_SHA256 = {
     "budgeted_separation.py": "7b5395cacc6f44cc97b09730597b3d4474d45db01450592b9238ae2b266474c9",
     "discrimination_cost.py": "1c785458c9434536a1432f8d69d3c5e4ea31fe5f39d9de9628d3c3e2a1c7abc4",
     "interferometer_run.py": "b99394c33d5ab78032cdd50ef819348d9c2b2aa3c7bdf49af4b7e42cf645f934",
-    "minimum_failure_curves.py": "0867f8b4389faa37430b10f1c963f5ffae8c5280a4116159e6dd037d4a20704a",
+    "minimum_failure_curves.py": "a1c7d7c11599ea28d6fda685fb3529716dcb1df93b438af3ea841c12a97308de",
     "tradeoff_curves.py": "37b7166fde071a99004c9aebe68913ee2a67f3a6aba07b24d4edd11daab61d37",
 }
 

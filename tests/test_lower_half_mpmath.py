@@ -16,7 +16,6 @@ import mpmath
 import numpy as np
 
 from statesep.core import lower_half_q2
-from statesep.oracle import _lower_q2_grid
 
 # Absolute error allowed on q2, fixed before the first run.
 BOUND = 2e-15
@@ -63,19 +62,16 @@ def _cases():
 
 def test_closed_form_lower_half_matches_50_digit_reference():
     n = 0
-    worst_scalar = worst_grid = worst_relative = 0.0
+    worst_scalar = worst_relative = 0.0
     for s, beta, q1s in _cases():
-        grid = _lower_q2_grid(np.array(q1s), s, beta)
-        for q1, q2_grid in zip(q1s, grid.tolist()):
+        for q1 in q1s:
             ref = _reference_q2(q1, s, beta)
             q2 = lower_half_q2(q1, s, beta)
             worst_scalar = max(worst_scalar, float(abs(q2 - ref)))
-            worst_grid = max(worst_grid, float(abs(q2_grid - ref)))
             worst_relative = max(worst_relative, float(abs(q2 - ref) / ref))
             n += 1
     assert n >= 3000
     assert worst_scalar <= BOUND
-    assert worst_grid <= BOUND
     assert worst_relative <= RELATIVE_BOUND
 
 
@@ -86,7 +82,6 @@ def test_lower_half_returns_the_diagonal_at_the_crossing():
     # is rationalized, so nothing cancels as beta -> s: 8 ulps flat.
     for s, beta, q1s in _cases():
         q_diag = q1s[0]
-        grid = float(_lower_q2_grid(np.array([q_diag]), s, beta)[0])
-        for q2 in (lower_half_q2(q_diag, s, beta), grid):
-            ulps = abs(q2 - q_diag) / math.ulp(q_diag)
-            assert ulps <= 8, (s, beta, q_diag, q2)
+        q2 = lower_half_q2(q_diag, s, beta)
+        ulps = abs(q2 - q_diag) / math.ulp(q_diag)
+        assert ulps <= 8, (s, beta, q_diag, q2)

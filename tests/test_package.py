@@ -78,9 +78,12 @@ def test_point_solvers_load_no_numpy():
             "for eta1 in (0.1, 0.5, 0.0):",
             "    statesep.tradeoff_curve(statesep.Priors.of(eta1), 0.6, 64)",
             _loaded(*_HEAVY),
+            "statesep.oracle_qmin(statesep.Priors.of(0.3), statesep.OverlapSpec(0.6, 0.3))",
+            "statesep.oracle_max_separation(statesep.Priors.of(0.3), 0.6, 0.4)",
+            _loaded("numpy", "statesep.conics"),
         ]
     )
-    assert _fresh(script) == "[]\n"
+    assert _fresh(script) == "[]\n[]\n"
 
 
 @pytest.mark.parametrize(
