@@ -141,6 +141,41 @@ def test_oracle_matches_the_referee_at_the_edges():
     assert worst[0] <= 1e-9, worst
 
 
+@pytest.mark.parametrize("eta1", [0.1, 0.9])
+def test_oracle_takes_the_endpoint_exactly_when_the_minimum_sits_there(eta1):
+    # With s' = 0 and eta2/eta1 >= 1/s^2 the objective still falls at q1 = 1,
+    # so the search's last bracket is beaten by the (1, s^2) end candidate,
+    # which comes back bit for bit (mirrored when the priors are swapped).
+    s = 0.6
+    pr = Priors.of(eta1)
+    prn, swapped = pr.normalized()
+    q, pt = oracle_qmin(pr, OverlapSpec(s, 0.0))
+    assert q == FailureBudget(prn.eta1 + prn.eta2 * (s * s))
+    end = FailurePoint(1.0, s * s)
+    assert pt == (end.swapped() if swapped else end)
+
+
+def test_oracle_value_is_the_value_of_its_point_on_the_lower_half():
+    # The minimum is picked as one (Q, q1, q2) tuple: the returned Q is the
+    # objective at the returned point, whose q2 is the closed-form lower-half
+    # ordinate at its q1 (s^2 at the q1 = 1 end), between the diagonal
+    # crossing and q1 = 1.
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for _ in range(40):
+        eta1 = float(rng.uniform(0.01, 0.99))
+        s = float(rng.uniform(0.05, 0.95))
+        beta = float(rng.uniform(0.0, 0.95)) * s
+        pr = Priors.of(eta1)
+        prn, swapped = pr.normalized()
+        q, pt = oracle_qmin(pr, OverlapSpec(s, beta))
+        if swapped:
+            pt = pt.swapped()
+        assert _diagonal_q(s, beta) <= pt.q1 <= 1.0
+        on_curve = s * s if pt.q1 == 1.0 else _lower_q2_scalar(pt.q1, s, beta)
+        assert pt.q2 == on_curve, (eta1, s, beta)
+        assert float(q) == prn.eta1 * pt.q1 + prn.eta2 * pt.q2, (eta1, s, beta)
+
+
 def test_oracle_max_separation_examples():
     assert oracle_max_separation(Priors.of(0.3), 0.4, 0.35) == pytest.approx(
         0.032, abs=2e-3
