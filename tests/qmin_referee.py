@@ -32,7 +32,14 @@ slack of 1e-20 relative.  By unimodality that puts the minimum within
 condition's formula.  The slack is needed: next to ``s = 1`` the 50-digit
 objective is good only to about 2e-22 of itself, and a minimum that flat
 moves by less than that over 1e-12.
+
+:func:`qmin` is cached for the test session, keyed by its exact float
+arguments, so the edge suites that judge the same overlap twice pay for it
+once.  :func:`is_q_min` is their one judge of a claimed minimum.
 """
+
+import functools
+import math
 
 import mpmath
 
@@ -54,6 +61,8 @@ _PROBE_SLACK = mp.mpf("1e-20")
 _GOLDEN = (mp.sqrt(5) - 1) / 2
 # Largest constraint residual, relative to s, accepted at the minimum.
 _ORDINATE_CHECK = mp.mpf("1e-40")
+# Ulps of slack that is_q_min gives the overlap a claimed minimum is at.
+SLACK_ULPS = 4
 
 
 def residual(q1, q2, s, beta):
@@ -126,6 +135,7 @@ def _illinois(f, lo, hi, f_lo, f_hi):
     return None
 
 
+@functools.cache
 def qmin(eta1: float, s: float, s_prime: float):
     """(Q_min, q1, q2) for priors (eta1, 1 - eta1), in the normalized frame.
 
@@ -179,3 +189,23 @@ def qmin(eta1: float, s: float, s_prime: float):
     assert abs(residual(q1, q2, s, beta)) <= _ORDINATE_CHECK * s, (eta1, s, s_prime)
     assert q2 <= q1 / (q1 + beta * beta * (1 - q1)), (eta1, s, s_prime)
     return q, q1, q2
+
+
+def is_q_min(eta1: float, s: float, s_prime: float, q: float, tol: float) -> bool:
+    """Whether q is the minimum failure at s_prime, give or take SLACK_ULPS ulps of s_prime.
+
+    ``q`` passes when it is within ``tol`` of ``Q_min(s_prime)``.  The
+    inverse, the overlap that a budget ``q`` buys, is ill-conditioned as
+    ``s' -> s -> 1``, so ``q`` also passes when it falls between ``Q_min``
+    at ``s_prime`` moved SLACK_ULPS ulps up and down, each to within
+    ``tol``: ``Q_min`` falls as the overlap grows.
+    """
+
+    def q_min(overlap: float) -> float:
+        return float(qmin(eta1, s, overlap)[0])
+
+    if abs(q_min(s_prime) - q) <= tol:
+        return True
+    slack = SLACK_ULPS * math.ulp(s_prime)
+    hi, lo = min(s_prime + slack, s), max(s_prime - slack, 0.0)
+    return q_min(hi) <= q + tol and q_min(lo) >= q - tol

@@ -3,21 +3,28 @@
 The three share one kernel, the minimum of the final overlap along the
 budget line.  For each input (priors, ``0 < s < 1`` and a budget from 0 to
 the discrimination cost ``q_ud``) each of them either returns an answer
-that the referee confirms, or raises ``NumericError``.  None raises
+that is confirmed, or raises ``NumericError``.  None raises
 ``DomainError`` for a valid input or leaks another exception.
 
-An answer is judged in ``Q``, not in ``s'``: the least overlap ``s'`` that a
-budget buys is right when the referee's minimum failure ``Q_min(s')`` is
+An overlap is judged in ``Q``, not in ``s'``: the least overlap ``s'`` that
+a budget buys is right when the referee's minimum failure ``Q_min(s')`` is
 within ``Q_TOL`` of the budget.  ``s'(Q)`` is ill-conditioned as
-``s' -> s -> 1``, so ``s'`` gets ``SLACK_ULPS`` ulps of slack: the budget
-must lie between ``Q_min`` at ``s'`` moved that far up and down.  A count of
-clones ``n`` is right when ``s**n`` is within the budget and ``s**(n+1)``
-is not.  Each strategy pushes one parameter to within 1e-12 of an edge
-while the others range over the whole domain.
+``s' -> s -> 1``, so ``s'`` gets ``qmin_referee.SLACK_ULPS`` ulps of
+slack: the budget must lie between ``Q_min`` at ``s'`` moved that far up
+and down (``qmin_referee.is_q_min``).  At ``s' = 0`` the budget need only
+cover ``Q_min(0)``: a budget above the discrimination cost buys full
+separation too.
+
+A count of clones ``n`` is judged without the referee, on the ``s'`` that
+``max_separation`` returned and the referee has just confirmed for the same
+input: ``n`` clones fit exactly when ``s**(n+1) < s' <= s**n``, each end
+widened by the slack that ``max_clones``' floor and ``s'`` itself carry,
+and ``n`` is ``UNBOUNDED`` exactly when ``s'`` is 0.  Each strategy pushes
+one parameter to within 1e-12 of an edge while the others range over the
+whole domain.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,6 +32,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qmin_referee
+from edge_strategies import near, overlap, unit
 from statesep import (
     UNBOUNDED,
     NumericError,
@@ -42,65 +50,38 @@ from statesep import (
 # few digits to be judged relatively.
 Q_TOL = 1e-8
 Q_FLOOR = 1e-300
-SLACK_ULPS = 4
 
 _EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True)
-
-# A distance to an edge: within 1e-12 of it (subnormals included), or
-# log-uniform from 1e-30 to 1e-1; never 0, since s must lie in (0, 1).
-near = st.one_of(
-    st.floats(0.0, 1e-12, exclude_min=True),
-    st.floats(-30.0, -1.0).map(lambda e: 10.0**e),
-)
-# Any value in [0, 1], often close to either end, so that edges combine.
-unit = st.one_of(st.floats(0.0, 1.0), near, near.map(lambda d: 1.0 - d))
-overlap = unit.filter(lambda s: 0.0 < s < 1.0)
 
 
 def tol(q: float) -> float:
     return Q_TOL * q + Q_FLOOR
 
 
-@lru_cache(maxsize=None)
-def q_min(eta1: float, s: float, s_prime: float) -> float:
-    return float(qmin_referee.qmin(eta1, s, s_prime)[0])
-
-
-def buys(eta1: float, s: float, q: float, lo: float, hi: float) -> bool:
-    """Whether the least overlap that budget q buys lies in [lo, hi].
-
-    ``Q_min`` falls as the overlap grows, so that holds when
-    ``Q_min(hi) <= q <= Q_min(lo)``, each to within ``tol(q)``.
-    """
-    return q_min(eta1, s, hi) <= q + tol(q) and q_min(eta1, s, lo) >= q - tol(q)
-
-
 def confirms(eta1: float, s: float, q: float, s_prime: float) -> bool:
     """Whether s_prime is the least overlap budget q buys, give or take SLACK_ULPS ulps."""
     if s_prime == 0.0:
-        return q_min(eta1, s, 0.0) <= q + tol(q)
-    if abs(q_min(eta1, s, s_prime) - q) <= tol(q):
-        return True
-    slack = SLACK_ULPS * math.ulp(s_prime)
-    return buys(eta1, s, q, max(s_prime - slack, 0.0), min(s_prime + slack, s))
+        return float(qmin_referee.qmin(eta1, s, 0.0)[0]) <= q + tol(q)
+    return qmin_referee.is_q_min(eta1, s, s_prime, q, tol(q))
 
 
-def confirms_clones(eta1: float, s: float, q: float, n: float) -> bool:
-    """Whether budget q buys n clones of overlap s and not n + 1."""
-    if n == UNBOUNDED:
-        return q_min(eta1, s, 0.0) <= q + tol(q)
+def counts_clones(s: float, s_prime: float, n: float) -> bool:
+    """Whether n is the number of clones of overlap s that overlap s_prime allows."""
+    if n == UNBOUNDED or s_prime == 0.0:
+        return n == UNBOUNDED and s_prime == 0.0
     if n != int(n) or n < 1:
         return False
     # max_clones floors log(s')/log(s) + 1e-12, which admits an overlap up
     # to that much of s**n above it; s' itself carries SLACK_ULPS ulps.
-    rel = 1e-12 * -math.log(s) + SLACK_ULPS * 2.0**-52
-    return buys(eta1, s, q, s ** (n + 1) * (1.0 - rel), min(s**n * (1.0 + rel), s))
+    rel = 1e-12 * -math.log(s) + qmin_referee.SLACK_ULPS * 2.0**-52
+    return s ** (n + 1) * (1.0 - rel) <= s_prime <= min(s**n * (1.0 + rel), s)
 
 
 def check(eta1: float, s: float, q: float) -> list[str]:
     """``"answered"`` (and confirmed) or ``"refused"`` for each of the three solvers."""
     pr = Priors.of(eta1)
     outcomes = []
+    s_prime = None
     try:
         s_prime, _ = max_separation(pr, s, q)
     except NumericError:
@@ -125,7 +106,8 @@ def check(eta1: float, s: float, q: float) -> list[str]:
     except NumericError:
         outcomes.append("refused")
     else:
-        assert confirms_clones(eta1, s, q, n), (eta1, s, q, n)
+        # max_separation answered and was confirmed above.
+        assert s_prime is not None and counts_clones(s, s_prime, n), (eta1, s, q, s_prime, n)
         outcomes.append("answered")
     return outcomes
 
@@ -237,7 +219,7 @@ def test_priors_summing_above_one_stay_in_the_domain():
     s_prime, _ = max_separation(pr, s, 0.5)
     assert confirms(5e-13, s, 0.5, s_prime)
     assert tradeoff_at(pr, s, 0.5).s_prime == s_prime
-    assert confirms_clones(5e-13, s, 0.5, max_clones(s, 0.5, pr))
+    assert counts_clones(s, s_prime, max_clones(s, 0.5, pr))
 
 
 def edge_budgets(n: int, seed: int):

@@ -228,6 +228,16 @@ def test_certify_flags_corrupted_device():
     assert not report["matrix"]["passed"]
 
 
+@pytest.mark.parametrize("s, frac", [(0.999999, 0.0), (0.999999, 0.3), (0.9999999, 0.9)])
+def test_certify_passes_a_correct_device_next_to_s_1(s, frac):
+    # The success branches have norm sqrt(p), with p = (1 - s)/(1 - s')
+    # about 1e-6, and renormalizing them amplifies the amplitudes' rounding
+    # (2.7e-14 at most here) to an overlap 3.8e-12 to 5.5e-12 off.  An
+    # absolute 1e-12 on the overlap failed these devices.
+    report = certify_separation(build_interferometer(s, frac * s), 10_000, seed=12345)
+    assert report["protocol"]["passed"] and report["passed"]
+
+
 def test_certify_identity_device():
     # At s' = s nothing is separated: input 1 leaves through port 1 alone,
     # so its chi-square has one live cell, no degree of freedom, and p = 1.

@@ -14,7 +14,15 @@ import pytest
 import statesep
 
 # Modules that the solvers and the CLI's curve and point commands never need.
-_HEAVY = ("numpy", "statesep.conics", "statesep.optics", "statesep.oracle", "statesep.verify")
+# SciPy is a test dependency only: nothing in the package may load it.
+_HEAVY = (
+    "numpy",
+    "scipy",
+    "statesep.conics",
+    "statesep.optics",
+    "statesep.oracle",
+    "statesep.verify",
+)
 
 
 def _fresh(script: str) -> str:
@@ -112,6 +120,25 @@ def test_numpy_commands_run_from_a_fresh_process(argv, header):
         ]
     )
     assert _fresh(script).splitlines()[0] == header
+
+
+def test_python_m_statesep_loads_no_scipy():
+    # ``python -m statesep``, run through runpy's ``__main__`` as the
+    # interpreter runs it.
+    script = "\n".join(
+        [
+            "import contextlib, io, runpy, sys",
+            "sys.argv = ['statesep', 'optics', '--s', '0.6', '--s-prime', '0.3',",
+            "            '--shots', '20000']",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    try:",
+            "        runpy.run_module('statesep', run_name='__main__')",
+            "    except SystemExit as exc:",
+            "        assert exc.code == 0, exc.code",
+            _loaded("scipy"),
+        ]
+    )
+    assert _fresh(script) == "[]\n"
 
 
 def test_every_public_name_resolves_to_its_defining_module():

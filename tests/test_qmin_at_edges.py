@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmin_referee
+from edge_strategies import near_or_at, unit_or_at
 from statesep import NumericError, OverlapSpec, Priors, qmin_at
 from statesep.solvers import _DEGENERATE_PRIOR_TOL
 
@@ -26,15 +27,6 @@ Q_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 
 _EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True)
-
-# A distance to an edge: within 1e-12 of it (subnormals and 0 included), or
-# log-uniform from 1e-30 to 1e-1.
-near = st.one_of(
-    st.floats(0.0, 1e-12),
-    st.floats(-30.0, -1.0).map(lambda e: 10.0**e),
-)
-# Any value in [0, 1], often close to either end, so that edges combine.
-unit = st.one_of(st.floats(0.0, 1.0), near, near.map(lambda d: 1.0 - d))
 
 
 def check_qmin_at(eta1: float, s: float, s_prime: float) -> str:
@@ -51,7 +43,7 @@ def check_qmin_at(eta1: float, s: float, s_prime: float) -> str:
 
 
 @_EXAMPLES
-@given(eta1=unit, s=unit, frac=near)
+@given(eta1=unit_or_at, s=unit_or_at, frac=near_or_at)
 @example(eta1=0.3, s=0.5, frac=1e-12)
 @example(eta1=0.3, s=0.6, frac=1e-9 / 0.6)
 @example(eta1=0.3, s=0.5, frac=1e-323)
@@ -62,7 +54,7 @@ def test_target_overlap_near_zero(eta1, s, frac):
 
 
 @_EXAMPLES
-@given(eta1=unit, d=near, frac=unit)
+@given(eta1=unit_or_at, d=near_or_at, frac=unit_or_at)
 @example(eta1=0.3, d=1e-12, frac=0.5)
 @example(eta1=4.13e-6, d=2.2424e-12, frac=1.0 - 1e-15)
 # The closed-form ordinate rounds to 1.0000000000000004 at the vertex.
@@ -73,7 +65,7 @@ def test_initial_overlap_near_one(eta1, d, frac):
 
 
 @_EXAMPLES
-@given(eta1=unit, s=near, frac=unit)
+@given(eta1=unit_or_at, s=near_or_at, frac=unit_or_at)
 @example(eta1=0.3, s=1e-300, frac=0.5)
 @example(eta1=0.3, s=5e-324, frac=0.5)
 @example(eta1=0.3, s=1.5e-154, frac=0.5)
@@ -86,7 +78,7 @@ def test_initial_overlap_near_zero(eta1, s, frac):
 
 
 @_EXAMPLES
-@given(d=near, s=unit, frac=unit, mirrored=st.booleans())
+@given(d=near_or_at, s=unit_or_at, frac=unit_or_at, mirrored=st.booleans())
 @example(d=0.0, s=0.6, frac=0.5, mirrored=False)
 @example(d=1e-300, s=0.5, frac=1e-12, mirrored=True)
 def test_prior_near_certainty(d, s, frac, mirrored):
@@ -95,9 +87,9 @@ def test_prior_near_certainty(d, s, frac, mirrored):
 
 @_EXAMPLES
 @given(
-    d=st.one_of(near, st.floats(-17.0, -2.0).map(lambda e: 10.0**e)),
-    s=unit,
-    frac=unit,
+    d=st.one_of(near_or_at, st.floats(-17.0, -2.0).map(lambda e: 10.0**e)),
+    s=unit_or_at,
+    frac=unit_or_at,
     above=st.booleans(),
 )
 @example(d=0.5 * _DEGENERATE_PRIOR_TOL * (1.0 - 1e-3), s=0.6, frac=0.5, above=False)

@@ -15,24 +15,14 @@ import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 import qmin_referee
+from edge_strategies import near_or_at, samples, unit_or_at
 from statesep import NumericError, OverlapSpec, qmin_curve
 
 REL_TOL = 1e-9
 
 _EXAMPLES = settings(max_examples=16, deadline=None, derandomize=True)
-
-# A distance to an edge: within 1e-12 of it (subnormals and 0 included), or
-# log-uniform from 1e-30 to 1e-1.
-near = st.one_of(
-    st.floats(0.0, 1e-12),
-    st.floats(-30.0, -1.0).map(lambda e: 10.0**e),
-)
-# Any value in [0, 1], often close to either end, so that edges combine.
-unit = st.one_of(st.floats(0.0, 1.0), near, near.map(lambda d: 1.0 - d))
-samples = st.sampled_from([2, 3, 24, 512])
 
 
 def check_qmin_curve(s: float, s_prime: float, n: int) -> str:
@@ -57,7 +47,7 @@ def check_fraction(s: float, frac: float, n: int) -> str:
 
 
 @_EXAMPLES
-@given(s=near, frac=unit, n=samples)
+@given(s=near_or_at, frac=unit_or_at, n=samples)
 @example(s=8.002035938234122e-30, frac=3.197006282588512e-30 / 8.002035938234122e-30, n=7)
 @example(s=1.0626370286062564e-05, frac=1.062634972095687e-05 / 1.0626370286062564e-05, n=64)
 def test_initial_overlap_near_zero(s, frac, n):
@@ -65,7 +55,7 @@ def test_initial_overlap_near_zero(s, frac, n):
 
 
 @_EXAMPLES
-@given(d=near, frac=unit, n=samples)
+@given(d=near_or_at, frac=unit_or_at, n=samples)
 @example(d=0.0, frac=0.5, n=24)
 # The tangency range spans about 40 ulps of t.
 @example(d=1.934e-11, frac=0.9999822346754745, n=24)
@@ -74,7 +64,7 @@ def test_initial_overlap_near_one(d, frac, n):
 
 
 @_EXAMPLES
-@given(s=unit, frac=near, n=samples)
+@given(s=unit_or_at, frac=near_or_at, n=samples)
 @example(s=0.6, frac=1e-9 / 0.6, n=512)
 @example(s=1.101634294509729e-08, frac=1.5447711670666384e-18 / 1.101634294509729e-08, n=512)
 def test_target_ratio_near_zero(s, frac, n):
@@ -82,7 +72,7 @@ def test_target_ratio_near_zero(s, frac, n):
 
 
 @_EXAMPLES
-@given(s=unit, d=near, n=samples)
+@given(s=unit_or_at, d=near_or_at, n=samples)
 # t_slope_zero is 2.6e-7 off, relative, more than the range is wide, so
 # most rows lie past the zero-slope end and must be that end.
 @example(s=0.9999996220403191, d=2.612e-10, n=24)

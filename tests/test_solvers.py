@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import pickle
+import re
 import textwrap
 
 import mpmath
@@ -772,7 +773,7 @@ def test_tradeoff_curve_former_singular_angle_is_answered():
 
 
 # ---------------------------------------------------------------------------
-# the sweeps against the scalar helpers and the 50-digit angle formulas
+# the sweeps' grid and guard, and the 50-digit angle formulas
 
 
 def _outcome(fn):
@@ -781,19 +782,6 @@ def _outcome(fn):
         return ("ok", fn())
     except (DomainError, NumericError) as exc:
         return ("raised", type(exc), str(exc))
-
-
-def _hex_rows(rows):
-    return [tuple(float.hex(v) for v in row) for row in rows]
-
-
-def _qmin_rows_scalar(ov, n):
-    """qmin_curve's samples, one scalar helper call at a time."""
-    ts = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist()
-    return [
-        (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
-        for m in (solvers._curve_row(t, ov) for t in ts)
-    ]
 
 
 _MP = mpmath.MPContext()
@@ -861,13 +849,6 @@ def _check_angle_formula_rows(eta1, s, samples, rows=None):
             assert abs(got - ref) <= _ANGLE_ROW_TOL * abs(ref), (eta1, s, k, smp, want)
 
 
-def _qmin_rows(ov, n):
-    return [
-        (m.t, m.eta1, m.q_min, m.point.q1, m.point.q2, m.dq1_dt, m.dq2_dt)
-        for m in qmin_curve(ov, n)
-    ]
-
-
 def _decade(rng, lo, hi):
     return 10 ** rng.uniform(lo, hi)
 
@@ -896,21 +877,19 @@ _NEGATIVE_Q1_CASE = (0.3, 8.002035938234122e-30, 3.197006282588512e-30, 7)
     _sweep_cases(20261018, 48) + [_NEGATIVE_Q1_CASE],
     ids=[f"case{i}" for i in range(48)] + ["negative-q1"],
 )
-def test_sweeps_match_scalar_helpers_in_hex(eta1, s, s_prime, n):
-    # Every sample (or the error raised) of the qmin sweep is what the
-    # scalar helper gives at the same grid t, bit for bit.
+def test_qmin_curve_grid_and_monotonicity_guard(eta1, s, s_prime, n):
+    # The sweep's t column is np.linspace over the tangency range, bit for
+    # bit, and the sweep refuses exactly where the eta1 column of its rows
+    # on that grid rises by more than _MONOTONE_TOL.
     ov = OverlapSpec(s, s_prime)
-    want = _outcome(lambda: _qmin_rows_scalar(ov, n))
-    got = _outcome(lambda: _qmin_rows(ov, n))
-    if want[0] == "raised":
-        assert got == want
-    elif got[0] == "raised":
-        # Only the sweep-level guard may reject samples the helpers accept.
-        etas = [row[1] for row in want[1]]
-        assert got[1] is NumericError and "monotonically" in got[2]
-        assert max(b - a for a, b in zip(etas, etas[1:])) > solvers._MONOTONE_TOL
+    ts = np.linspace(t_slope_minus_one(ov), t_slope_zero(ov), n).tolist()
+    etas = [row.eta1 for row in solvers._t_curve(ts, ov)]
+    rise = max(b - a for a, b in zip(etas, etas[1:]))
+    if rise > solvers._MONOTONE_TOL:
+        with pytest.raises(NumericError, match=re.escape(f"(worst increase {rise!r} at")):
+            qmin_curve(ov, n)
     else:
-        assert _hex_rows(got[1]) == _hex_rows(want[1])
+        assert [row.t.hex() for row in qmin_curve(ov, n)] == [t.hex() for t in ts]
 
 
 @pytest.mark.parametrize(
@@ -944,7 +923,7 @@ def test_sweep_cases_reach_the_guards():
     # half-angle tradeoff rows answer every case.
     qmin, tradeoff = set(), set()
     for eta1, s, s_prime, n in _sweep_cases(20261018, 48):
-        qmin.add(_outcome(lambda: _qmin_rows_scalar(OverlapSpec(s, s_prime), n))[0])
+        qmin.add(_outcome(lambda: qmin_curve(OverlapSpec(s, s_prime), n))[0])
         tradeoff.add(_outcome(lambda: tradeoff_curve(Priors.of(eta1), s, n))[0])
     assert qmin == {"ok"}
     assert tradeoff == {"ok"}

@@ -6,9 +6,10 @@ never raises ``DomainError`` for a valid input, and never leaks another
 exception.  A row ``(s', Q)`` is right when ``Q`` is within ``REL_TOL`` of
 the referee's minimum failure ``Q_min(s')`` at the sweep's prior, relative
 to ``max(Q, smallest normal float)``.  ``Q(s')`` is ill-conditioned as
-``s' -> s -> 1``, so ``s'`` gets ``SLACK_ULPS`` ulps of slack, as in
-``test_max_separation_edges.py``: ``Q`` must then lie between ``Q_min`` at
-``s'`` moved that far up and down.  A referee call costs milliseconds, so
+``s' -> s -> 1``, so ``s'`` gets ``qmin_referee.SLACK_ULPS`` ulps of
+slack: ``Q`` must then lie between ``Q_min`` at ``s'`` moved that far up
+and down.  ``qmin_referee.is_q_min`` is that judge, shared with
+``test_max_separation_edges.py``.  A referee call costs milliseconds, so
 each sweep is judged at three rows: 1, ``n // 2`` and ``n - 2``.
 
 The strategies push ``s`` to 0 (subnormal values included) and to 1,
@@ -20,7 +21,6 @@ sweep's certainty closed form and the rest the angle sweep.
 
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,45 +28,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmin_referee
+from edge_strategies import near, overlap, samples
 from statesep import NumericError, Priors, tradeoff_curve
 
 REL_TOL = 1e-9
-SLACK_ULPS = 4
 
 _EXAMPLES = settings(max_examples=16, deadline=None, derandomize=True)
 
-# A distance to an edge: within 1e-12 of it (subnormals included), or
-# log-uniform from 1e-30 to 1e-1; never 0.
-near = st.one_of(
-    st.floats(0.0, 1e-12, exclude_min=True),
-    st.floats(-30.0, -1.0).map(lambda e: 10.0**e),
-)
-# An initial overlap anywhere in (0, 1), often next to either end.
-overlap = st.one_of(st.floats(0.0, 1.0), near, near.map(lambda d: 1.0 - d)).filter(
-    lambda s: 0.0 < s < 1.0
-)
 # A prior anywhere in (0, 1/2], often next to certainty or to 1/2.
 prior = st.one_of(
     st.floats(0.0, 0.5, exclude_min=True),
     st.floats(-15.0, -1.0).map(lambda e: 10.0**e),
     near.map(lambda d: 0.5 - d),
 )
-samples = st.sampled_from([2, 3, 24, 512])
-
-
-@lru_cache(maxsize=None)
-def q_min(eta1: float, s: float, s_prime: float) -> float:
-    return float(qmin_referee.qmin(eta1, s, s_prime)[0])
 
 
 def row_is_right(eta1: float, s: float, s_prime: float, q: float) -> bool:
     """Whether Q is the minimum failure at s', give or take SLACK_ULPS ulps of s'."""
-    tol = REL_TOL * max(q, sys.float_info.min)
-    if abs(q_min(eta1, s, s_prime) - q) <= tol:
-        return True
-    slack = SLACK_ULPS * math.ulp(s_prime)
-    hi, lo = min(s_prime + slack, s), max(s_prime - slack, 0.0)
-    return q_min(eta1, s, hi) <= q + tol and q_min(eta1, s, lo) >= q - tol
+    return qmin_referee.is_q_min(eta1, s, s_prime, q, REL_TOL * max(q, sys.float_info.min))
 
 
 def check_tradeoff_curve(eta1: float, s: float, n: int) -> str:
