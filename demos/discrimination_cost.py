@@ -17,7 +17,7 @@ print(f"{'eta1':>6} {'Q_UD':>10} {'q1':>8} {'q2':>8}  regime")
 lo = S * S / (1 + S * S)
 for eta1 in (0.02, 0.1, 0.2, lo, 0.35, 0.5, 0.65, 1 - lo, 0.9, 0.98):
     pr = Priors.of(eta1)
-    q = float(q_ud(pr, S))
+    q = q_ud(pr, S)
     pt = ud_tangency_point(pr, S)
     regime = (
         "pivot on (1, s^2)" if eta1 <= lo

@@ -15,7 +15,7 @@ etas = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 print(f"{'s_prime':>8} | " + " ".join(f"eta1={e:<5}" for e in etas))
 for sp in TARGETS:
     ov = OverlapSpec(S, sp)
-    row = [float(qmin_at(Priors.of(e), ov)[0]) for e in etas]
+    row = [qmin_at(Priors.of(e), ov)[0] for e in etas]
     print(f"{sp:8.2f} | " + " ".join(f"{q:10.6f}" for q in row))
 
 print("\nEndpoints in closed form, for s' = 0.3:")
@@ -32,7 +32,7 @@ for smp in samples:
 print("\nBrute-force oracle cross-check (direct search along the curve, no parametrization):")
 for eta1 in (0.1, 0.3, 0.5):
     pr = Priors.of(eta1)
-    solver_q = float(qmin_at(pr, OverlapSpec(S, sp))[0])
-    oracle_q = float(oracle_qmin(pr, OverlapSpec(S, sp))[0])
+    solver_q, _ = qmin_at(pr, OverlapSpec(S, sp))
+    oracle_q, _ = oracle_qmin(pr, OverlapSpec(S, sp))
     print(f"  eta1={eta1}: solver {solver_q:.12f}  oracle {oracle_q:.12f}"
           f"  diff {abs(solver_q - oracle_q):.1e}")

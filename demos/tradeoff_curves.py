@@ -12,7 +12,7 @@ S = 0.6
 for eta1 in (0.1, 0.5):
     pr = Priors.of(eta1)
     print(f"Tradeoff at s = {S}, eta1 = {eta1} "
-          f"(discrimination cost {float(q_ud(pr, S)):.4f}):")
+          f"(discrimination cost {q_ud(pr, S):.4f}):")
     print(f"{'theta':>9} {'Q':>10} {'s_prime':>10}")
     for smp in tradeoff_curve(pr, S, n_samples=9):
         print(f"{smp.theta:9.4f} {smp.q:10.6f} {smp.s_prime:10.6f}")
@@ -25,7 +25,7 @@ print("The sweep inverts cleanly: pick a target, price it, then ask the")
 print("tradeoff curve what that price buys back.")
 for eta1, sp in ((0.1, 0.3), (0.5, 0.2)):
     pr = Priors.of(eta1)
-    q = float(qmin_at(pr, OverlapSpec(S, sp))[0])
+    q, _ = qmin_at(pr, OverlapSpec(S, sp))
     back = tradeoff_at(pr, S, q)
     print(f"  eta1={eta1}: separating to s'={sp} costs Q={q:.6f}; "
           f"budget Q={q:.6f} buys s'={back.s_prime:.6f}")

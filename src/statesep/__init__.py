@@ -26,7 +26,6 @@ _EXPORTS = {
         "Priors",
         "OverlapSpec",
         "FailurePoint",
-        "FailureBudget",
         "sqrt_clamped",
         "unitarity_residual",
     ),

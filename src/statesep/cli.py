@@ -98,7 +98,7 @@ def cmd_ud(args: argparse.Namespace) -> tuple[str, bool]:
     rows = []
     for eta1 in solvers._linspace(0.0, 1.0, args.samples):
         pr = Priors.of(eta1)
-        q = float(solvers.q_ud(pr, args.s))
+        q = solvers.q_ud(pr, args.s)
         pt = solvers.ud_tangency_point(pr, args.s)
         rows.append((eta1, q, pt.q1, pt.q2))
     return _emit_rows(args, ["eta1", "q_ud", "q1", "q2"], rows, {"s": args.s}), True
@@ -116,7 +116,7 @@ def cmd_qmin(args: argparse.Namespace) -> tuple[str, bool]:
         for eta1 in solvers._linspace(0.5, 0.0, args.samples):
             pr = Priors.of(eta1)
             pt = solvers.ud_tangency_point(pr, args.s)
-            rows.append((None, eta1, float(solvers.q_ud(pr, args.s)), pt.q1, pt.q2))
+            rows.append((None, eta1, solvers.q_ud(pr, args.s), pt.q1, pt.q2))
     else:
         ov = OverlapSpec(args.s, args.s_prime)
         for smp in solvers.qmin_curve(ov, args.samples):
@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in required:
             p.add_argument(flag, type=float, required=True)
         if samples is not None:
-            p.add_argument("--samples", type=int, default=samples, help="number of rows to emit")
+            what = "per-axis oracle grid size" if name == "verify" else "number of rows to emit"
+            p.add_argument("--samples", type=int, default=samples, help=what)
         if shots:
             p.add_argument("--shots", type=int, default=1_000_000, help="photon-counting shots")
         p.add_argument("--seed", type=int, default=12345, help="RNG seed")

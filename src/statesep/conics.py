@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, FailurePoint, FailureBudget, Priors, _Value, sqrt_clamped
+from .core import DomainError, FailurePoint, Priors, _Value, sqrt_clamped
 
 __all__ = [
     "ConicPoint",
@@ -98,7 +98,7 @@ def _check_delta(pr: Priors) -> float:
     return delta
 
 
-def ellipse_point(theta: float, q: float | FailureBudget, pr: Priors) -> ConicPoint:
+def ellipse_point(theta: float, q: float, pr: Priors) -> ConicPoint:
     """Point of the objective ellipse for budget Q at polar angle theta.
 
     theta is measured from the ellipse's center, as ``max_separation``
@@ -109,10 +109,10 @@ def ellipse_point(theta: float, q: float | FailureBudget, pr: Priors) -> ConicPo
     ellipse collapses into the origin.
     """
     delta = _check_delta(pr)
-    q_avg = float(q)
+    q = float(q)
     one = 1.0 - delta * delta
-    u = q_avg * math.cos(theta) / math.sqrt(one)
-    v = q_avg / one + q_avg * delta * math.sin(theta) / one
+    u = q * math.cos(theta) / math.sqrt(one)
+    v = q / one + q * delta * math.sin(theta) / one
     return ConicPoint(u, v)
 
 
@@ -147,7 +147,7 @@ def conic_slopes(
 
 def tangency_residuals(
     theta: float,
-    q: float | FailureBudget,
+    q: float,
     pr: Priors,
     s: float,
     s_prime: float,

@@ -14,13 +14,13 @@ the convexity of the enclosed region are what every solver in this package
 leans on.
 
 All values are plain floats in [0, 1]; everything here is pure and
-immutable, so instances can be shared freely across threads.  The four
-domain types (``Priors``, ``OverlapSpec``, ``FailurePoint``,
-``FailureBudget``) are frozen, slotted value classes: their constructors
-check every field, and a small private base gives them field-wise ``==``,
-hash, repr, ``__match_args__`` and copy/pickle through those constructors.
-The package's other value classes (``conics.ConicPoint``, optics'
-``ModeState``, ``Interferometer`` and ``ShotCounts``, and
+immutable, so instances can be shared freely across threads.  The three
+domain types (``Priors``, ``OverlapSpec``, ``FailurePoint``) are frozen,
+slotted value classes: their constructors check every field, and a small
+private base gives them field-wise ``==``, hash, repr, ``__match_args__``
+and copy/pickle through those constructors.  A failure budget Q is a
+plain float.  The package's other value classes (``conics.ConicPoint``,
+optics' ``ModeState``, ``Interferometer`` and ``ShotCounts``, and
 ``verify.CheckResult``) share that base.  None of them is a dataclass, so
 ``dataclasses.replace``/``fields`` do not apply to them; the package
 imports no ``dataclasses`` until one of them is written to.
@@ -37,7 +37,6 @@ __all__ = [
     "Priors",
     "OverlapSpec",
     "FailurePoint",
-    "FailureBudget",
     "sqrt_clamped",
     "unitarity_residual",
     "lower_half_q2",
@@ -220,29 +219,12 @@ class FailurePoint(_Value):
         return FailurePoint(self.q2, self.q1)
 
 
-class FailureBudget(_Value):
-    """An average failure probability, either achieved (Q) or allowed (Q_max)."""
-
-    __slots__ = ("q_avg",)
-    q_avg: float
-
-    def __init__(self, q_avg: float) -> None:
-        q_avg = float(q_avg)
-        if not 0.0 <= q_avg <= 1.0:
-            raise _prob_error("q_avg", q_avg)
-        _set_q_avg(self, q_avg)
-
-    def __float__(self) -> float:
-        return self.q_avg
-
-
 # The constructors above write each checked field through its slot
 # descriptor; the frozen __setattr__ would refuse, and object.__setattr__
 # is a slower route to the same descriptor.
 _set_eta1, _set_eta2 = Priors.eta1.__set__, Priors.eta2.__set__
 _set_s, _set_s_prime = OverlapSpec.s.__set__, OverlapSpec.s_prime.__set__
 _set_q1, _set_q2 = FailurePoint.q1.__set__, FailurePoint.q2.__set__
-_set_q_avg = FailureBudget.q_avg.__set__
 
 
 def unitarity_residual(pt: FailurePoint, ov: OverlapSpec) -> float:

@@ -19,7 +19,6 @@ import math
 
 from .core import (
     DomainError,
-    FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
@@ -68,7 +67,7 @@ def _lower_q2_scalar(q1: float, s: float, beta: float) -> float:
     return q2
 
 
-def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
+def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     """Minimum average failure probability by direct search on the curve.
 
     Golden-sections ``u = log(q1)`` along the lower half of the constraint
@@ -81,9 +80,9 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoin
     s, beta = ov.s, ov.s_prime
     prn, swapped = pr.normalized()
 
-    def _ret(q: float, q1: float, q2: float) -> tuple[FailureBudget, FailurePoint]:
+    def _ret(q: float, q1: float, q2: float) -> tuple[float, FailurePoint]:
         pt = FailurePoint(min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
-        return FailureBudget(min(max(q, 0.0), 1.0)), (pt.swapped() if swapped else pt)
+        return min(max(q, 0.0), 1.0), (pt.swapped() if swapped else pt)
 
     if beta == s:
         # (0, 0) already satisfies the constraint: nothing ever fails.
@@ -117,7 +116,7 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoin
     return _ret(*min(*ends, fc, fd))
 
 
-def oracle_max_separation(pr: Priors, s: float, q_max: float | FailureBudget) -> float:
+def oracle_max_separation(pr: Priors, s: float, q_max: float) -> float:
     """Smallest final overlap whose minimum failure fits the budget.
 
     Bisects on s_prime, relying on the (test-verified) monotonicity of the
@@ -130,8 +129,7 @@ def oracle_max_separation(pr: Priors, s: float, q_max: float | FailureBudget) ->
         raise DomainError(f"q_max must lie in [0, 1], got {q_cap!r}")
 
     def fits(s_prime: float) -> bool:
-        q, _ = oracle_qmin(pr, OverlapSpec(s, s_prime))
-        return float(q) <= q_cap
+        return oracle_qmin(pr, OverlapSpec(s, s_prime))[0] <= q_cap
 
     if fits(0.0):
         return 0.0

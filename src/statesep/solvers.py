@@ -40,12 +40,12 @@ form, with both ends of the tangency range emitted as explicit points.
 ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas, in the half-angle offset of each ellipse angle from
 the sweep's start; the tests evaluate the angle formulas in mpmath as its
-referee.  Each loop raises at the first failing sample, in the range
-checks of ``FailurePoint`` (q1, then q2) and ``FailureBudget`` (Q), which
-``_t_curve`` and ``_tradeoff_rows`` write out with the constructors' own
-messages; ``_t_curve`` then builds its point with ``object.__new__`` and
-core's slot setters.  ``QminSample`` and ``TradeoffSample`` are named
-tuples, and the sweeps build every record with ``tuple.__new__`` on its
+referee.  Each loop raises at the first failing sample: ``_t_curve`` in
+``FailurePoint``'s range checks (q1, then q2), written out with the
+constructor's own messages, and ``_tradeoff_rows`` in the range check of
+Q (``q_avg must lie in [0, 1]``); ``_t_curve`` then builds its point
+with ``object.__new__`` and core's slot setters.  ``QminSample`` and
+``TradeoffSample`` are named tuples, and the sweeps build every record with ``tuple.__new__`` on its
 class: the generated ``__new__`` makes only that call, so a record equals
 what the constructor builds from its fields.  A ``TradeoffSample`` is four
 plain floats.  Neither sweep has a per-sample guard; each checks the
@@ -63,7 +63,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     DomainError,
-    FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
@@ -245,7 +244,7 @@ def _bracketed_root(
 # unambiguous discrimination (full separation)
 
 
-def q_ud(pr: Priors, s: float) -> FailureBudget:
+def q_ud(pr: Priors, s: float) -> float:
     """Minimum average failure probability of unambiguous discrimination.
 
     Three regimes: for intermediate priors the optimum is the tangency of
@@ -256,11 +255,11 @@ def q_ud(pr: Priors, s: float) -> FailureBudget:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s!r}")
-    return FailureBudget(_q_ud(pr.eta1, pr.eta2, s))
+    return _q_ud(pr.eta1, pr.eta2, float(s))
 
 
 def _q_ud(eta1: float, eta2: float, s: float) -> float:
-    """``q_ud``'s value as a plain float, for checked priors and s in [0, 1]."""
+    """``q_ud``'s value, for checked priors and a float s in [0, 1]."""
     lo = s * s / (1.0 + s * s)
     if eta1 <= lo:
         q = eta1 + s * s * eta2
@@ -377,11 +376,11 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     infinite derivatives.  Where g2 <= 0, the zero-slope end and any t
     rounded past it, the row is the zero-slope point itself, with eta1 and
     dq2/dt 0.  The rows are taken in order; the only check is
-    ``FailurePoint``'s range check of q1, then q2, written out as
-    ``_tradeoff_rows`` writes out ``FailureBudget``'s, which raises the
-    constructor's DomainError at the first offending t.  The point is then
-    built with ``object.__new__`` and core's slot setters, and the row with
-    ``tuple.__new__``, so neither runs a Python constructor.
+    ``FailurePoint``'s range check of q1, then q2, written out, which
+    raises the constructor's DomainError at the first offending t.  The
+    point is then built with ``object.__new__`` and core's slot setters,
+    and the row with ``tuple.__new__``, so neither runs a Python
+    constructor.
 
     This is the one implementation of the parametric formulas: the sweep
     runs it over its grid and ``_curve_row`` over a single t.
@@ -498,7 +497,7 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     return samples
 
 
-def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
+def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     """Minimum average failure probability and optimal point for one prior.
 
     Parameters
@@ -511,7 +510,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
 
     Returns
     -------
-    (FailureBudget, FailurePoint)
+    (float, FailurePoint)
         The achievable minimum of eta1*q1 + eta2*q2 and the point where
         the objective line touches the constraint curve.
 
@@ -545,8 +544,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
     """
     prn, swapped = pr.normalized()
 
-    def _ret(q: float, point: FailurePoint) -> tuple[FailureBudget, FailurePoint]:
-        return FailureBudget(q), (point.swapped() if swapped else point)
+    def _ret(q: float, point: FailurePoint) -> tuple[float, FailurePoint]:
+        return q, (point.swapped() if swapped else point)
 
     if ov.s_prime == ov.s:
         return _ret(0.0, FailurePoint(0.0, 0.0))
@@ -618,9 +617,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[FailureBudget, FailurePoint]:
 # maximum separation under a failure budget (minimum along the budget line)
 
 
-def max_separation(
-    pr: Priors, s: float, q_max: float | FailureBudget
-) -> tuple[float, float]:
+def max_separation(pr: Priors, s: float, q_max: float) -> tuple[float, float]:
     """Smallest final overlap reachable within a failure budget.
 
     Parameters
@@ -629,7 +626,7 @@ def max_separation(
         Prior probabilities (normalized internally to eta1 <= 1/2).
     s : float
         Initial overlap, in (0, 1).
-    q_max : float or FailureBudget
+    q_max : float
         Cap on the average failure probability, in [0, 1).
 
     Returns
@@ -661,7 +658,7 @@ def max_separation(
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q_max must lie in [0, 1), got {q!r}")
     prn, _ = pr.normalized()
-    sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, float(q_ud(prn, s)))
+    sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, q_ud(prn, s))
     return (0.0, math.nan) if sep is None else sep
 
 
@@ -714,7 +711,7 @@ def _budget_line_minimum(
     return min(max(gap / b, 0.0), s), theta
 
 
-def critical_overlap(pr: Priors, q_max: float | FailureBudget) -> float:
+def critical_overlap(pr: Priors, q_max: float) -> float:
     """Largest initial overlap still fully separable within the budget.
 
     Below this overlap the discrimination cost fits inside q_max and
@@ -809,8 +806,9 @@ def _tradeoff_rows(
     there on (tau0 ends the tangency regime and tau_plus the lopsided one,
     and they cross at the second-order transition eta1 = s**2/(1 + s**2))
     the row is full separation, (0, q_end).  Q is capped at q_end and s'
-    at s, and each Q gets ``FailureBudget``'s range check, which only NaN
-    fails.  The columns come back as lists, for the caller to add the ends.
+    at s, and each Q is range-checked (``q_avg must lie in [0, 1]``),
+    which only NaN fails.  The columns come back as lists, for the caller
+    to add the ends.
     """
     delta, r, w, tau_plus = _tradeoff_frame(s, eta1)
     sd, gap, w_s, w_r = s * delta, (1.0 - s) * (1.0 + s), w + s, w + r
@@ -847,7 +845,7 @@ def _tradeoff_rows(
 
 
 def _range_checked(qs: list[float]) -> list[float]:
-    """``qs``, after ``FailureBudget``'s range check of each, in order."""
+    """``qs``, after the range check of each Q (``q_avg must lie in [0, 1]``), in order."""
     for q in qs:
         if not 0.0 <= q <= 1.0:
             raise _prob_error("q_avg", q)
@@ -870,8 +868,8 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     The sweep refuses with NumericError where s*delta is below the normal
     float range, where the angle frame underflows (``_tradeoff_frame``: s
     and sqrt(eta1) both below about 1e-77), or where Q falls or s' rises
-    by more than 1e-10.  Every branch range-checks Q as ``FailureBudget``
-    would, and builds the records with ``tuple.__new__``.
+    by more than 1e-10.  Every branch range-checks Q, and builds the
+    records with ``tuple.__new__``.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -929,7 +927,7 @@ def _check_tradeoff_order(
         )
 
 
-def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSample:
+def tradeoff_at(pr: Priors, s: float, q: float) -> TradeoffSample:
     """Tradeoff point at a specific failure budget.
 
     Below the discrimination cost the budget is saturated, so the point is
@@ -937,8 +935,7 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
     the achieved budget.  Budgets at or above the discrimination cost
     return the full-separation endpoint (whose achieved budget is the
     discrimination cost itself, since larger margins are never saturated).
-    ``q`` (a float or a ``FailureBudget``) must lie in [0, 1]; the record's
-    theta and q are plain floats.
+    ``q`` must lie in [0, 1]; the record's theta and q are plain floats.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -957,7 +954,7 @@ def tradeoff_at(pr: Priors, s: float, q: float | FailureBudget) -> TradeoffSampl
 # corollaries
 
 
-def max_clones(s: float, q_max: float | FailureBudget, pr: Priors) -> int | float:
+def max_clones(s: float, q_max: float, pr: Priors) -> int | float:
     """Largest number of perfect clones producible within a failure budget.
 
     Cloning one copy into n multiplies the overlap to s**n, so the budget
@@ -991,7 +988,7 @@ def phase_transition_probe(
     ov = OverlapSpec(s, s_prime)
 
     def q_of(eta1: float) -> float:
-        return float(qmin_at(Priors.of(eta1), ov)[0])
+        return qmin_at(Priors.of(eta1), ov)[0]
 
     q0 = q_of(eta_star)
     right = (q_of(eta_star + 2.0 * h) - 2.0 * q_of(eta_star + h) + q0) / (h * h)

@@ -149,16 +149,16 @@ def check_slope_range(seed: int) -> CheckResult:
 def check_qmin_monotonicity(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = -math.inf
+    priors = [Priors.of(e) for e in np.linspace(0.02, 0.5, 25)]
     for _ in range(20):
         s = rng.uniform(0.2, 0.9)
         sp_values = np.sort(rng.uniform(0.05, 0.95, 3)) * s
-        etas = np.linspace(0.02, 0.5, 25)
+        quds = np.array([solvers.q_ud(pr, s) for pr in priors])
         prev = None
         for sp in sp_values[::-1]:  # decreasing s'
             ov = OverlapSpec(s, float(sp))
-            qs = np.array([float(solvers.qmin_at(Priors.of(e), ov)[0]) for e in etas])
+            qs = np.array([solvers.qmin_at(pr, ov)[0] for pr in priors])
             worst = max(worst, float(np.max(-np.diff(qs))))  # nondecreasing in eta1
-            quds = np.array([float(solvers.q_ud(Priors.of(e), s)) for e in etas])
             worst = max(worst, float(np.max(qs - quds)))  # bounded by UD
             if prev is not None:
                 worst = max(worst, float(np.max(prev - qs)))  # costlier as s' drops
@@ -175,8 +175,8 @@ def check_oracle_agreement(grid: int) -> CheckResult:
             ov = OverlapSpec(float(s), float(frac * s))
             for eta1 in np.linspace(0.02, 0.5, grid):
                 pr = Priors.of(float(eta1))
-                q_solver = float(solvers.qmin_at(pr, ov)[0])
-                q_oracle = float(oracle_qmin(pr, ov)[0])
+                q_solver, _ = solvers.qmin_at(pr, ov)
+                q_oracle, _ = oracle_qmin(pr, ov)
                 worst = max(worst, abs(q_solver - q_oracle))
     return _result("oracle-agreement", worst, 1e-6)
 
@@ -198,7 +198,7 @@ def check_round_trip(seed: int) -> CheckResult:
         pr = Priors.of(smp.eta1)
         sp_back, _ = solvers.max_separation(pr, s, smp.q_min)
         q_back, _ = solvers.qmin_at(pr, OverlapSpec(s, sp_back))
-        worst = max(worst, abs(sp_back - sp), abs(float(q_back) - smp.q_min))
+        worst = max(worst, abs(sp_back - sp), abs(q_back - smp.q_min))
     return _result("round-trip-consistency", worst, 1e-6)
 
 
@@ -210,7 +210,7 @@ def check_conic_consistency(seed: int) -> CheckResult:
         s = float(rng.uniform(0.2, 0.9))
         pr = Priors.of(eta1)
         # At most 0.95 of the discrimination cost, so s' > 0 (above 0.012).
-        q_cap = float(rng.uniform(0.3, 0.95)) * float(solvers.q_ud(pr, s))
+        q_cap = float(rng.uniform(0.3, 0.95)) * solvers.q_ud(pr, s)
         sp, theta = solvers.max_separation(pr, s, q_cap)
         r1, r2 = conics.tangency_residuals(theta, q_cap, pr, s, sp)
         worst = max(worst, abs(r1), abs(r2))
@@ -230,7 +230,7 @@ def check_separation_onset(seed: int) -> CheckResult:
         q_cap = float(rng.uniform(0.05, 0.9))
         s_cr = solvers.critical_overlap(pr, q_cap)  # in (0, 0.95) for these draws
         # Full separation saturates the budget exactly at the onset.
-        worst = max(worst, abs(float(solvers.q_ud(pr, s_cr)) - q_cap))
+        worst = max(worst, abs(solvers.q_ud(pr, s_cr) - q_cap))
         if s_cr > 1e-3:
             sp_below, _ = solvers.max_separation(pr, max(s_cr - 1e-4, 1e-6), q_cap)
             worst = max(worst, abs(sp_below))

@@ -46,7 +46,7 @@ def test_criterion_2_ud_against_dense_minimization():
             lo = s * s / (1 + s * s)
             branches.add("low" if eta1 <= lo else ("high" if eta1 >= 1 - lo else "mid"))
             dense = helpers.dense_ud_min(float(eta1), float(s))
-            worst = max(worst, abs(float(q_ud(Priors.of(float(eta1)), float(s))) - dense))
+            worst = max(worst, abs(q_ud(Priors.of(float(eta1)), float(s)) - dense))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and branches == {"low", "mid", "high"} and elapsed < 10.0
     _report(2, "discrimination closed form", ok,

@@ -58,7 +58,7 @@ def test_qmin_dispatches_to_ud(capsys):
     assert [r[1] for r in rows] == pytest.approx([0.5, 0.375, 0.25, 0.125, 0.0])
     for r in rows:
         assert math.isnan(r[0])
-        assert r[2] == pytest.approx(float(q_ud(Priors.of(r[1]), 0.6)), abs=1e-12)
+        assert r[2] == pytest.approx(q_ud(Priors.of(r[1]), 0.6), abs=1e-12)
 
 
 def test_maxsep_equal_priors_piecewise(capsys):
@@ -244,6 +244,20 @@ def test_usage_errors_exit_2(capsys):
     assert main(["qmin", "--s", "0.6"]) == 2  # missing required flag
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, samples_help",
+    [
+        ("verify", "per-axis oracle grid size"),
+        *[(name, "number of rows to emit") for name in ("ud", "qmin", "maxsep", "tradeoff")],
+    ],
+)
+def test_samples_help_says_what_the_flag_sets(capsys, command, samples_help):
+    # verify's --samples is the oracle grid's size per axis, not a row count.
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--samples SAMPLES {samples_help}" in out
 
 
 _OPTICS = ["optics", "--s", "0.6", "--s-prime", "0.3", "--shots", "10000"]

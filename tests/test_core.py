@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from statesep import (
     DomainError,
-    FailureBudget,
     FailurePoint,
     OverlapSpec,
     Priors,
@@ -98,12 +98,6 @@ _NAN, _INF = math.nan, math.inf
         (lambda: FailurePoint(-0.5, "x"), "q1 must lie in [0, 1], got -0.5"),
         (lambda: FailurePoint(0.5, -1e-300), "q2 must lie in [0, 1], got -1e-300"),
         (lambda: FailurePoint(0.5, _INF), "q2 must lie in [0, 1], got inf"),
-        (
-            lambda: FailureBudget(1.0000000000000002),
-            "q_avg must lie in [0, 1], got 1.0000000000000002",
-        ),
-        (lambda: FailureBudget(_NAN), "q_avg must lie in [0, 1], got nan"),
-        (lambda: FailureBudget(-_INF), "q_avg must lie in [0, 1], got -inf"),
     ],
 )
 def test_constructors_refuse_with_the_first_bad_field(build, message):
@@ -128,14 +122,12 @@ def test_constructors_coerce_with_float():
     assert (pr.eta1, pr.eta2) == (0.0, 1.0) and _plain(pr.eta1, pr.eta2)
     pr = Priors.of(np.float32(0.25))
     assert (pr.eta1, pr.eta2) == (0.25, 0.75) and _plain(pr.eta1, pr.eta2)
-    ov = OverlapSpec(np.float64(0.6), FailureBudget(0.3))
+    ov = OverlapSpec(np.float64(0.6), Fraction(3, 10))
     assert (ov.s, ov.s_prime) == (0.6, 0.3)
     assert _plain(ov.s, ov.s_prime)
     # float32 keeps its own value, not the decimal it was written as.
     pt = FailurePoint(np.float32(0.3), 1)
     assert pt.q1 == float(np.float32(0.3)) != 0.3 and pt.q2 == 1.0 and _plain(pt.q1, pt.q2)
-    budget = FailureBudget(FailureBudget(np.float64(0.4)))
-    assert budget.q_avg == 0.4 and _plain(budget.q_avg)
     assert OverlapSpec(0.6, "0.3").s_prime == 0.3
 
 
@@ -145,7 +137,6 @@ _INSTANCES = [
     OverlapSpec(0.6, 0.3),
     OverlapSpec(0.6, 0.0),
     FailurePoint(0.3, 0.5),
-    FailureBudget(0.45),
 ]
 
 
@@ -154,7 +145,6 @@ _FIELDS = {
     Priors: ("eta1", "eta2"),
     OverlapSpec: ("s", "s_prime"),
     FailurePoint: ("q1", "q2"),
-    FailureBudget: ("q_avg",),
 }
 
 
@@ -186,7 +176,6 @@ def test_domain_types_are_unequal_across_types():
     pt = FailurePoint(0.5, 0.5)
     assert pt != Priors(0.5, 0.5) and Priors(0.5, 0.5) != pt
     assert pt != (0.5, 0.5) and (0.5, 0.5) != pt
-    assert FailureBudget(0.5) != 0.5
     assert pt.__eq__(Priors(0.5, 0.5)) is NotImplemented
 
 
@@ -207,9 +196,8 @@ def _unchecked(cls, *values):
             _unchecked(OverlapSpec, 0.3, 0.6),
             "s_prime must not exceed s, got s_prime=0.6 > s=0.3",
         ),
-        (_unchecked(FailureBudget, -1.0), "q_avg must lie in [0, 1], got -1.0"),
     ],
-    ids=["FailurePoint", "Priors", "OverlapSpec", "FailureBudget"],
+    ids=["FailurePoint", "Priors", "OverlapSpec"],
 )
 def test_copy_and_pickle_rebuild_through_the_checks(obj, message):
     for rebuild in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):

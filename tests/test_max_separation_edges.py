@@ -97,7 +97,7 @@ def check(eta1: float, s: float, q: float) -> list[str]:
     else:
         # A budget at or above the discrimination cost (within 1e-13 of
         # it) is not spent.
-        spent = float(smp.q)
+        spent = smp.q
         assert spent == q or (smp.s_prime == 0.0 and spent <= q + 1e-13 * spent), (eta1, s, q, smp)
         assert confirms(eta1, s, spent, smp.s_prime), (eta1, s, q, smp)
         outcomes.append("answered")
@@ -114,7 +114,7 @@ def check(eta1: float, s: float, q: float) -> list[str]:
 
 def check_fraction(eta1: float, s: float, frac: float) -> list[str]:
     """:func:`check` at the budget ``frac * q_ud``."""
-    return check(eta1, s, frac * float(q_ud(Priors.of(eta1), s)))
+    return check(eta1, s, frac * q_ud(Priors.of(eta1), s))
 
 
 @_EXAMPLES
@@ -211,11 +211,11 @@ def test_budget_line_through_a_corner_of_the_square(eta1, q):
 
 def test_priors_summing_above_one_stay_in_the_domain():
     # Priors may sum to 1 + 1e-12; next to s = 1 their discrimination cost
-    # and the objective round above 1, which FailureBudget refuses.
+    # and the objective round above 1, which the solvers cap at 1.
     pr, s = Priors(5e-13, 1.0), 1.0 - 1e-14
-    assert float(q_ud(pr, s)) == 1.0
-    assert float(qmin_at(pr, OverlapSpec(s, 0.0))[0]) == 1.0
-    assert float(tradeoff_at(pr, s, 1.0).q) == 1.0
+    assert q_ud(pr, s) == 1.0
+    assert qmin_at(pr, OverlapSpec(s, 0.0))[0] == 1.0
+    assert tradeoff_at(pr, s, 1.0).q == 1.0
     s_prime, _ = max_separation(pr, s, 0.5)
     assert confirms(5e-13, s, 0.5, s_prime)
     assert tradeoff_at(pr, s, 0.5).s_prime == s_prime
@@ -245,7 +245,7 @@ def edge_budgets(n: int, seed: int):
         )[kind_s]
         d = 10.0 ** rng.uniform(-12.0, -2.0)
         frac = (rng.uniform(0.01, 0.99), d, 1.0 - d)[kind_q]
-        yield float(eta1), float(s), float(frac * float(q_ud(Priors.of(float(eta1)), float(s))))
+        yield float(eta1), float(s), float(frac * q_ud(Priors.of(float(eta1)), float(s)))
 
 
 def test_edge_corpus_is_answered_and_confirmed():

@@ -7,7 +7,6 @@ import pytest
 import qmin_referee
 from statesep import (
     DomainError,
-    FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
@@ -23,27 +22,37 @@ from statesep.oracle import _diagonal_q, _lower_q2_scalar
 
 def test_oracle_equal_priors_diagonal():
     q, pt = oracle_qmin(Priors.of(0.5), OverlapSpec(0.6, 0.3))
-    assert float(q) == pytest.approx(3.0 / 7.0, abs=1e-8)
+    assert q == pytest.approx(3.0 / 7.0, abs=1e-8)
     assert pt.q1 == pytest.approx(pt.q2, abs=1e-6)
 
 
 def test_oracle_full_separation_pivot():
     q, pt = oracle_qmin(Priors.of(0.1), OverlapSpec(0.6, 0.0))
-    assert float(q) == pytest.approx(0.424, abs=1e-8)
+    assert q == pytest.approx(0.424, abs=1e-8)
     assert (pt.q1, pt.q2) == pytest.approx((1.0, 0.36), abs=1e-6)
 
 
 def test_oracle_trivial_target():
     q, pt = oracle_qmin(Priors.of(0.37), OverlapSpec(0.5, 0.5))
-    assert float(q) == 0.0
+    assert q == 0.0
     assert (pt.q1, pt.q2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "eta1, s, s_prime",
+    [(0.3, 0.6, 0.6), (0.3, 1.0, 0.5), (0.3, 0.6, 0.3), (0.7, 0.6, 0.3), (0.1, 0.6, 0.0)],
+    ids=["s'=s", "s=1", "search", "mirrored", "end-candidate"],
+)
+def test_oracle_budget_is_a_plain_float(eta1, s, s_prime):
+    q, _ = oracle_qmin(Priors.of(eta1), OverlapSpec(s, s_prime))
+    assert type(q) is float
 
 
 @pytest.mark.parametrize("eta1", [0.2, 0.8])
 def test_oracle_identical_states_always_fail(eta1):
     # s = 1 with s' < 1: only the certain-failure point (1, 1) is feasible.
     ov = OverlapSpec(1.0, 0.5)
-    expected = (FailureBudget(1.0), FailurePoint(1.0, 1.0))
+    expected = (1.0, FailurePoint(1.0, 1.0))
     assert qmin_at(Priors.of(eta1), ov) == expected
     assert oracle_qmin(Priors.of(eta1), ov) == expected
 
@@ -52,7 +61,7 @@ def test_oracle_swap_normalization():
     ov = OverlapSpec(0.6, 0.25)
     q_lo, pt_lo = oracle_qmin(Priors.of(0.2), ov)
     q_hi, pt_hi = oracle_qmin(Priors.of(0.8), ov)
-    assert float(q_lo) == pytest.approx(float(q_hi), abs=1e-12)
+    assert q_lo == pytest.approx(q_hi, abs=1e-12)
     # The minimum is flat, so the located point is ~sqrt(tol) less precise
     # than the value.
     assert (pt_hi.q1, pt_hi.q2) == pytest.approx((pt_lo.q2, pt_lo.q1), abs=1e-4)
@@ -83,7 +92,7 @@ def test_oracle_never_beaten_by_boundary_points():
         values = np.minimum(
             eta1 * q1 + (1 - eta1) * q2, eta1 * q2 + (1 - eta1) * q1
         )
-        q_star = float(oracle_qmin(Priors.of(eta1), OverlapSpec(s, sp))[0])
+        q_star = oracle_qmin(Priors.of(eta1), OverlapSpec(s, sp))[0]
         assert q_star <= float(values.min()) + 1e-9
 
 
@@ -92,7 +101,7 @@ def test_oracle_monotone_in_target_overlap():
     for eta1, s in ((0.15, 0.7), (0.5, 0.4)):
         pr = Priors.of(eta1)
         qs = [
-            float(oracle_qmin(pr, OverlapSpec(s, float(sp)))[0])
+            oracle_qmin(pr, OverlapSpec(s, float(sp)))[0]
             for sp in np.linspace(0.0, s, 9)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(qs, qs[1:]))
@@ -105,8 +114,8 @@ def test_oracle_agreement_small_grid():
         for s in (0.2, 0.55, 0.9):
             for frac in (0.0, 0.4, 0.95):
                 ov = OverlapSpec(s, frac * s)
-                a = float(qmin_at(pr, ov)[0])
-                b = float(oracle_qmin(pr, ov)[0])
+                a = qmin_at(pr, ov)[0]
+                b = oracle_qmin(pr, ov)[0]
                 worst = max(worst, abs(a - b))
     assert worst <= 1e-6
 
@@ -121,8 +130,8 @@ def test_oracle_agreement_worst_is_order_independent():
         for s in np.linspace(0.1, 0.9, grid):
             for frac in np.linspace(0.0, 1.0, grid):
                 ov = OverlapSpec(float(s), float(frac * s))
-                q_oracle = float(oracle_qmin(pr, ov)[0])
-                worst = max(worst, abs(float(qmin_at(pr, ov)[0]) - q_oracle))
+                q_oracle = oracle_qmin(pr, ov)[0]
+                worst = max(worst, abs(qmin_at(pr, ov)[0] - q_oracle))
     assert worst > 0.0
     assert verify.check_oracle_agreement(grid).worst.hex() == worst.hex()
 
@@ -135,7 +144,7 @@ def test_oracle_matches_the_referee_at_the_edges():
     for s in (1e-9, 1e-4, 0.6, 1.0 - 1e-9):
         for frac in (1.0 - 1e-12, 1.0 - 1e-8, 1.0 - 1e-4, 1e-12):
             for eta1 in (1e-9, 0.3, 0.5 - 1e-9):
-                q = float(oracle_qmin(Priors.of(eta1), OverlapSpec(s, frac * s))[0])
+                q = oracle_qmin(Priors.of(eta1), OverlapSpec(s, frac * s))[0]
                 ref = float(qmin_referee.qmin(eta1, s, frac * s)[0])
                 worst = max(worst, (abs(q - ref) / max(ref, sys.float_info.min), eta1, s, frac))
     assert worst[0] <= 1e-9, worst
@@ -150,7 +159,7 @@ def test_oracle_takes_the_endpoint_exactly_when_the_minimum_sits_there(eta1):
     pr = Priors.of(eta1)
     prn, swapped = pr.normalized()
     q, pt = oracle_qmin(pr, OverlapSpec(s, 0.0))
-    assert q == FailureBudget(prn.eta1 + prn.eta2 * (s * s))
+    assert q == prn.eta1 + prn.eta2 * (s * s)
     end = FailurePoint(1.0, s * s)
     assert pt == (end.swapped() if swapped else end)
 
@@ -173,7 +182,7 @@ def test_oracle_value_is_the_value_of_its_point_on_the_lower_half():
         assert _diagonal_q(s, beta) <= pt.q1 <= 1.0
         on_curve = s * s if pt.q1 == 1.0 else _lower_q2_scalar(pt.q1, s, beta)
         assert pt.q2 == on_curve, (eta1, s, beta)
-        assert float(q) == prn.eta1 * pt.q1 + prn.eta2 * pt.q2, (eta1, s, beta)
+        assert q == prn.eta1 * pt.q1 + prn.eta2 * pt.q2, (eta1, s, beta)
 
 
 def test_oracle_max_separation_examples():
@@ -184,7 +193,7 @@ def test_oracle_max_separation_examples():
         3.0 / 7.0, abs=1e-6
     )
     pr = Priors.of(0.2)
-    assert oracle_max_separation(pr, 0.5, float(q_ud(pr, 0.5)) + 0.05) == 0.0
+    assert oracle_max_separation(pr, 0.5, q_ud(pr, 0.5) + 0.05) == 0.0
 
 
 @pytest.mark.parametrize("q_max", [-0.5, math.nan, 1.5, -math.inf, math.inf])

@@ -185,7 +185,8 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         statesep.no_such_name
     assert not hasattr(statesep, "verify_all")
-    # Helpers that only the tests used are gone from the API.
-    for name in ("average_failure", "in_feasible_set", "to_conic"):
+    # Helpers that only the tests used, and the budget wrapper (budgets are
+    # plain floats), are gone from the API.
+    for name in ("average_failure", "in_feasible_set", "to_conic", "FailureBudget"):
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(statesep, name)

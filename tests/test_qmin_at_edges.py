@@ -36,7 +36,7 @@ def check_qmin_at(eta1: float, s: float, s_prime: float) -> str:
     except NumericError:
         return "refused"
     ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
-    assert abs(q.q_avg - ref) <= Q_TOL, (eta1, s, s_prime, q.q_avg, float(ref))
+    assert abs(q - ref) <= Q_TOL, (eta1, s, s_prime, q, float(ref))
     residual = qmin_referee.residual(pt.q1, pt.q2, s, s_prime)
     assert abs(residual) <= RESIDUAL_TOL, (eta1, s, s_prime, pt, float(residual))
     return "answered"
@@ -144,7 +144,7 @@ def test_small_vertex_answers_keep_their_relative_digits(eta1, s, s_prime):
     # the minimum, and 2e-9, 2e-7 and 2e-5 off relatively.
     q, _ = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
     ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
-    assert abs(q.q_avg - ref) <= 1e-9 * ref, (q.q_avg, float(ref))
+    assert abs(q - ref) <= 1e-9 * ref, (q, float(ref))
 
 
 def edge_corpus(n: int, seed: int):
@@ -206,7 +206,7 @@ def test_underflowing_vertex_product_keeps_its_relative_digits(eta1, s, s_prime)
     # Q_TOL is absolute, so it cannot see an error at this scale.
     q, pt = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
     ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
-    assert abs(q.q_avg - ref) <= 1e-9 * ref, (q.q_avg, float(ref))
+    assert abs(q - ref) <= 1e-9 * ref, (q, float(ref))
     assert abs(qmin_referee.residual(pt.q1, pt.q2, s, s_prime)) <= 1e-9 * s
 
 
@@ -260,7 +260,7 @@ def test_hyperbola_answers_keep_their_relative_digits_or_refuse():
             outcomes.append("refused")
             continue
         ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
-        assert abs(q.q_avg - ref) <= 1e-9 * ref, (eta1, s, s_prime, q.q_avg, float(ref))
+        assert abs(q - ref) <= 1e-9 * ref, (eta1, s, s_prime, q, float(ref))
         outcomes.append("answered")
     assert {"answered", "refused"} == set(outcomes)
 
@@ -269,10 +269,10 @@ def test_hyperbola_answers_a_certain_state_and_small_error_terms():
     # At eta1 = 0 the minimum is the zero-slope end itself, on the curve.
     q, _ = qmin_at(Priors.of(0.0), OverlapSpec(1e-150, 9.999999999e-151))
     ref, _, _ = qmin_referee.qmin(0.0, 1e-150, 9.999999999e-151)
-    assert abs(q.q_avg - ref) <= 1e-9 * ref
+    assert abs(q - ref) <= 1e-9 * ref
     # The error term is 1.8e-148 here: the answer keeps every bit.
     q, _ = qmin_at(
         Priors.of(3.4639688583912255e-4),
         OverlapSpec(3.2997198072130594e-150, 3.2997198072049243e-150),
     )
-    assert q.q_avg == 3.027643508732693e-163
+    assert q == 3.027643508732693e-163

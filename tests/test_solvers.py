@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 import re
+import sys
 import textwrap
 
 import mpmath
@@ -14,7 +15,6 @@ import pytest
 from statesep import (
     UNBOUNDED,
     DomainError,
-    FailureBudget,
     FailurePoint,
     NumericError,
     OverlapSpec,
@@ -49,21 +49,21 @@ from statesep.solvers import _EPS
 
 
 def test_q_ud_equal_priors_is_s():
-    assert float(q_ud(Priors.of(0.5), 0.6)) == pytest.approx(0.6, abs=1e-15)
+    assert q_ud(Priors.of(0.5), 0.6) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_q_ud_pivot_branches():
     # eta1 = 0.1 < s^2/(1+s^2) ~ 0.2647: pivot branch eta1 + s^2*eta2.
-    assert float(q_ud(Priors.of(0.1), 0.6)) == pytest.approx(0.424, abs=1e-15)
+    assert q_ud(Priors.of(0.1), 0.6) == pytest.approx(0.424, abs=1e-15)
     # Swap symmetry puts eta1 = 0.9 on the mirrored branch, same value.
-    assert float(q_ud(Priors.of(0.9), 0.6)) == pytest.approx(0.424, abs=1e-15)
+    assert q_ud(Priors.of(0.9), 0.6) == pytest.approx(0.424, abs=1e-15)
 
 
 @pytest.mark.parametrize("eta1", [0.02, 0.1, 0.2647, 0.4, 0.5, 0.7, 0.95])
 @pytest.mark.parametrize("s", [0.15, 0.45, 0.75])
 def test_q_ud_matches_dense_minimization(eta1, s):
     dense = helpers.dense_ud_min(eta1, s)
-    assert float(q_ud(Priors.of(eta1), s)) == pytest.approx(dense, abs=1e-8)
+    assert q_ud(Priors.of(eta1), s) == pytest.approx(dense, abs=1e-8)
 
 
 def test_ud_tangency_point_is_optimal():
@@ -72,7 +72,13 @@ def test_ud_tangency_point_is_optimal():
         pt = ud_tangency_point(pr, s)
         assert pt.q1 * pt.q2 == pytest.approx(s * s, abs=1e-12)
         q = pr.eta1 * pt.q1 + pr.eta2 * pt.q2
-        assert q == pytest.approx(float(q_ud(pr, s)), abs=1e-12)
+        assert q == pytest.approx(q_ud(pr, s), abs=1e-12)
+
+
+@pytest.mark.parametrize("eta1", [0.1, 0.3, 0.5, 0.9])  # both pivots and the tangency
+@pytest.mark.parametrize("s", [0.0, 0.6, 1, np.float64(0.6)], ids=repr)
+def test_q_ud_is_a_plain_float(eta1, s):
+    assert type(q_ud(Priors.of(eta1), s)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +165,29 @@ def test_qmin_curve_vanishes_as_separation_vanishes():
 
 def test_qmin_at_equal_priors_closed_form():
     q, pt = qmin_at(Priors.of(0.5), OverlapSpec(0.6, 0.3))
-    assert float(q) == pytest.approx(3.0 / 7.0, abs=1e-12)
+    assert q == pytest.approx(3.0 / 7.0, abs=1e-12)
     assert pt.q1 == pytest.approx(pt.q2, abs=1e-12)
 
 
 def test_qmin_at_dispatches_to_ud():
     for eta1 in (0.05, 0.3, 0.5, 0.8):
         q, pt = qmin_at(Priors.of(eta1), OverlapSpec(0.6, 0.0))
-        assert float(q) == pytest.approx(float(q_ud(Priors.of(eta1), 0.6)), abs=1e-15)
+        assert q == pytest.approx(q_ud(Priors.of(eta1), 0.6), abs=1e-15)
         assert abs(unitarity_residual(pt, OverlapSpec(0.6, 0.0))) <= 1e-12
 
 
 def test_qmin_at_trivial_and_degenerate():
     q, pt = qmin_at(Priors.of(0.3), OverlapSpec(0.6, 0.6))
-    assert float(q) == 0.0 and pt == FailurePoint(0.0, 0.0)
+    assert q == 0.0 and pt == FailurePoint(0.0, 0.0)
     q, pt = qmin_at(Priors.of(0.3), OverlapSpec(1.0, 0.5))
-    assert float(q) == 1.0 and pt == FailurePoint(1.0, 1.0)
+    assert q == 1.0 and pt == FailurePoint(1.0, 1.0)
 
 
 def test_qmin_at_swap_normalization():
     ov = OverlapSpec(0.6, 0.3)
     q_lo, pt_lo = qmin_at(Priors.of(0.2), ov)
     q_hi, pt_hi = qmin_at(Priors.of(0.8), ov)
-    assert float(q_lo) == pytest.approx(float(q_hi), abs=1e-12)
+    assert q_lo == pytest.approx(q_hi, abs=1e-12)
     assert (pt_hi.q1, pt_hi.q2) == pytest.approx((pt_lo.q2, pt_lo.q1), abs=1e-12)
     assert pt_lo.q1 >= pt_lo.q2  # lower half for eta1 <= 1/2
 
@@ -192,22 +198,75 @@ def test_qmin_at_point_is_tangent_and_feasible():
         ov = OverlapSpec(s, sp)
         q, pt = qmin_at(pr, ov)
         assert abs(unitarity_residual(pt, ov)) <= 1e-12
-        assert pr.eta1 * pt.q1 + pr.eta2 * pt.q2 == pytest.approx(float(q), abs=1e-14)
+        assert pr.eta1 * pt.q1 + pr.eta2 * pt.q2 == pytest.approx(q, abs=1e-14)
+
+
+def _qmin_branch(s, s_prime, pt, roots):
+    """The return branch of qmin_at that gave ``pt``, calling Brent ``roots``."""
+    if s_prime == s:
+        return "s'=s"
+    if s == 1.0:
+        return "s=1"
+    if s_prime == 0.0:
+        return "s'=0"
+    if (s - s_prime) * (s + s_prime) < sys.float_info.min:
+        return "hyperbola"
+    if roots:
+        return roots[0]
+    if pt.q1 == pt.q2 == (s - s_prime) / (1.0 - s_prime):
+        return "vertex"
+    assert pt.q1 == solvers._zero_slope_end(s, s_prime)[0]
+    return "zero-slope end"
+
+
+@pytest.mark.parametrize(
+    "eta1, s, s_prime, branch",
+    [
+        (0.3, 0.6, 0.6, "s'=s"),
+        (0.3, 1.0, 0.5, "s=1"),
+        (0.3, 0.6, 0.0, "s'=0"),
+        (3.4639688583912255e-4, 3.2997198072130594e-150, 3.2997198072049243e-150, "hyperbola"),
+        (0.0, 1e-150, 9.999999999e-151, "hyperbola"),
+        (0.5, 0.6, 0.3, "vertex"),
+        (0.0, 0.6, 0.06, "zero-slope end"),
+        (0.3, 0.6, 0.3, "tangency abscissa q1"),
+        (0.3, 0.6, 0.6 - 1e-7, "tangency abscissa log(q1)"),
+        (0.7, 0.6, 0.3, "tangency abscissa q1"),
+    ],
+    ids=[
+        "s'=s", "s=1", "s'=0", "hyperbola-tangency", "hyperbola-end", "vertex",
+        "zero-slope-end", "brent-q1", "brent-log-q1", "mirrored",
+    ],
+)
+def test_qmin_at_budget_is_a_plain_float_on_every_branch(monkeypatch, eta1, s, s_prime, branch):
+    roots = []
+    bracketed_root = solvers._bracketed_root
+
+    def spy(f, lo, hi, what, f_lo, f_hi):
+        roots.append(what)
+        return bracketed_root(f, lo, hi, what, f_lo, f_hi)
+
+    monkeypatch.setattr(solvers, "_bracketed_root", spy)
+    pr = Priors.of(eta1)
+    q, pt = qmin_at(pr, OverlapSpec(s, s_prime))
+    assert type(q) is float
+    _, swapped = pr.normalized()
+    assert _qmin_branch(s, s_prime, pt.swapped() if swapped else pt, roots) == branch
 
 
 def test_qmin_bounded_by_ud_and_decreasing_in_target():
     s = 0.7
     for eta1 in (0.1, 0.3, 0.5):
         pr = Priors.of(eta1)
-        qud = float(q_ud(pr, s))
+        qud = q_ud(pr, s)
         prev = None
         for sp in (0.0, 0.2 * s, 0.5 * s, 0.8 * s):
-            q = float(qmin_at(pr, OverlapSpec(s, sp))[0])
+            q = qmin_at(pr, OverlapSpec(s, sp))[0]
             assert q <= qud + 1e-12
             if prev is not None:
                 assert q <= prev + 1e-12  # cheaper as the target loosens
             prev = q
-        assert float(qmin_at(pr, OverlapSpec(s, 0.0))[0]) == pytest.approx(qud, abs=1e-15)
+        assert qmin_at(pr, OverlapSpec(s, 0.0))[0] == pytest.approx(qud, abs=1e-15)
 
 
 @pytest.mark.parametrize("eta1", [1e-9, 0.05, 0.3, 0.5])
@@ -218,10 +277,10 @@ def test_qmin_at_reaches_the_discrimination_cost(eta1, s):
     # most 2: Q_min must reach the Jaeger-Shimony cost q_ud(s) linearly as
     # s' -> 0.
     pr = Priors.of(eta1)
-    qud = float(q_ud(pr, s))
+    qud = q_ud(pr, s)
     for frac in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-100, 1e-300, 5e-324):
         sp = frac * s
-        q = float(qmin_at(pr, OverlapSpec(s, sp))[0])
+        q = qmin_at(pr, OverlapSpec(s, sp))[0]
         assert qud - 2.0 * sp - 4.0 * _EPS * qud <= q <= qud + 4.0 * _EPS * qud, (frac, q, qud)
 
 
@@ -245,7 +304,7 @@ def test_max_separation_equal_priors_closed_form():
 
 def test_max_separation_trivial_when_budget_covers_ud():
     pr = Priors.of(0.2)
-    qud = float(q_ud(pr, 0.5))
+    qud = q_ud(pr, 0.5)
     assert max_separation(pr, 0.5, qud)[0] == 0.0
     assert max_separation(pr, 0.5, min(qud + 0.1, 0.99))[0] == 0.0
 
@@ -264,7 +323,7 @@ def test_max_separation_matches_qmin_inverse():
     # If separating to s' costs Q_min, then budget Q_min buys overlap s'.
     for eta1, s, sp in ((0.17, 0.6, 0.3), (0.35, 0.8, 0.1), (0.07, 0.45, 0.28)):
         pr = Priors.of(eta1)
-        q = float(qmin_at(pr, OverlapSpec(s, sp))[0])
+        q = qmin_at(pr, OverlapSpec(s, sp))[0]
         back, _ = max_separation(pr, s, q)
         assert back == pytest.approx(sp, abs=1e-8)
 
@@ -282,7 +341,7 @@ def test_certainty_priors_answer_budgets_between_s_squared_and_q_ud(solver):
     # for a budget between s^2 and q_ud = eta1 + s^2*eta2 and refused it.
     # The budget line answers, and the referee confirms the answer.
     pr, s, q = Priors.of(0.9999999998638587), 8.31147688550587e-08, 7.185772627703329e-13
-    assert s * s < q < float(q_ud(pr, s))
+    assert s * s < q < q_ud(pr, s)
 
     def q_min(overlap):
         return qmin_referee.qmin(pr.eta1, s, overlap)[0]
@@ -324,16 +383,16 @@ def test_tradeoff_endpoints():
     for eta1, s in ((0.1, 0.6), (0.3, 0.4), (0.5, 0.7)):
         pr = Priors.of(eta1)
         samples = tradeoff_curve(pr, s, 65)
-        assert float(samples[0].q) == 0.0
+        assert samples[0].q == 0.0
         assert samples[0].s_prime == s
         assert samples[-1].s_prime == 0.0
-        assert float(samples[-1].q) == pytest.approx(float(q_ud(pr, s)), abs=1e-9)
+        assert samples[-1].q == pytest.approx(q_ud(pr, s), abs=1e-9)
 
 
 def test_tradeoff_monotone():
     for eta1, s in ((0.1, 0.6), (0.25, 0.8), (0.45, 0.3)):
         samples = tradeoff_curve(Priors.of(eta1), s, 257)
-        qs = [float(smp.q) for smp in samples]
+        qs = [smp.q for smp in samples]
         sps = [smp.s_prime for smp in samples]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(sps, sps[1:]))
@@ -376,17 +435,17 @@ def test_tradeoff_curve_edge_sweeps_are_answered_in_order():
 def test_tradeoff_equal_priors_closed_form():
     samples = tradeoff_curve(Priors.of(0.5), 0.6, 129)
     for smp in samples:
-        q = float(smp.q)
+        q = smp.q
         assert smp.s_prime == pytest.approx((0.6 - q) / (1.0 - q), abs=1e-12)
 
 
 def test_tradeoff_interior_matches_qmin():
     for eta1, s, sp in ((0.17, 0.6, 0.3), (0.35, 0.8, 0.1)):
         pr = Priors.of(eta1)
-        q = float(qmin_at(pr, OverlapSpec(s, sp))[0])
+        q = qmin_at(pr, OverlapSpec(s, sp))[0]
         smp = tradeoff_at(pr, s, q)
         assert smp.s_prime == pytest.approx(sp, abs=1e-8)
-        assert float(smp.q) == pytest.approx(q, abs=1e-12)
+        assert smp.q == pytest.approx(q, abs=1e-12)
 
 
 def test_tradeoff_at_is_max_separation_plus_the_budget():
@@ -395,11 +454,11 @@ def test_tradeoff_at_is_max_separation_plus_the_budget():
     rng = np.random.default_rng(9031)
     for eta1, s, frac in rng.uniform([0.0, 0.02, 0.0], [1.0, 0.98, 0.999], (200, 3)).tolist():
         pr = Priors.of(eta1)
-        budget = frac * float(q_ud(pr, s))
+        budget = frac * q_ud(pr, s)
         smp = tradeoff_at(pr, s, budget)
         sp, theta = max_separation(pr, s, budget)
         assert (smp.s_prime.hex(), float(smp.theta).hex()) == (sp.hex(), float(theta).hex())
-        assert smp.s == s and smp.q == FailureBudget(budget).q_avg
+        assert smp.s == s and smp.q == budget
 
 
 @pytest.mark.parametrize(
@@ -415,17 +474,17 @@ def test_tradeoff_at_budget_matches_50_digit_qmin(eta1, s, q):
     # The first two have s within 1e-7 and 2e-6 of 1; at every case the
     # returned s' must cost Q_min = q.
     smp = tradeoff_at(Priors.of(eta1), s, q)
-    assert 0.0 < smp.s_prime < s and float(smp.q) == q
+    assert 0.0 < smp.s_prime < s and smp.q == q
     assert abs(qmin_referee.qmin(eta1, s, smp.s_prime)[0] - q) <= 1e-6
 
 
 def test_tradeoff_at_edges():
     pr = Priors.of(0.2)
     smp = tradeoff_at(pr, 0.6, 0.0)
-    assert smp.s_prime == 0.6 and float(smp.q) == 0.0
-    qud = float(q_ud(pr, 0.6))
+    assert smp.s_prime == 0.6 and smp.q == 0.0
+    qud = q_ud(pr, 0.6)
     smp = tradeoff_at(pr, 0.6, 0.9)
-    assert smp.s_prime == 0.0 and float(smp.q) == pytest.approx(qud, abs=1e-15)
+    assert smp.s_prime == 0.0 and smp.q == pytest.approx(qud, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +611,7 @@ def _solver_brackets(monkeypatch):
     interior = rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (120, 3)).tolist()
     for eta1, s, frac in interior + _edge_inputs(rng, 800):
         pr = Priors.of(eta1)
-        budget = frac * float(q_ud(pr, s))
+        budget = frac * q_ud(pr, s)
         for solve in (
             lambda: qmin_at(pr, OverlapSpec(s, frac * s)),
             lambda: max_separation(pr, s, budget),
@@ -689,7 +748,7 @@ def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_e
 
 
 # sha256 of the point-query corpus below, one repr (or error class) per line.
-_POINT_QUERY_DIGEST = "e2a3593925f2871d4b9ecd6cb7d07041dda6b0baba556d0120b2df8ae616ea13"
+_POINT_QUERY_DIGEST = "9c5f587344e27b064927fa4a084ebdabb19db31fda26c28bdf577d5fdf9e9c20"
 
 
 def _point_query_lines():
@@ -700,7 +759,7 @@ def _point_query_lines():
     interior = rng.uniform([0.01, 0.05, 0.02], [0.99, 0.95, 0.98], (200, 3)).tolist()
     for eta1, s, frac in interior + _edge_inputs(rng, 400):
         for pr in (Priors.of(eta1), Priors.of(eta1).swapped()):
-            budget = frac * float(q_ud(pr, s))
+            budget = frac * q_ud(pr, s)
             for solve in (
                 lambda: qmin_at(pr, OverlapSpec(s, frac * s)),
                 lambda: qmin_at(pr, OverlapSpec(s, 0.0)),
@@ -838,7 +897,7 @@ def _check_angle_formula_rows(eta1, s, samples, rows=None):
     prn, _ = Priors.of(eta1).normalized()
     theta_0 = _MP.mpf(samples[0].theta)
     assert samples[0][1:] == (s, s, 0.0)
-    assert samples[-1][1:] == (s, 0.0, float(q_ud(prn, s)))
+    assert samples[-1][1:] == (s, 0.0, q_ud(prn, s))
     for k in range(1, len(samples) - 1) if rows is None else rows:
         smp = samples[k]
         want = _angle_formula_row(prn.eta1, s, _MP.mpf(smp.theta) - theta_0)
@@ -1184,9 +1243,7 @@ def _fault_grid(monkeypatch, k):
 
 
 @pytest.mark.parametrize("branch", ["generic", "equal-priors", "certainty"])
-def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branch):
-    with pytest.raises(DomainError) as want:
-        FailureBudget(math.nan)
+def test_tradeoff_curve_nan_in_q_raises_the_range_error(monkeypatch, branch):
     eta1 = {"generic": 0.2, "equal-priors": 0.5, "certainty": 0.0}[branch]
     if branch == "generic":
         _fault_tradeoff_q(monkeypatch, {6: math.nan})  # grid index 6 is sample 7
@@ -1194,7 +1251,7 @@ def test_tradeoff_curve_nan_in_q_raises_the_constructor_error(monkeypatch, branc
         _fault_grid(monkeypatch, 7)
     with pytest.raises(DomainError) as got:
         tradeoff_curve(Priors.of(eta1), 0.6, 33)
-    assert str(got.value) == str(want.value) == "q_avg must lie in [0, 1], got nan"
+    assert str(got.value) == "q_avg must lie in [0, 1], got nan"
 
 
 # The negative-s'^2 guard used to refuse this sweep at sample 269 (grid
@@ -1208,8 +1265,8 @@ def test_tradeoff_curve_row_check_precedes_the_order_check(monkeypatch, k):
     if k is None:
         _check_angle_formula_rows(eta1, s, tradeoff_curve(Priors.of(eta1), s, n))
     # Q = 0 at grid index 268 makes the column fall, which the order check
-    # after the loop refuses; a NaN Q at index k fails FailureBudget's range
-    # check inside the loop first, before or after the drop alike.
+    # after the loop refuses; a NaN Q at index k fails Q's range check
+    # inside the loop first, before or after the drop alike.
     _fault_tradeoff_q(monkeypatch, {268: 0.0} if k is None else {268: 0.0, k: math.nan})
     if k is None:
         with pytest.raises(NumericError, match="out of order"):
