@@ -4,7 +4,8 @@ One subcommand per question the solvers answer:
 
 * ``ud``       -- discrimination cost against the prior, at fixed s.
 * ``qmin``     -- minimum failure probability against the prior, at fixed
-                  (s, s').
+                  (s, s'): the curve sweep for 0 < s' < s, and ``qmin_at``'s
+                  closed form at each prior for s' = 0 or s' = s.
 * ``maxsep``   -- reachable final overlap against the initial overlap, at a
                   fixed budget (with the full-separation breakpoint as an
                   explicit row).
@@ -107,20 +108,16 @@ def cmd_ud(args: argparse.Namespace) -> tuple[str, bool]:
 def cmd_qmin(args: argparse.Namespace) -> tuple[str, bool]:
     params = {"s": args.s, "s_prime": args.s_prime}
     header = ["t", "eta1", "q_min", "q1", "q2"]
+    ov = OverlapSpec(args.s, args.s_prime)
     rows: list[tuple] = []
-    if args.s_prime == args.s:
-        for eta1 in solvers._linspace(0.5, 0.0, args.samples):
-            rows.append((None, eta1, 0.0, 0.0, 0.0))
-    elif args.s_prime == 0.0:
-        # Full separation: the discrimination closed form is the curve.
-        for eta1 in solvers._linspace(0.5, 0.0, args.samples):
-            pr = Priors.of(eta1)
-            pt = solvers.ud_tangency_point(pr, args.s)
-            rows.append((None, eta1, solvers.q_ud(pr, args.s), pt.q1, pt.q2))
-    else:
-        ov = OverlapSpec(args.s, args.s_prime)
+    if 0.0 < ov.s_prime < ov.s:
         for smp in solvers.qmin_curve(ov, args.samples):
             rows.append((smp.t, smp.eta1, smp.q_min, smp.point.q1, smp.point.q2))
+    else:
+        # No curve to parametrize: qmin_at's closed forms give each row.
+        for eta1 in solvers._linspace(0.5, 0.0, args.samples):
+            q, pt = solvers.qmin_at(Priors.of(eta1), ov)
+            rows.append((None, eta1, q, pt.q1, pt.q2))
     return _emit_rows(args, header, rows, params), True
 
 

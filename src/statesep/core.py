@@ -21,9 +21,11 @@ private base gives them field-wise ``==``, hash, repr, ``__match_args__``
 and copy/pickle through those constructors.  A failure budget Q is a
 plain float.  The package's other value classes (``conics.ConicPoint``,
 optics' ``ModeState``, ``Interferometer`` and ``ShotCounts``, and
-``verify.CheckResult``) share that base.  None of them is a dataclass, so
-``dataclasses.replace``/``fields`` do not apply to them; the package
-imports no ``dataclasses`` until one of them is written to.
+``verify.CheckResult``) share that base; ``ModeState`` and
+``Interferometer`` hold arrays, so they compare them whole and do not
+hash.  None of them is a dataclass, so ``dataclasses.replace``/``fields``
+do not apply to them; the package imports no ``dataclasses`` until one of
+them is written to.
 """
 
 from __future__ import annotations

@@ -41,7 +41,24 @@ __all__ = [
 _MATRIX_TOL = 1e-12
 
 
-class ModeState(_Value):
+class _ArrayValue(_Value):
+    """``_Value`` over NumPy array fields: ``==`` compares them whole, and no hash.
+
+    A tuple ``==`` over arrays would ask an elementwise array for its truth
+    value, and an array is mutable, so these values are unhashable.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(map(np.array_equal, self._values(), other._values()))
+        return NotImplemented
+
+    __hash__ = None
+
+
+class ModeState(_ArrayValue):
     """Single-photon state over the three ports, as complex amplitudes."""
 
     __slots__ = ("amplitudes",)
@@ -57,7 +74,7 @@ class ModeState(_Value):
         self._fill(amps)
 
 
-class Interferometer(_Value):
+class Interferometer(_ArrayValue):
     """Protocol unitary with its two beam-splitter factors.
 
     Instances produced by :func:`build_interferometer` satisfy

@@ -33,8 +33,9 @@ sample at a time.  ``_t_curve`` is the one implementation of the
 parametric curve formulas: on the curve sqrt(q1*q2) = s*t and
 sqrt((1-q1)*(1-q2)) = s*(1-t)/s' exactly, so q1 and q2 come in factored
 form, with both ends of the tangency range emitted as explicit points.
-``qmin_curve`` runs it over the grid, and ``curve_point`` and ``verify``
-(through ``_curve_row``) run it on one parameter value.  It and
+``qmin_curve`` runs it over the grid, whose rows ``verify``'s
+``curve-on-constraint`` reads, and ``curve_point`` and verify's round
+trip run it on one parameter value.  It and
 ``qmin_at``'s Brent step each write out the tangency terms, and verify's
 ``round-trip-consistency`` checks the two copies against each other.
 ``_tradeoff_rows`` is the one implementation of the
@@ -383,7 +384,8 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     constructor.
 
     This is the one implementation of the parametric formulas: the sweep
-    runs it over its grid and ``_curve_row`` over a single t.
+    runs it over its grid, and ``curve_point`` and ``verify``'s round trip
+    over a single t.
     """
     s, sp = ov.s, ov.s_prime
     t_lo = t_slope_minus_one(ov)
@@ -437,11 +439,6 @@ def _t_curve(ts: Iterable[float], ov: OverlapSpec) -> list[QminSample]:
     return rows
 
 
-def _curve_row(t: float, ov: OverlapSpec) -> QminSample:
-    """``_t_curve``'s sample at the single parameter value t."""
-    return _t_curve((t,), ov)[0]
-
-
 def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     """Lower-half point (q2 <= q1) of the constraint curve at parameter t.
 
@@ -459,7 +456,7 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
         raise DomainError(
             f"curve parameter {t!r} outside the tangency range [{t_lo!r}, {t_hi!r}]"
         )
-    return _curve_row(t, ov).point
+    return _t_curve((t,), ov)[0].point
 
 
 def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
@@ -473,13 +470,14 @@ def qmin_curve(ov: OverlapSpec, n_samples: int = 512) -> list[QminSample]:
     branch.
 
     The samples come from ``_t_curve``, one t at a time with ``math``, so
-    each has the bits ``curve_point`` and ``_curve_row`` give at its t.
-    The first sample is the vertex itself and every sample at or past the
-    zero-slope end is that end point, with eta1 = 0.  Each row's Q is its
-    eta1's minimum: a 50-digit referee in the tests confirms sampled rows
-    to 1e-9 relative with s and s'/s out to 1e-12 of 0 and 1.  The sweep
-    refuses with NumericError only where the monotonicity guard fires
-    (seen with s within about 1e-12 of 1) or ``t_slope_zero`` does.
+    each has the bits ``curve_point`` gives at its t; ``verify``'s
+    ``curve-on-constraint`` checks these rows.  The first sample is the
+    vertex itself and every sample at or past the zero-slope end is that
+    end point, with eta1 = 0.  Each row's Q is its eta1's minimum: a
+    50-digit referee in the tests confirms sampled rows to 1e-9 relative
+    with s and s'/s out to 1e-12 of 0 and 1.  The sweep refuses with
+    NumericError only where the monotonicity guard fires (seen with s
+    within about 1e-12 of 1) or ``t_slope_zero`` does.
     """
     _require_curve_overlaps(ov)
     if n_samples < 2:
@@ -654,6 +652,7 @@ def max_separation(pr: Priors, s: float, q_max: float) -> tuple[float, float]:
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
+    s = float(s)
     q = float(q_max)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q_max must lie in [0, 1), got {q!r}")
@@ -935,10 +934,11 @@ def tradeoff_at(pr: Priors, s: float, q: float) -> TradeoffSample:
     the achieved budget.  Budgets at or above the discrimination cost
     return the full-separation endpoint (whose achieved budget is the
     discrimination cost itself, since larger margins are never saturated).
-    ``q`` must lie in [0, 1]; the record's theta and q are plain floats.
+    ``q`` must lie in [0, 1]; every field of the record is a plain float.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
+    s = float(s)
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")

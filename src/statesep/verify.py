@@ -105,11 +105,8 @@ def check_curve_on_constraint(seed: int) -> CheckResult:
     for _ in range(50):
         s = rng.uniform(0.1, 0.95)
         sp = rng.uniform(0.02, 0.98) * s
-        ov = OverlapSpec(s, sp)
-        t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
-        for t in np.linspace(t_lo, t_hi, 64):
-            pt = solvers.curve_point(float(t), ov)
-            worst = max(worst, abs(_residual_arr(pt.q1, pt.q2, s, sp)))
+        for smp in solvers.qmin_curve(OverlapSpec(s, sp), 64):
+            worst = max(worst, abs(_residual_arr(smp.point.q1, smp.point.q2, s, sp)))
     return _result("curve-on-constraint", worst, 1e-12)
 
 
@@ -194,7 +191,7 @@ def check_round_trip(seed: int) -> CheckResult:
         ov = OverlapSpec(s, sp)
         t_lo, t_hi = solvers.t_slope_minus_one(ov), solvers.t_slope_zero(ov)
         t = float(rng.uniform(t_lo + 0.01 * (t_hi - t_lo), t_hi - 0.01 * (t_hi - t_lo)))
-        smp = solvers._curve_row(t, ov)
+        smp = solvers._t_curve((t,), ov)[0]
         pr = Priors.of(smp.eta1)
         sp_back, _ = solvers.max_separation(pr, s, smp.q_min)
         q_back, _ = solvers.qmin_at(pr, OverlapSpec(s, sp_back))
@@ -264,11 +261,7 @@ def check_optics_statistics(shots: int, seed: int) -> CheckResult:
     return CheckResult("optics-statistics", float(worst), 1.0, bool(passed_all and worst <= 1.0))
 
 
-def run_all(
-    oracle_grid: int = 10,
-    shots: int = 1_000_000,
-    seed: int = 20250810,
-) -> list[CheckResult]:
+def run_all(oracle_grid: int, shots: int, seed: int) -> list[CheckResult]:
     """Run every check; returns one result per contract."""
     return [
         check_endpoint_identities(),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from statesep import NumericError, Priors, q_ud
+from statesep import NumericError, OverlapSpec, Priors, q_ud, qmin_at
 from statesep.cli import main
 from statesep.solvers import _linspace
 
@@ -59,6 +59,30 @@ def test_qmin_dispatches_to_ud(capsys):
     for r in rows:
         assert math.isnan(r[0])
         assert r[2] == pytest.approx(q_ud(Priors.of(r[1]), 0.6), abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("s", ["0", "1e-300", "0.6", repr(1.0 - 1e-12), "1"])
+@pytest.mark.parametrize("s_prime", ["0", "s"], ids=["full-separation", "no-separation"])
+def test_degenerate_qmin_rows_are_qmin_at(capsys, s_prime, s, fmt):
+    # With no curve to sweep, each row is qmin_at's answer at its eta1, bit for bit.
+    s_prime = s if s_prime == "s" else s_prime
+    code, out = run_cli(capsys, "qmin", "--s", s, "--s-prime", s_prime, "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        _, rows = parse_csv(out)
+        assert all(math.isnan(row[0]) for row in rows)
+    else:
+        rows = [list(row.values()) for row in json.loads(out)["rows"]]
+        assert all(row[0] is None for row in rows)
+    ov = OverlapSpec(float(s), float(s_prime))
+    expected = []
+    for eta1 in _linspace(0.5, 0.0, 512):
+        q, pt = qmin_at(Priors.of(eta1), ov)
+        expected.append([eta1, q, pt.q1, pt.q2])
+    assert [[float.hex(v) for v in row[1:]] for row in rows] == [
+        [float.hex(v) for v in row] for row in expected
+    ]
 
 
 def test_maxsep_equal_priors_piecewise(capsys):

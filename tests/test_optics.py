@@ -55,6 +55,20 @@ def test_device_values_are_frozen_and_copy_through_their_constructors(obj):
             assert np.array_equal(getattr(copied, name), value)
 
 
+def test_devices_compare_their_arrays_whole_and_do_not_hash():
+    itf = build_interferometer(0.6, 0.3)
+    assert (itf == build_interferometer(0.6, 0.3)) is True
+    assert (protocol_input(0.6, 1) == protocol_input(0.6, 1)) is True
+    assert (protocol_input(0.6, 1) != protocol_input(0.6, 2)) is True
+    off = itf.u.copy()
+    off[2, 2] += 1e-9
+    assert (itf == Interferometer(off, itf.bs1, itf.bs2, itf.s, itf.s_prime)) is False
+    assert (itf == build_interferometer(0.6, 0.2)) is False
+    for obj in (itf, protocol_input(0.6, 1)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+
 def test_mode_state_coerces_to_complex():
     state = ModeState([0.6, 0.8, 0.0])
     assert state.amplitudes.dtype == complex

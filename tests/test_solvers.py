@@ -487,6 +487,20 @@ def test_tradeoff_at_edges():
     assert smp.s_prime == 0.0 and smp.q == pytest.approx(qud, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [0.0, 0.2, "cost", 0.9],
+    ids=["zero-budget", "brent", "at-cost", "above-cost"],
+)
+def test_budget_answers_are_plain_floats_for_a_numpy_s(budget):
+    # A NumPy s is coerced like the budget, so no numpy.float64 reaches
+    # an answer on any branch.
+    pr, s = Priors.of(0.3), np.float64(0.6)
+    q = q_ud(pr, 0.6) if budget == "cost" else budget
+    assert [type(x) for x in max_separation(pr, s, q)] == [float, float]
+    assert [type(x) for x in tradeoff_at(pr, s, q)] == [float] * 4
+
+
 # ---------------------------------------------------------------------------
 # cloning corollary
 
@@ -1100,10 +1114,7 @@ def _leaves(rec):
         (lambda: tradeoff_curve(Priors.of(0.0), 0.6, 33), TradeoffSample),
         (lambda: tradeoff_curve(Priors.of(1.0), 0.3, 9), TradeoffSample),
         # The vertex row below the range, an interior row, the zero-slope end.
-        (
-            lambda: [solvers._curve_row(t, OverlapSpec(0.6, 0.3)) for t in (0.0, 0.7, 1.0)],
-            QminSample,
-        ),
+        (lambda: solvers._t_curve((0.0, 0.7, 1.0), OverlapSpec(0.6, 0.3)), QminSample),
     ],
     ids=[
         "qmin",
@@ -1260,7 +1271,7 @@ _NEGATIVE_SP2_CASE = (1.9302922127230343e-08, 0.9710224874752635, 512)
 
 
 @pytest.mark.parametrize("k", [99, 300, None], ids=["nan-before-drop", "nan-after-drop", "drop"])
-def test_tradeoff_curve_row_check_precedes_the_order_check(monkeypatch, k):
+def test_tradeoff_curve_range_check_precedes_the_order_check(monkeypatch, k):
     eta1, s, n = _NEGATIVE_SP2_CASE
     if k is None:
         _check_angle_formula_rows(eta1, s, tradeoff_curve(Priors.of(eta1), s, n))
