@@ -55,7 +55,7 @@ _EXPORTS = {
         "max_clones",
         "phase_transition_probe",
     ),
-    "oracle": ("oracle_qmin", "oracle_max_separation"),
+    "oracle": ("oracle_qmin",),
     "optics": (
         "ModeState",
         "Interferometer",

@@ -10,23 +10,19 @@ from the diagonal crossing to q1 = 1, and keeps a single minimum in
 ``u = log(q1)``.  Golden-section search in ``u`` finds it one plain float
 at a time, and every ordinate is checked back against the constraint
 residual.  Used in tests and in ``statesep verify`` as the independent
-check on every solver.
+check on every solver.  ``max_separation`` is judged in Q at the s' it
+returns: wherever the budget binds, ``oracle_qmin`` there must meet it.
+The minimum falls monotonically in s', so a judge in Q is equivalent to
+one in s'.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (
-    DomainError,
-    FailurePoint,
-    NumericError,
-    OverlapSpec,
-    Priors,
-    lower_half_q2,
-)
+from .core import FailurePoint, NumericError, OverlapSpec, Priors, lower_half_q2
 
-__all__ = ["oracle_qmin", "oracle_max_separation"]
+__all__ = ["oracle_qmin"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest constraint residual accepted at a computed curve ordinate.
@@ -34,8 +30,6 @@ _RESIDUAL_CHECK = 1e-9
 # Width in log(q1) of the golden-section search's final bracket, so q1 is
 # known to about 1e-12 of itself.
 _LOG_WIDTH = 1e-12
-# Tolerance on s' of the max-separation bisection.
-_TOLERANCE = 1e-8
 
 
 def _diagonal_q(s: float, beta: float) -> float:
@@ -115,29 +109,3 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
             fd = point(math.exp(d))
     return _ret(*min(*ends, fc, fd))
 
-
-def oracle_max_separation(pr: Priors, s: float, q_max: float) -> float:
-    """Smallest final overlap whose minimum failure fits the budget.
-
-    Bisects on s_prime, relying on the (test-verified) monotonicity of the
-    oracle minimum in the target overlap.
-    """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie in (0, 1), got {s!r}")
-    q_cap = float(q_max)
-    if not 0.0 <= q_cap <= 1.0:
-        raise DomainError(f"q_max must lie in [0, 1], got {q_cap!r}")
-
-    def fits(s_prime: float) -> bool:
-        return oracle_qmin(pr, OverlapSpec(s, s_prime))[0] <= q_cap
-
-    if fits(0.0):
-        return 0.0
-    lo, hi = 0.0, s  # fits(s) is trivially true: zero failure at s' = s
-    while hi - lo > _TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -24,8 +24,11 @@ bracketed root finding by Brent's method at 1e-14 tolerance; a bracket
 without a sign change raises NumericError.
 
 Everything here runs on ``math`` one float at a time; this module imports
-no NumPy.  ``qmin_at`` root-finds the tangency condition in q1 along the
-curve's lower half, whose ordinate is in closed form
+no NumPy.  ``_q_ud`` is the one place that selects the discrimination
+regime: ``q_ud``, ``ud_tangency_point``, ``qmin_at`` at s' = 0 and the
+tradeoff functions' full-separation end all read it.  ``qmin_at``
+root-finds the tangency condition in q1 along the curve's lower half,
+whose ordinate is in closed form
 (``core.lower_half_q2``); ``max_separation`` minimizes the final overlap
 along the budget line.  The sweeps (``qmin_curve``, ``tradeoff_curve``)
 walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
@@ -256,19 +259,7 @@ def q_ud(pr: Priors, s: float) -> float:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s!r}")
-    return _q_ud(pr.eta1, pr.eta2, float(s))
-
-
-def _q_ud(eta1: float, eta2: float, s: float) -> float:
-    """``q_ud``'s value, for checked priors and a float s in [0, 1]."""
-    lo = s * s / (1.0 + s * s)
-    if eta1 <= lo:
-        q = eta1 + s * s * eta2
-    elif eta1 >= 1.0 - lo:
-        q = eta1 * s * s + eta2
-    else:
-        q = 2.0 * math.sqrt(eta1 * eta2) * s
-    return 1.0 if q > 1.0 else q  # the prior-sum slack can lift q past 1
+    return _q_ud(pr.eta1, pr.eta2, float(s))[0]
 
 
 def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
@@ -280,13 +271,30 @@ def ud_tangency_point(pr: Priors, s: float) -> FailurePoint:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s!r}")
+    _, q1, q2 = _q_ud(pr.eta1, pr.eta2, float(s))
+    return FailurePoint(q1, q2)
+
+
+def _q_ud(eta1: float, eta2: float, s: float) -> tuple[float, float, float]:
+    """``(Q, q1, q2)`` of ``q_ud`` and ``ud_tangency_point``, for checked priors
+    and a float s in [0, 1].
+
+    Next to a regime edge the tangency point's larger coordinate can round
+    past 1, and it is then the edge's own 1; so is q2 where eta2 = 0, which
+    the tangency regime admits only for priors that sum to 1 within their
+    slack and s below about 1e-6.
+    """
     lo = s * s / (1.0 + s * s)
-    if pr.eta1 <= lo:
-        return FailurePoint(1.0, s * s)
-    if pr.eta1 >= 1.0 - lo:
-        return FailurePoint(s * s, 1.0)
-    root = math.sqrt(pr.eta1 * pr.eta2) * s
-    return FailurePoint(root / pr.eta1, root / pr.eta2)
+    if eta1 <= lo:
+        q, q1, q2 = eta1 + s * s * eta2, 1.0, s * s
+    elif eta1 >= 1.0 - lo:
+        q, q1, q2 = eta1 * s * s + eta2, s * s, 1.0
+    else:
+        g = math.sqrt(eta1 * eta2)
+        q, root = 2.0 * g * s, g * s
+        q1 = root / eta1 if root < eta1 else 1.0
+        q2 = root / eta2 if root < eta2 else 1.0
+    return (1.0 if q > 1.0 else q), q1, q2  # the prior-sum slack can lift q past 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +454,10 @@ def curve_point(t: float, ov: OverlapSpec) -> FailurePoint:
     point that can be tangent to an objective line with eta1 <= 1/2; the
     returned point satisfies the unitarity constraint to 1e-12 by
     construction.  It is the point ``qmin_curve`` reports at t, computed
-    with ``math`` alone.
+    with ``math`` alone.  What it serves that ``qmin_curve`` does not is a
+    single range-checked row at any t, not only at the sweep's grid
+    points.  Nothing in the package calls it; it stays public while
+    ``perfbench/worker.py`` wraps it by name (ROADMAP item 4).
     """
     _require_curve_overlaps(ov)
     t = float(t)
@@ -551,7 +562,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
         # Identical inputs cannot be separated at all.
         return _ret(1.0, FailurePoint(1.0, 1.0))
     if ov.s_prime == 0.0:
-        return _ret(_q_ud(prn.eta1, prn.eta2, ov.s), ud_tangency_point(prn, ov.s))
+        q, q1, q2 = _q_ud(prn.eta1, prn.eta2, ov.s)
+        return _ret(q, FailurePoint(q1, q2))
 
     s, beta = ov.s, ov.s_prime
     eta1, eta2 = prn.eta1, prn.eta2
@@ -597,7 +609,10 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
         q1 = _bracketed_root(tangency, vertex, hi, "tangency abscissa q1", f_lo, f_hi)
     else:
         # In u = log(q1) Brent's 1e-14 is relative in q1, and the bracket is
-        # at most about 750 wide, so it converges for any vertex.
+        # at most about 750 wide.  It still need not converge where the
+        # tangency function is subnormal next to its root:
+        # qmin_at(Priors.of(1e-300), OverlapSpec(1e-150, 1e-162)) runs out
+        # of its 100 iterations and raises NumericError.
         u = _bracketed_root(
             lambda u: tangency(math.exp(u)),
             math.log(vertex),
@@ -900,7 +915,7 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
                 f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
             )
         thetas = _linspace(*_tradeoff_range(s, prn.eta1), n_samples)
-        q_end = _q_ud(prn.eta1, prn.eta2, s)
+        q_end = _q_ud(prn.eta1, prn.eta2, s)[0]
         s_primes, qs = _tradeoff_rows(thetas[1:-1], s, prn.eta1, thetas[0], q_end)
         # The sweep starts at the trivial protocol and ends at full
         # separation; both are exact identities, emitted directly.
@@ -943,7 +958,7 @@ def tradeoff_at(pr: Priors, s: float, q: float) -> TradeoffSample:
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
     prn, _ = pr.normalized()
-    qud = _q_ud(prn.eta1, prn.eta2, s)
+    qud = _q_ud(prn.eta1, prn.eta2, s)[0]
     sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, qud)
     if sep is None:
         return tuple.__new__(TradeoffSample, (math.nan, s, 0.0, qud))

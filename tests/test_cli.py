@@ -270,6 +270,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+_REQUIRED_FLAGS = {
+    "ud": ["--s", "0.6"],
+    "qmin": ["--s", "0.6", "--s-prime", "0.3"],
+    "maxsep": ["--eta1", "0.1", "--q-max", "0.4"],
+    "tradeoff": ["--eta1", "0.2", "--s", "0.6"],
+    "optics": ["--s", "0.6", "--s-prime", "0.3"],
+    "verify": [],
+}
+_GUARDS = [
+    *[(name, "--samples", "1", "--samples must be at least 2, got 1")
+      for name in ("ud", "qmin", "maxsep", "tradeoff", "verify")],
+    *[(name, "--shots", "0", "--shots must be positive, got 0") for name in ("optics", "verify")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message", _GUARDS, ids=[f"{g[0]}{g[1]}" for g in _GUARDS]
+)
+def test_samples_and_shots_guards_exit_2(capsys, command, flag, value, message):
+    # Without the --samples guard, ud --samples 1 would leak the grid's
+    # ZeroDivisionError; a single row or no shots is a usage error.
+    assert main([command, *_REQUIRED_FLAGS[command], flag, value]) == 2
+    assert capsys.readouterr().err == f"statesep: invalid arguments: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, samples_help",
     [

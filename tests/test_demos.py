@@ -15,7 +15,7 @@ import pytest
 _DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 _STDOUT_SHA256 = {
-    "budgeted_separation.py": "7b5395cacc6f44cc97b09730597b3d4474d45db01450592b9238ae2b266474c9",
+    "budgeted_separation.py": "4d2d1956bb0548156ff47a99de12517e9db07242cd5a4afa1a116af93a385752",
     "discrimination_cost.py": "1c785458c9434536a1432f8d69d3c5e4ea31fe5f39d9de9628d3c3e2a1c7abc4",
     "interferometer_run.py": "b99394c33d5ab78032cdd50ef819348d9c2b2aa3c7bdf49af4b7e42cf645f934",
     "minimum_failure_curves.py": "a1c7d7c11599ea28d6fda685fb3529716dcb1df93b438af3ea841c12a97308de",

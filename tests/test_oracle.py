@@ -1,4 +1,3 @@
-import math
 import sys
 
 import numpy as np
@@ -6,12 +5,12 @@ import pytest
 
 import qmin_referee
 from statesep import (
-    DomainError,
     FailurePoint,
     NumericError,
     OverlapSpec,
     Priors,
-    oracle_max_separation,
+    critical_overlap,
+    max_separation,
     oracle_qmin,
     q_ud,
     qmin_at,
@@ -97,7 +96,9 @@ def test_oracle_never_beaten_by_boundary_points():
 
 
 def test_oracle_monotone_in_target_overlap():
-    # The bisection in oracle_max_separation leans on this monotonicity.
+    # This monotonicity makes a judge in Q equivalent to one in s': the
+    # least s' a budget buys is where the minimum failure meets the budget
+    # (test_oracle_confirms_max_separation_in_q).
     for eta1, s in ((0.15, 0.7), (0.5, 0.4)):
         pr = Priors.of(eta1)
         qs = [
@@ -185,26 +186,27 @@ def test_oracle_value_is_the_value_of_its_point_on_the_lower_half():
         assert q == prn.eta1 * pt.q1 + prn.eta2 * pt.q2, (eta1, s, beta)
 
 
-def test_oracle_max_separation_examples():
-    assert oracle_max_separation(Priors.of(0.3), 0.4, 0.35) == pytest.approx(
-        0.032, abs=2e-3
-    )
-    assert oracle_max_separation(Priors.of(0.5), 0.6, 0.3) == pytest.approx(
-        3.0 / 7.0, abs=1e-6
-    )
-    pr = Priors.of(0.2)
-    assert oracle_max_separation(pr, 0.5, q_ud(pr, 0.5) + 0.05) == 0.0
-
-
-@pytest.mark.parametrize("q_max", [-0.5, math.nan, 1.5, -math.inf, math.inf])
-def test_oracle_max_separation_refuses_budgets_outside_the_unit_interval(monkeypatch, q_max):
-    # Refused before the bisection runs a single oracle minimum.
-    def never(*args):
-        raise AssertionError("oracle_qmin called")
-
-    monkeypatch.setattr(oracle, "oracle_qmin", never)
-    with pytest.raises(DomainError, match=r"q_max must lie in \[0, 1\], got"):
-        oracle_max_separation(Priors.of(0.3), 0.6, q_max)
+@pytest.mark.parametrize(
+    "eta1, s, q_max",
+    [
+        (0.3, 0.4, 0.35),
+        (0.3, 0.6, 0.35),
+        (0.3, 0.8, 0.35),
+        (0.3, 0.95, 0.35),
+        (0.5, 0.6, 0.3),
+        (0.1, 0.9, 0.2),
+        (0.7, 0.7, 0.3),
+        (0.05, 0.3, 0.01),
+    ],
+)
+def test_oracle_confirms_max_separation_in_q(eta1, s, q_max):
+    # Judged in Q at the solver's own s': where the budget binds, the
+    # oracle's minimum failure there is the budget, to 1e-15.
+    pr = Priors.of(eta1)
+    assert critical_overlap(pr, q_max) < s
+    sp, _ = max_separation(pr, s, q_max)
+    assert 0.0 < sp < s
+    assert oracle_qmin(pr, OverlapSpec(s, sp))[0] == pytest.approx(q_max, rel=0.0, abs=1e-15)
 
 
 def test_residual_post_check_refuses_off_curve_ordinates(monkeypatch):

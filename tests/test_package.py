@@ -85,9 +85,10 @@ def test_point_solvers_load_no_numpy():
             "statesep.qmin_curve(statesep.OverlapSpec(0.6, 0.3), 64)",
             "for eta1 in (0.1, 0.5, 0.0):",
             "    statesep.tradeoff_curve(statesep.Priors.of(eta1), 0.6, 64)",
+            "statesep.tradeoff_at(statesep.Priors.of(0.2), 0.6, 0.3)",
+            "statesep.max_clones(0.6, 0.3, statesep.Priors.of(0.2))",
             _loaded(*_HEAVY),
             "statesep.oracle_qmin(statesep.Priors.of(0.3), statesep.OverlapSpec(0.6, 0.3))",
-            "statesep.oracle_max_separation(statesep.Priors.of(0.3), 0.6, 0.4)",
             _loaded("numpy", "statesep.conics"),
         ]
     )
@@ -185,8 +186,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         statesep.no_such_name
     assert not hasattr(statesep, "verify_all")
-    # Helpers that only the tests used, and the budget wrapper (budgets are
-    # plain floats), are gone from the API.
-    for name in ("average_failure", "in_feasible_set", "to_conic", "FailureBudget"):
+    # Helpers that only the tests used, the budget wrapper (budgets are
+    # plain floats) and the oracle's s' bisection (max_separation is judged
+    # in Q at its own s') are gone from the API.
+    names = ("average_failure", "in_feasible_set", "to_conic", "FailureBudget", "oracle_max_separation")
+    for name in names:
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(statesep, name)

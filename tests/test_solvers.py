@@ -40,7 +40,7 @@ from statesep import (
 import helpers
 import qmin_referee
 import test_qmin_at_edges
-from statesep import solvers
+from statesep import conics, solvers
 from statesep.solvers import _EPS
 
 
@@ -79,6 +79,29 @@ def test_ud_tangency_point_is_optimal():
 @pytest.mark.parametrize("s", [0.0, 0.6, 1, np.float64(0.6)], ids=repr)
 def test_q_ud_is_a_plain_float(eta1, s):
     assert type(q_ud(Priors.of(eta1), s)) is float
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["eta1-small", "eta1-large"])
+def test_ud_point_next_to_the_regime_edge_is_answered(swap):
+    # One float inside the tangency regime the tangency point's larger
+    # coordinate rounds to 1.0000000000000002; it is the edge's own 1, for
+    # ud_tangency_point and qmin_at at s' = 0 alike, and the 50-digit
+    # referee confirms qmin_at's answer.
+    eta1, s = 0.003420228673775402, 0.05858299057730698
+    assert eta1 == math.nextafter(s * s / (1.0 + s * s), 1.0)
+    pr = Priors.of(eta1).swapped() if swap else Priors.of(eta1)
+    for pt in (ud_tangency_point(pr, s), qmin_at(pr, OverlapSpec(s, 0.0))[1]):
+        assert max(pt.q1, pt.q2) == 1.0
+    assert test_qmin_at_edges.check_qmin_at(eta1, s, 0.0) == "answered"
+
+
+def test_ud_at_a_zero_prior_inside_the_tangency_regime_does_not_divide_by_zero():
+    # Priors that sum to 1 within their 1e-12 slack can put eta2 = 0 inside
+    # the tangency regime where s is below about 1e-6.  The cost is
+    # 2*sqrt(eta1*eta2)*s = 0, and the point has q2 at the edge's 1.
+    pr = Priors(1.0 - 5e-13, 0.0)
+    assert q_ud(pr, 1e-7) == 0.0
+    assert ud_tangency_point(pr, 1e-7) == FailurePoint(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +556,51 @@ def test_max_clones_domain():
         max_clones(0.0, 0.3, Priors.of(0.5))
 
 
+_V_BELOW_U = 0.3 - 5e-13  # below u by more than from_conic's 1e-14, within ConicPoint's 1e-12
+_PR = Priors.of(0.3)
+_OV = OverlapSpec(0.6, 0.3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q_ud(_PR, 1.5), "s must lie in [0, 1], got 1.5"),
+        (lambda: ud_tangency_point(_PR, -0.1), "s must lie in [0, 1], got -0.1"),
+        (lambda: qmin_curve(_OV, 1), "n_samples must be at least 2, got 1"),
+        (lambda: max_separation(_PR, 1.0, 0.3), "s must lie in (0, 1), got 1.0"),
+        (lambda: max_separation(_PR, 0.6, 1.0), "q_max must lie in [0, 1), got 1.0"),
+        (lambda: critical_overlap(_PR, 1.5), "q_max must lie in [0, 1], got 1.5"),
+        (lambda: tradeoff_curve(_PR, 0.0), "s must lie in (0, 1), got 0.0"),
+        (lambda: tradeoff_curve(_PR, 0.6, 1), "n_samples must be at least 2, got 1"),
+        (lambda: tradeoff_at(_PR, 1.0, 0.3), "s must lie in (0, 1), got 1.0"),
+        (lambda: tradeoff_at(_PR, 0.6, -0.1), "q must lie in [0, 1], got -0.1"),
+        (
+            lambda: conics.from_conic(conics.ConicPoint(0.3, _V_BELOW_U)),
+            f"no preimage: v={_V_BELOW_U!r} < u=0.3",
+        ),
+        (
+            lambda: conics.conic_slopes(0.1, _PR, 0.3, 0.6, 0.0),
+            "parabola slope undefined at s_prime = 0",
+        ),
+        (
+            lambda: conics.tangency_residuals(0.1, 0.3, _PR, 0.6, 0.0),
+            "tangency system requires s_prime > 0",
+        ),
+    ],
+    ids=[
+        "q_ud-s", "ud_tangency_point-s", "qmin_curve-n_samples", "max_separation-s",
+        "max_separation-q_max", "critical_overlap-q_max", "tradeoff_curve-s",
+        "tradeoff_curve-n_samples", "tradeoff_at-s", "tradeoff_at-q", "from_conic-v_below_u",
+        "conic_slopes-s_prime", "tangency_residuals-s_prime",
+    ],
+)
+def test_domain_refusals_name_their_argument(call, message):
+    # Each argument check refuses with its own message, before any arithmetic.
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # phase transition probe
 
@@ -795,6 +863,47 @@ def test_point_query_bits_are_pinned():
     assert len(lines) == 7200
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _POINT_QUERY_DIGEST
+
+
+# sha256 of the discrimination corpus below, one repr (or error class) per line.
+_DISCRIMINATION_DIGEST = "1b28b14859607f8b1aba9132b5eda5d564a66a7c496019198b81bc58fe60fbfa"
+
+
+def _discrimination_lines():
+    """One line per answer of q_ud and ud_tangency_point, called directly on
+    seeded priors, each also mirrored, at the ends and edges of s and at
+    interior draws: the answer's repr, or the class of the error it raises.
+    The priors include each s's regime boundary s**2/(1 + s**2) and its two
+    neighbouring floats, so both regime tests are reached from each side,
+    and priors that use the 1e-12 slack of their sum, which lift Q past 1
+    next to s = 1."""
+    rng = np.random.default_rng(3110)
+    edges = [0.0, 5e-324, 1e-300, 0.6, 1.0 - 2.0**-53, 1.0]
+    ss = edges + rng.uniform(0.0, 1.0, 20).tolist()
+    draws = rng.uniform(0.0, 1.0, 30).tolist()
+    etas = [0.0, 0.5, *draws]
+    for s in ss:
+        lo = s * s / (1.0 + s * s)
+        etas += [math.nextafter(lo, 0.0), lo, math.nextafter(lo, 1.0)]
+    priors = [Priors.of(eta1) for eta1 in etas]
+    priors += [Priors(eta1, min(1.0 - eta1 + 5e-13, 1.0)) for eta1 in draws]
+    for prior in priors:
+        for pr in (prior, prior.swapped()):
+            for s in ss:
+                for solve in (q_ud, ud_tangency_point):
+                    try:
+                        yield repr(solve(pr, s))
+                    except (DomainError, NumericError) as exc:
+                        yield type(exc).__name__
+
+
+def test_discrimination_bits_are_pinned():
+    # Every bit of both discrimination answers, and which inputs raise, is
+    # what it was when pinned.  The point-query pin reaches them only
+    # through qmin_at's normalized priors; these call them directly.
+    lines = list(_discrimination_lines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (14560, _DISCRIMINATION_DIGEST)
 
 
 # sha256 of the sweep corpus below, one repr (or error class) per line.
