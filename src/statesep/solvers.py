@@ -716,9 +716,11 @@ def _budget_line_minimum(
     # 1 - A^2 = p1 + p2*q1.
     p1, p2 = 1.0 - q1, 1.0 - q2
     a = math.sqrt(q1 * q2) if q1 * q2 >= _TINY else math.sqrt(q1) * math.sqrt(q2)
+    # b > 0: Brent's iterates stay inside (lo, hi), so t is an end only where
+    # H changes sign within its last bracket (under 1.1e-14 wide); below the
+    # 1e-13 margin above, H keeps one sign that close to q1 = 1 and wherever
+    # q2 rounds to 1.
     b = math.sqrt(p1 * p2)
-    if b == 0.0:
-        raise NumericError(f"budget-line minimum on an edge of the square: q1={q1!r}, q2={q2!r}")
     gap = s - a if a < 0.5 else (p1 + p2 * q1 - (1.0 - s) * (1.0 + s)) / (s + a)
     cos_q = 2.0 * math.sqrt(eta1 * eta2) * a  # Q*cos(theta)
     theta = math.nan if delta == 1.0 else math.atan2(eta1 * q1 - eta2 * q2, cos_q)

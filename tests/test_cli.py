@@ -426,13 +426,41 @@ def test_formerly_refused_tradeoff_inputs_are_answered(capsys, eta1, s):
         assert qmin_referee.is_q_min(float(eta1), float(s), s_prime, q, tol), (eta1, s, q, s_prime)
 
 
-@pytest.mark.parametrize("s", ["1e-320"])
-def test_subnormal_s_tradeoff_exits_3(capsys, s):
-    # s*delta below the normal range is a numeric failure, not a usage
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qmin", "--s", "1.0626370286062564e-05", "--s-prime", "1.062634972095687e-05"],
+        ["qmin", "--s", "8.002035938234122e-30", "--s-prime", "3.197006282588512e-30"],
+        ["tradeoff", "--eta1", "4.13e-6", "--s", "0.9999999999977576"],
+        ["tradeoff", "--eta1", "0.3", "--s", "1e-307"],
+        ["tradeoff", "--eta1", "1e-8", "--s", "0.999"],
+    ],
+    ids=[
+        "qmin-near-equal-tiny", "qmin-1e-29",
+        "tradeoff-singular-angle", "tradeoff-s-1e-307", "tradeoff-1e-8",
+    ],
+)
+def test_edge_sweeps_at_512_samples_exit_0(capsys, argv):
+    # Sweeps next to an edge of the domain, at the default 512 rows, with
+    # RuntimeWarnings as errors (pytest's filterwarnings).
+    assert main([*argv, "--samples", "512"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "eta1, s, samples, message",
+    [
+        ("0.3", "1e-320", "512", "s*delta to be a normal float"),
+        ("1e-300", "1e-300", "7", "its angle frame underflows"),
+    ],
+    ids=["1e-320", "frame-underflow"],
+)
+def test_subnormal_s_tradeoff_exits_3(capsys, eta1, s, samples, message):
+    # A sweep the floats cannot resolve is a numeric failure, not a usage
     # error (exit 2) or a traceback (exit 1).
-    assert main(["tradeoff", "--eta1", "0.3", "--s", s]) == 3
+    assert main(["tradeoff", "--eta1", eta1, "--s", s, "--samples", samples]) == 3
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "s*delta to be a normal float" in err
+    assert "numeric failure" in err and message in err
 
 
 def _grid_ranges(seed):

@@ -64,6 +64,8 @@ def test_devices_compare_their_arrays_whole_and_do_not_hash():
     off[2, 2] += 1e-9
     assert (itf == Interferometer(off, itf.bs1, itf.bs2, itf.s, itf.s_prime)) is False
     assert (itf == build_interferometer(0.6, 0.2)) is False
+    assert itf != protocol_input(0.6, 1) and protocol_input(0.6, 1) != itf
+    assert itf.__eq__(protocol_input(0.6, 1)) is NotImplemented
     for obj in (itf, protocol_input(0.6, 1)):
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)

@@ -123,9 +123,10 @@ def test_numpy_commands_run_from_a_fresh_process(argv, header):
     assert _fresh(script).splitlines()[0] == header
 
 
-def test_python_m_statesep_loads_no_scipy():
-    # ``python -m statesep``, run through runpy's ``__main__`` as the
-    # interpreter runs it.
+@pytest.mark.parametrize("module", ["statesep", "statesep.cli"])
+def test_python_m_statesep_loads_no_scipy(module):
+    # ``python -m statesep`` and ``python -m statesep.cli``, run through
+    # runpy's ``__main__`` as the interpreter runs them.
     script = "\n".join(
         [
             "import contextlib, io, runpy, sys",
@@ -133,7 +134,7 @@ def test_python_m_statesep_loads_no_scipy():
             "            '--shots', '20000']",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    try:",
-            "        runpy.run_module('statesep', run_name='__main__')",
+            f"        runpy.run_module({module!r}, run_name='__main__')",
             "    except SystemExit as exc:",
             "        assert exc.code == 0, exc.code",
             _loaded("scipy"),
