@@ -125,9 +125,10 @@ def conic_slopes(
 ) -> tuple[float, float]:
     """Slopes dv/du of the objective ellipse and the unitarity parabola.
 
-    The ellipse slope at sin(theta) = 0 with unequal priors is infinite;
-    it is reported as a signed ``inf`` flag value so root finders can
-    bracket across it rather than catch exceptions.  The ellipse slope
+    The ellipse slope at sin(theta) = 0 with unequal priors is infinite.  It
+    is a signed ``inf``, its limit from sin(theta) > 0, so that the slope
+    residual of ``tangency_residuals`` (which ``verify``'s conic-tangency row
+    reads) is inf there rather than a ZeroDivisionError.  The ellipse slope
     depends only on theta and the priors, not on the budget that fixes
     which ellipse is meant; the parabola slope is taken at abscissa ``u``.
     """

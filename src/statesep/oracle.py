@@ -75,8 +75,9 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     prn, swapped = pr.normalized()
 
     def _ret(q: float, q1: float, q2: float) -> tuple[float, FailurePoint]:
-        pt = FailurePoint(min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0))
-        return min(max(q, 0.0), 1.0), (pt.swapped() if swapped else pt)
+        # Each candidate is in the unit square; prior-sum slack can lift Q past 1.
+        pt = FailurePoint(q1, q2)
+        return min(q, 1.0), (pt.swapped() if swapped else pt)
 
     if beta == s:
         # (0, 0) already satisfies the constraint: nothing ever fails.

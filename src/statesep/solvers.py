@@ -538,7 +538,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     where f <= 0, and the zero-slope end, where f >= 0; an end where f has
     the other sign is itself the answer.  It works in q1 (to 1e-14), or in
     log(q1) (to 1e-14 relative) when the vertex is below 1e-6, so that a
-    root that small keeps its relative digits.  Q is evaluated on the
+    root that small keeps its relative digits; where Brent's 100 steps run
+    out there, bisection on f's sign finishes it.  Q is evaluated on the
     objective at the root, so its error is second order in the root
     tolerance.  When (s-beta)(s+beta) is below the normal float range (s
     below about 1e-146), the lower half cannot be resolved in closed form,
@@ -609,18 +610,30 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
         q1 = _bracketed_root(tangency, vertex, hi, "tangency abscissa q1", f_lo, f_hi)
     else:
         # In u = log(q1) Brent's 1e-14 is relative in q1, and the bracket is
-        # at most about 750 wide.  It still need not converge where the
-        # tangency function is subnormal next to its root:
-        # qmin_at(Priors.of(1e-300), OverlapSpec(1e-150, 1e-162)) runs out
-        # of its 100 iterations and raises NumericError.
-        u = _bracketed_root(
-            lambda u: tangency(math.exp(u)),
-            math.log(vertex),
-            math.log(hi),
-            "tangency abscissa log(q1)",
-            f_lo,
-            f_hi,
-        )
+        # at most about 750 wide.  Where the tangency function is subnormal
+        # next to its root, Brent's interpolation steps carry few digits and
+        # can run out of their 100 iterations, as for
+        # qmin_at(Priors.of(1e-300), OverlapSpec(1e-150, 1e-162)).  Bisection
+        # needs only f's sign (f < 0 at the vertex, f > 0 at hi); it then
+        # runs down to Brent's own tolerance, which the floats can reach.
+        u_lo, u_hi = math.log(vertex), math.log(hi)
+        try:
+            u = _bracketed_root(
+                lambda u: tangency(math.exp(u)),
+                u_lo,
+                u_hi,
+                "tangency abscissa log(q1)",
+                f_lo,
+                f_hi,
+            )
+        except NumericError:
+            while u_hi - u_lo > _ROOT_XTOL - _ROOT_RTOL * u_lo:  # u_lo < u_hi < 0
+                mid = (u_lo + u_hi) / 2.0
+                if tangency(math.exp(mid)) < 0.0:
+                    u_lo = mid
+                else:
+                    u_hi = mid
+            u = (u_lo + u_hi) / 2.0
         q1 = min(max(math.exp(u), vertex), hi)
     q2 = lower_half_q2(q1, s, beta)
     return _ret(min(eta1 * q1 + eta2 * q2, 1.0), FailurePoint(q1, q2))  # as in q_ud
@@ -695,8 +708,8 @@ def _budget_line_minimum(
     def slope(t: float) -> float:
         # The point on the line at t; the root's point below repeats these lines.
         q1 = t * q1_hi
-        q2 = (q - eta1 * q1) / eta2  # past an edge of the square by rounding only
-        q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
+        q2 = (q - eta1 * q1) / eta2  # below 0 by rounding only; never above 1
+        q2 = 0.0 if q2 < 0.0 else q2
         a, p1, p2 = math.sqrt(q1 * q2), 1.0 - q1, 1.0 - q2
         return (s - a) * a * (p2 + p1 * k) - (q2 + q1 * k) * p1 * p2
 
@@ -710,7 +723,7 @@ def _budget_line_minimum(
     t = _bracketed_root(slope, lo, hi, "budget-line q1/q1_hi", f_lo, f_hi)
     q1 = t * q1_hi  # as in slope
     q2 = (q - eta1 * q1) / eta2
-    q2 = 0.0 if q2 < 0.0 else 1.0 if q2 > 1.0 else q2
+    q2 = 0.0 if q2 < 0.0 else q2
     # beta without cancellation: A taken apart where q1*q2 underflows, and
     # next to s = 1, s - A as ((1 - A^2) - (1 - s^2))/(s + A), with
     # 1 - A^2 = p1 + p2*q1.
@@ -724,7 +737,8 @@ def _budget_line_minimum(
     gap = s - a if a < 0.5 else (p1 + p2 * q1 - (1.0 - s) * (1.0 + s)) / (s + a)
     cos_q = 2.0 * math.sqrt(eta1 * eta2) * a  # Q*cos(theta)
     theta = math.nan if delta == 1.0 else math.atan2(eta1 * q1 - eta2 * q2, cos_q)
-    return min(max(gap / b, 0.0), s), theta
+    # gap > 0: the 1e-13 budget margin keeps the line inside q1*q2 = s**2.
+    return min(gap / b, s), theta
 
 
 def critical_overlap(pr: Priors, q_max: float) -> float:
@@ -821,10 +835,10 @@ def _tradeoff_rows(
     min(tau0, tau_plus) every factor is a sum of nonnegative terms; from
     there on (tau0 ends the tangency regime and tau_plus the lopsided one,
     and they cross at the second-order transition eta1 = s**2/(1 + s**2))
-    the row is full separation, (0, q_end).  Q is capped at q_end and s'
-    at s, and each Q is range-checked (``q_avg must lie in [0, 1]``),
-    which only NaN fails.  The columns come back as lists, for the caller
-    to add the ends.
+    the row is full separation, (0, q_end).  Q is capped at q_end; s'
+    needs no cap, as rho and the square root come out at most 1 in floats.
+    Each Q is range-checked (``q_avg must lie in [0, 1]``), which only NaN
+    fails.  The columns come back as lists, for the caller to add the ends.
     """
     delta, r, w, tau_plus = _tradeoff_frame(s, eta1)
     sd, gap, w_s, w_r = s * delta, (1.0 - s) * (1.0 + s), w + s, w + r
@@ -855,7 +869,7 @@ def _tradeoff_rows(
                 q = q_end
         if not 0.0 <= q <= 1.0:
             raise _prob_error("q_avg", q)
-        add_s_prime(s if s < s_prime else s_prime)
+        add_s_prime(s_prime)
         add_q(q)
     return s_primes, qs
 

@@ -94,7 +94,7 @@ def check_hyperbola_degeneration() -> CheckResult:
         # Residual must vanish on the hyperbola, and the general closed-form
         # lower half at beta=0 (no s*s/q1 shortcut) must land back on it.
         worst = max(worst, float(np.max(np.abs(_residual_arr(q1, s * s / q1, s, 0.0)))))
-        for q in q1[:: max(len(q1) // 50, 1)]:
+        for q in q1[::10]:
             worst = max(worst, abs(q * lower_half_q2(float(q), s, 0.0) - s * s))
     return _result("lemma-hyperbola-degeneration", worst, 1e-12)
 
@@ -127,9 +127,7 @@ def check_slope_range(seed: int) -> CheckResult:
         ov = OverlapSpec(s, sp)
         samples = solvers.qmin_curve(ov, 256)
         slopes = [smp.dq2_dt / smp.dq1_dt for smp in samples[1:]]
-        increase_violation = max(
-            (a - b for a, b in zip(slopes, slopes[1:])), default=-math.inf
-        )
+        increase_violation = max(a - b for a, b in zip(slopes, slopes[1:]))
         worst = max(worst, increase_violation, abs(slopes[-1]))
         # Every interior row's slope against the constraint's gradient, plus
         # rows 1e-10..1e-2 of the range from the vertex, where it tends to -1.
@@ -225,12 +223,11 @@ def check_separation_onset(seed: int) -> CheckResult:
         eta1 = float(rng.uniform(0.05, 0.5))
         pr = Priors.of(eta1)
         q_cap = float(rng.uniform(0.05, 0.9))
-        s_cr = solvers.critical_overlap(pr, q_cap)  # in (0, 0.95) for these draws
+        s_cr = solvers.critical_overlap(pr, q_cap)  # in [0.05, 0.95) for these draws
         # Full separation saturates the budget exactly at the onset.
         worst = max(worst, abs(solvers.q_ud(pr, s_cr) - q_cap))
-        if s_cr > 1e-3:
-            sp_below, _ = solvers.max_separation(pr, max(s_cr - 1e-4, 1e-6), q_cap)
-            worst = max(worst, abs(sp_below))
+        sp_below, _ = solvers.max_separation(pr, s_cr - 1e-4, q_cap)
+        worst = max(worst, abs(sp_below))
     return _result("full-separation-onset", worst, 1e-9)
 
 
@@ -254,8 +251,7 @@ def check_optics_statistics(shots: int, seed: int) -> CheckResult:
         passed_all = passed_all and report["passed"]
         for run in report["runs"]:
             band = run["three_sigma"]
-            if band > 0.0:
-                worst = max(worst, abs(run["empirical_q"] - run["expected_q"]) / band)
+            worst = max(worst, abs(run["empirical_q"] - run["expected_q"]) / band)
     # The measured normalized three-sigma deviation; the pass flag also
     # folds in the chi-square, ghost-click and exact-matrix checks.
     return CheckResult("optics-statistics", float(worst), 1.0, bool(passed_all and worst <= 1.0))

@@ -40,6 +40,7 @@ from statesep import (
     Priors,
     max_clones,
     max_separation,
+    oracle_qmin,
     q_ud,
     qmin_at,
     tradeoff_at,
@@ -211,10 +212,14 @@ def test_budget_line_through_a_corner_of_the_square(eta1, q):
 
 def test_priors_summing_above_one_stay_in_the_domain():
     # Priors may sum to 1 + 1e-12; next to s = 1 their discrimination cost
-    # and the objective round above 1, which the solvers cap at 1.
+    # and the objective round above 1, which the solvers cap at 1.  At
+    # s' = 0.5 the objective is 1.0000000000004734 for qmin_at and
+    # 1.0000000000004736 for the oracle.
     pr, s = Priors(5e-13, 1.0), 1.0 - 1e-14
     assert q_ud(pr, s) == 1.0
     assert qmin_at(pr, OverlapSpec(s, 0.0))[0] == 1.0
+    assert qmin_at(pr, OverlapSpec(s, 0.5))[0] == 1.0
+    assert oracle_qmin(pr, OverlapSpec(s, 0.5))[0] == 1.0
     assert tradeoff_at(pr, s, 1.0).q == 1.0
     s_prime, _ = max_separation(pr, s, 0.5)
     assert confirms(5e-13, s, 0.5, s_prime)

@@ -127,6 +127,7 @@ def test_former_failures_match_the_referee(eta1, s, s_prime, expected):
         (0.1, 1e-12, 1e-13),
         (0.45, 1e-12, 9e-13),
         (0.3, 0.5, 0.5 - 1e-12),
+        (1e-300, 1e-150, 1e-162),
     ],
     ids=[
         "s-1e-14",
@@ -136,12 +137,16 @@ def test_former_failures_match_the_referee(eta1, s, s_prime, expected):
         "s-1e-12-eta-0.1",
         "s-1e-12-eta-0.45",
         "target-next-to-s",
+        "stalled-root",
     ],
 )
 def test_small_vertex_answers_keep_their_relative_digits(eta1, s, s_prime):
     # With the vertex (s - s')/(1 - s') below 1e-6 the root is found in
     # log(q1).  Brent's absolute 1e-14 in q1 left these 3.7% off, 15 times
-    # the minimum, and 2e-9, 2e-7 and 2e-5 off relatively.
+    # the minimum, and 2e-9, 2e-7 and 2e-5 off relatively.  At
+    # stalled-root the tangency function is subnormal next to its root, so
+    # Brent in log(q1) ran out of its 100 iterations and raised
+    # NumericError; bisection on the function's sign now finishes it.
     q, _ = qmin_at(Priors.of(eta1), OverlapSpec(s, s_prime))
     ref, _, _ = qmin_referee.qmin(eta1, s, s_prime)
     assert abs(q - ref) <= 1e-9 * ref, (q, float(ref))
