@@ -24,11 +24,13 @@ bracketed root finding by Brent's method at 1e-14 tolerance; a bracket
 without a sign change raises NumericError.
 
 Everything here runs on ``math`` one float at a time; this module imports
-no NumPy.  ``_q_ud`` is the one place that selects the discrimination
-regime: ``q_ud``, ``ud_tangency_point``, ``qmin_at`` at s' = 0 and the
-tradeoff functions' full-separation end all read it.  ``qmin_at``
-root-finds the tangency condition in q1 along the curve's lower half,
-whose ordinate is in closed form
+no NumPy.  ``q_ud``, ``ud_tangency_point``, ``qmin_at`` at s' = 0,
+``max_separation`` (through ``q_ud``), ``tradeoff_at`` and the tradeoff
+sweep's full-separation row take the discrimination cost from ``_q_ud``;
+``_tradeoff_rows``' last angle label (0 where eta1 >= s**2/(1 + s**2))
+and ``critical_overlap`` (q <= 2*eta1) test the regime boundary
+themselves.  ``qmin_at`` root-finds the tangency condition in q1 along
+the curve's lower half, whose ordinate is in closed form
 (``core.lower_half_q2``); ``max_separation`` minimizes the final overlap
 along the budget line.  The sweeps (``qmin_curve``, ``tradeoff_curve``)
 walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
@@ -43,10 +45,11 @@ trip run it on one parameter value.  It and
 ``round-trip-consistency`` checks the two copies against each other.
 ``_tradeoff_rows`` is the one implementation of the
 tradeoff formulas, in the half-angle offset of each ellipse angle from
-the sweep's start; the tests evaluate the angle formulas in mpmath as its
-referee.  Each loop raises at the first failing sample: ``_t_curve`` in
-``FailurePoint``'s range checks (q1, then q2), written out with the
-constructor's own messages, and ``_tradeoff_rows`` in the range check of
+the sweep's start, from one ``_tradeoff_frame`` per sweep; the tests
+evaluate the angle formulas in mpmath as its referee.  Each loop raises at
+the first failing sample: ``_t_curve`` in ``FailurePoint``'s range checks
+(q1, then q2), written out with the constructor's own messages, and
+``_tradeoff_rows`` in the range check of
 Q (``q_avg must lie in [0, 1]``); ``_t_curve`` then builds its point
 with ``object.__new__`` and core's slot setters.  ``QminSample`` and
 ``TradeoffSample`` are named tuples, and the sweeps build every record with ``tuple.__new__`` on its
@@ -702,7 +705,8 @@ def _budget_line_minimum(
         return None
     delta = eta2 - eta1
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
-        return s, math.nan if delta == 1.0 else _tradeoff_range(s, eta1)[0]
+        r = 2.0 * math.sqrt(eta1 * (1.0 - eta1))  # as _tradeoff_rows' theta_lo, without its frame
+        return s, math.nan if delta == 1.0 else -math.atan2(s * (1.0 - 2.0 * eta1), r)
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
 
     def slope(t: float) -> float:
@@ -763,7 +767,7 @@ def critical_overlap(pr: Priors, q_max: float) -> float:
 
 
 def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
-    """``(delta, r, w, tau_plus)`` of the half-angle form (``_tradeoff_rows``).
+    """``(delta, r, w, tau_plus)`` of ``_tradeoff_rows``' half-angle form, once a sweep.
 
     r = 2*sqrt(eta1*(1 - eta1)) avoids sqrt(1 - delta**2), which cancels as
     eta1 -> 0; every term is a product of nonnegative ones.  The smallest of
@@ -785,26 +789,14 @@ def _tradeoff_frame(s: float, eta1: float) -> tuple[float, float, float, float]:
     return delta, r, w, tau_plus
 
 
-def _tradeoff_range(s: float, eta1: float) -> tuple[float, float]:
-    """Ellipse angles (theta_lo, theta_hi) where the tradeoff sweep starts and ends.
-
-    theta_lo = -atan2(s*delta, r) is the trivial protocol, with delta and r
-    from ``_tradeoff_frame``: r in place of sqrt(1 - delta**2), which
-    cancels next to certainty.  Full separation is at theta = 0 in the
-    tangency regime (eta1 >= s**2/(1 + s**2)), and else at the half-angle
-    offset tau_plus from theta_lo.
-    """
-    delta, r, _, tau_plus = _tradeoff_frame(s, eta1)
-    theta_lo = -math.atan2(s * delta, r)
-    if eta1 >= s * s / (1.0 + s * s):
-        return theta_lo, 0.0
-    return theta_lo, theta_lo + 2.0 * math.atan(tau_plus)
-
-
 def _tradeoff_rows(
-    thetas: Iterable[float], s: float, eta1: float, theta_lo: float, q_end: float
-) -> tuple[list[float], list[float]]:
-    """Columns (s_primes, qs) of the tradeoff curve at the ellipse angles ``thetas``.
+    s: float, eta1: float, q_end: float, n: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Columns (thetas, s_primes, qs) of an n-row angle sweep of the tradeoff curve.
+
+    The labels run from theta_lo = -atan2(s*delta, r), the trivial protocol,
+    to full separation: 0 in the tangency regime (eta1 >= s**2/(1 + s**2)),
+    else theta_lo + 2*atan(tau_plus).
 
     The paper's formulas at the angle theta, with S = sin(theta) and
     C = cos(theta), are
@@ -838,10 +830,14 @@ def _tradeoff_rows(
     the row is full separation, (0, q_end).  Q is capped at q_end; s'
     needs no cap, as rho and the square root come out at most 1 in floats.
     Each Q is range-checked (``q_avg must lie in [0, 1]``), which only NaN
-    fails.  The columns come back as lists, for the caller to add the ends.
+    fails.  The ends, the trivial protocol (s, 0) and full separation
+    (0, q_end), are exact identities, added at the return.
     """
     delta, r, w, tau_plus = _tradeoff_frame(s, eta1)
     sd, gap, w_s, w_r = s * delta, (1.0 - s) * (1.0 + s), w + s, w + r
+    theta_lo = -math.atan2(sd, r)
+    theta_full = 0.0 if eta1 >= s * s / (1.0 + s * s) else theta_lo + 2.0 * math.atan(tau_plus)
+    thetas = _linspace(theta_lo, theta_full, n)
     w_gap = r * r * gap / w_s  # w - s
     tau0, tau_minus = sd / w_r, -gap * r * (w + sd) / (w_s * w_s)
     tau_end = tau0 if tau0 < tau_plus else tau_plus
@@ -854,7 +850,7 @@ def _tradeoff_rows(
     s_primes: list[float] = []
     qs: list[float] = []
     add_s_prime, add_q = s_primes.append, qs.append
-    for theta in thetas:
+    for theta in thetas[1:-1]:
         tau = tan((theta - theta_lo) / 2.0)
         if tau >= tau_end:
             s_prime, q = 0.0, q_end
@@ -871,7 +867,7 @@ def _tradeoff_rows(
             raise _prob_error("q_avg", q)
         add_s_prime(s_prime)
         add_q(q)
-    return s_primes, qs
+    return thetas, [s, *s_primes, 0.0], [0.0, *qs, q_end]
 
 
 def _range_checked(qs: list[float]) -> list[float]:
@@ -898,8 +894,9 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     The sweep refuses with NumericError where s*delta is below the normal
     float range, where the angle frame underflows (``_tradeoff_frame``: s
     and sqrt(eta1) both below about 1e-77), or where Q falls or s' rises
-    by more than 1e-10.  Every branch range-checks Q, and builds the
-    records with ``tuple.__new__``.
+    by more than 1e-10.  Every branch range-checks Q (capped at 1 in the
+    certainty closed form, as in ``q_ud``), and builds the records with
+    ``tuple.__new__``.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s!r}")
@@ -918,25 +915,22 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         # Next to certainty on state 2 the optimum at s' is, to first order
         # in eta1, the curve's zero-slope end (_zero_slope_end): there
         # q2 = (s^2 - s'^2)/(1 - s'^2) and q1 = q2/s^2, and Q = eta1*q1 +
-        # eta2*q2.  q2 runs over the grid; at q2 = 0 (s' = s) Q is 0.
+        # eta2*q2.  q2 runs over the grid; at q2 = 0 (s' = s) Q is 0.  Q is
+        # capped at 1, as in _q_ud, where the prior-sum slack lifts it past.
         thetas = repeat(math.nan)
         s2, eta1, eta2 = s * s, prn.eta1, prn.eta2
         q2s = _linspace(0.0, s2, n_samples)
         s_primes = [sqrt_clamped((s2 - q2) / (1.0 - q2)) for q2 in q2s]
-        qs = _range_checked([0.0 if q2 == 0.0 else eta1 * (q2 / s2) + eta2 * q2 for q2 in q2s])
+        qs = [0.0 if q2 == 0.0 else min(eta1 * (q2 / s2) + eta2 * q2, 1.0) for q2 in q2s]
+        qs = _range_checked(qs)
     else:
         if s * delta < _TINY:
             raise NumericError(
                 f"tradeoff sweep needs s*delta to be a normal float, got "
                 f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
             )
-        thetas = _linspace(*_tradeoff_range(s, prn.eta1), n_samples)
         q_end = _q_ud(prn.eta1, prn.eta2, s)[0]
-        s_primes, qs = _tradeoff_rows(thetas[1:-1], s, prn.eta1, thetas[0], q_end)
-        # The sweep starts at the trivial protocol and ends at full
-        # separation; both are exact identities, emitted directly.
-        s_primes = [s, *s_primes, 0.0]
-        qs = [0.0, *qs, q_end]
+        thetas, s_primes, qs = _tradeoff_rows(s, prn.eta1, q_end, n_samples)
         _check_tradeoff_order(s_primes, qs, s, prn.eta1)
     return list(map(tuple.__new__, repeat(TradeoffSample), zip(thetas, repeat(s), s_primes, qs)))
 

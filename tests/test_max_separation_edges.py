@@ -26,6 +26,7 @@ whole domain.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,6 +45,7 @@ from statesep import (
     q_ud,
     qmin_at,
     tradeoff_at,
+    tradeoff_curve,
 )
 
 # Relative to the budget, so that tiny budgets are judged too.  Below about
@@ -212,7 +214,8 @@ def test_budget_line_through_a_corner_of_the_square(eta1, q):
 
 def test_priors_summing_above_one_stay_in_the_domain():
     # Priors may sum to 1 + 1e-12; next to s = 1 their discrimination cost
-    # and the objective round above 1, which the solvers cap at 1.  At
+    # and the objective round above 1, which the solvers cap at 1 (the
+    # tradeoff sweep's certainty closed form among them).  At
     # s' = 0.5 the objective is 1.0000000000004734 for qmin_at and
     # 1.0000000000004736 for the oracle.
     pr, s = Priors(5e-13, 1.0), 1.0 - 1e-14
@@ -221,10 +224,28 @@ def test_priors_summing_above_one_stay_in_the_domain():
     assert qmin_at(pr, OverlapSpec(s, 0.5))[0] == 1.0
     assert oracle_qmin(pr, OverlapSpec(s, 0.5))[0] == 1.0
     assert tradeoff_at(pr, s, 1.0).q == 1.0
+    assert tradeoff_curve(pr, s, 8)[-1].q == 1.0
     s_prime, _ = max_separation(pr, s, 0.5)
     assert confirms(5e-13, s, 0.5, s_prime)
     assert tradeoff_at(pr, s, 0.5).s_prime == s_prime
     assert counts_clones(s, s_prime, max_clones(s, 0.5, pr))
+
+
+def test_zero_budget_keeps_the_overlap_where_the_sweep_frame_underflows():
+    # Sum-slack priors with eta1 and s both tiny: the tradeoff sweep's angle
+    # frame underflows here, and a zero budget once raised its NumericError
+    # although s' = s is exact.  The angle is the sweep's first label.
+    eta1, eta2, s = 5e-324, 0.9999999999998892, 2.6340456976958655e-50
+    pr = Priors(eta1, eta2)
+    mp = mpmath.MPContext()
+    mp.dps = 50
+    e = mp.mpf(eta1)
+    want = float(-mp.atan2(mp.mpf(s) * (1 - 2 * e), 2 * mp.sqrt(e * (1 - e))))
+    s_prime, theta = max_separation(pr, s, 0.0)
+    smp = tradeoff_at(pr, s, 0.0)
+    assert s_prime == smp.s_prime == s and smp.q == 0.0
+    assert theta == smp.theta and abs(theta - want) <= math.ulp(want)
+    assert max_clones(s, 0.0, pr) == 1
 
 
 def edge_budgets(n: int, seed: int):
