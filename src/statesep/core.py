@@ -154,15 +154,19 @@ class Priors(_Value):
         return Priors(self.eta2, self.eta1)
 
     def normalized(self) -> tuple["Priors", bool]:
-        """Equivalent priors with eta1 <= 1/2, plus whether a swap happened.
+        """Equivalent priors with eta1 <= 1/2, plus whether a swap happened."""
+        eta1, eta2, swapped = _oriented(self)
+        return (Priors(eta1, eta2) if swapped else self), swapped
 
-        The separation problem is exactly symmetric under
-        (eta1, eta2, q1, q2) -> (eta2, eta1, q2, q1), so solvers work on the
-        normalized instance and mirror their failure point back if needed.
-        """
-        if self.eta1 > 0.5:
-            return self.swapped(), True
-        return self, False
+
+def _oriented(pr: Priors) -> tuple[float, float, bool]:
+    """``(eta1, eta2, swapped)`` with eta1 <= 1/2: the one swap rule.
+
+    The problem is symmetric under (eta1, eta2, q1, q2) -> (eta2, eta1, q2, q1).
+    """
+    if pr.eta1 > 0.5:
+        return pr.eta2, pr.eta1, True
+    return pr.eta1, pr.eta2, False
 
 
 class OverlapSpec(_Value):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FailurePoint, NumericError, OverlapSpec, Priors, lower_half_q2
+from .core import FailurePoint, NumericError, OverlapSpec, Priors, _oriented, lower_half_q2
 
 __all__ = ["oracle_qmin"]
 
@@ -67,31 +67,25 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     Golden-sections ``u = log(q1)`` along the lower half of the constraint
     curve, from its diagonal crossing to the endpoint (1, s^2), down to a
     bracket 1e-12 wide; the two ends of the lower half are candidates too.
-    With eta1 <= 1/2 (after the swap normalization) each point of the
+    With eta1 <= 1/2 (oriented once, ``core._oriented``) each point of the
     upper half costs at least as much as its mirror on the lower half, so
-    the upper half is never searched.
+    it is never searched; the answer's point is built once, mirrored back.
     """
     s, beta = ov.s, ov.s_prime
-    prn, swapped = pr.normalized()
-
-    def _ret(q: float, q1: float, q2: float) -> tuple[float, FailurePoint]:
-        # Each candidate is in the unit square; prior-sum slack can lift Q past 1.
-        pt = FailurePoint(q1, q2)
-        return min(q, 1.0), (pt.swapped() if swapped else pt)
-
     if beta == s:
         # (0, 0) already satisfies the constraint: nothing ever fails.
-        return _ret(0.0, 0.0, 0.0)
+        return 0.0, FailurePoint(0.0, 0.0)
     if s == 1.0:
-        return _ret(1.0, 1.0, 1.0)
+        return 1.0, FailurePoint(1.0, 1.0)
+    eta1, eta2, swapped = _oriented(pr)
 
     def point(q1: float) -> tuple[float, float, float]:
         """(average failure, q1, q2) at lower-half abscissa q1."""
         q2 = _lower_q2_scalar(q1, s, beta)
-        return prn.eta1 * q1 + prn.eta2 * q2, q1, q2
+        return eta1 * q1 + eta2 * q2, q1, q2
 
     q_diag = _diagonal_q(s, beta)
-    ends = (point(q_diag), (prn.eta1 + prn.eta2 * (s * s), 1.0, s * s))
+    ends = (point(q_diag), (eta1 + eta2 * (s * s), 1.0, s * s))
 
     # The search compares values alone, so a tie moves the bracket's lower
     # end up; the final pick takes the smallest (Q, q1, q2), so among equal
@@ -108,5 +102,7 @@ def oracle_qmin(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = point(math.exp(d))
-    return _ret(*min(*ends, fc, fd))
+    q, q1, q2 = min(*ends, fc, fd)
+    # Each candidate is in the unit square; prior-sum slack can lift Q past 1.
+    return min(q, 1.0), (FailurePoint(q2, q1) if swapped else FailurePoint(q1, q2))
 

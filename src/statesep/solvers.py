@@ -24,40 +24,41 @@ bracketed root finding by Brent's method at 1e-14 tolerance; a bracket
 without a sign change raises NumericError.
 
 Everything here runs on ``math`` one float at a time; this module imports
-no NumPy.  ``q_ud``, ``ud_tangency_point``, ``qmin_at`` at s' = 0,
-``max_separation`` (through ``q_ud``), ``tradeoff_at`` and the tradeoff
-sweep's full-separation row take the discrimination cost from ``_q_ud``;
-``_tradeoff_rows``' last angle label (0 where eta1 >= s**2/(1 + s**2))
-and ``critical_overlap`` (q <= 2*eta1) test the regime boundary
-themselves.  ``qmin_at`` root-finds the tangency condition in q1 along
-the curve's lower half, whose ordinate is in closed form
-(``core.lower_half_q2``); ``max_separation`` minimizes the final overlap
-along the budget line.  The sweeps (``qmin_curve``, ``tradeoff_curve``)
-walk their grid (``_linspace``, NumPy's ``linspace`` bit for bit) one
-sample at a time.  ``_t_curve`` is the one implementation of the
-parametric curve formulas: on the curve sqrt(q1*q2) = s*t and
-sqrt((1-q1)*(1-q2)) = s*(1-t)/s' exactly, so q1 and q2 come in factored
-form, with both ends of the tangency range emitted as explicit points.
-``qmin_curve`` runs it over the grid, whose rows ``verify``'s
-``curve-on-constraint`` reads, and ``curve_point`` and verify's round
-trip run it on one parameter value.  It and
-``qmin_at``'s Brent step each write out the tangency terms, and verify's
-``round-trip-consistency`` checks the two copies against each other.
-``_tradeoff_rows`` is the one implementation of the
-tradeoff formulas, in the half-angle offset of each ellipse angle from
-the sweep's start, from one ``_tradeoff_frame`` per sweep; the tests
-evaluate the angle formulas in mpmath as its referee.  Each loop raises at
-the first failing sample: ``_t_curve`` in ``FailurePoint``'s range checks
-(q1, then q2), written out with the constructor's own messages, and
-``_tradeoff_rows`` in the range check of
-Q (``q_avg must lie in [0, 1]``); ``_t_curve`` then builds its point
-with ``object.__new__`` and core's slot setters.  ``QminSample`` and
-``TradeoffSample`` are named tuples, and the sweeps build every record with ``tuple.__new__`` on its
-class: the generated ``__new__`` makes only that call, so a record equals
-what the constructor builds from its fields.  A ``TradeoffSample`` is four
-plain floats.  Neither sweep has a per-sample guard; each checks the
-order of its columns, and refuses an s*s (``t_slope_zero``) or s*delta
-below the normal float range.
+no NumPy.  The solvers orient the priors once, by the one swap rule
+(``core._oriented``), and ``qmin_at`` builds its answer's point once.
+``q_ud``, ``ud_tangency_point``, ``qmin_at`` at s' = 0, ``max_separation``
+(through ``q_ud``), ``tradeoff_at`` and the tradeoff sweep's
+full-separation row take the discrimination cost from ``_q_ud``;
+``_tradeoff_rows``' last angle label (0 where eta1 >= s**2/(1 + s**2)) and
+``critical_overlap`` (q <= 2*eta1) test the regime boundary themselves.
+``qmin_at`` root-finds the tangency condition in q1 along the curve's
+lower half, whose ordinate is in closed form (``core.lower_half_q2``);
+``max_separation`` minimizes the final overlap along the budget line.  The
+sweeps (``qmin_curve``, ``tradeoff_curve``) walk their grid
+(``_linspace``, NumPy's ``linspace`` bit for bit) one sample at a time.
+``_t_curve`` is the one implementation of the parametric curve formulas:
+on the curve sqrt(q1*q2) = s*t and sqrt((1-q1)*(1-q2)) = s*(1-t)/s'
+exactly, so q1 and q2 come in factored form, with both ends of the
+tangency range emitted as explicit points.  ``qmin_curve`` runs it over
+the grid, whose rows ``verify``'s ``curve-on-constraint`` reads, and
+``curve_point`` and verify's round trip run it on one parameter value.  It
+and ``qmin_at``'s Brent step each write out the tangency terms, and
+verify's ``round-trip-consistency`` checks the two copies against each
+other.  ``_tradeoff_rows`` is the one implementation of the tradeoff
+formulas, in the half-angle offset of each ellipse angle from the sweep's
+start, from one ``_tradeoff_frame`` per sweep; the tests evaluate the
+angle formulas in mpmath as its referee.  Each loop raises at the first
+failing sample: ``_t_curve`` in ``FailurePoint``'s range checks (q1, then
+q2), written out with the constructor's own messages, and
+``_tradeoff_rows`` in the range check of Q (``q_avg must lie in [0, 1]``);
+``_t_curve`` then builds its point with ``object.__new__`` and core's slot
+setters.  ``QminSample`` and ``TradeoffSample`` are named tuples, and the
+sweeps build every record with ``tuple.__new__`` on its class: the
+generated ``__new__`` makes only that call, so a record equals what the
+constructor builds from its fields.  A ``TradeoffSample`` is four plain
+floats.  Neither sweep has a per-sample guard; each checks the order of
+its columns, and refuses an s*s (``t_slope_zero``) or s*delta below the
+normal float range.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .core import (
     NumericError,
     OverlapSpec,
     Priors,
+    _oriented,
     _prob_error,
     _set_q1,
     _set_q2,
@@ -172,23 +174,19 @@ def _bracketed_root(
     in the step order of SciPy's ``brentq`` (same interpolate, extrapolate
     and bisect choices, xtol 1e-14, rtol 4*eps, 100 iterations), so the
     roots are bit-identical to it.  Each caller has already evaluated f at
-    both ends and hands the values in.  Raises NumericError when f does not
-    change sign between lo and hi, when f returns NaN, or when the
-    iteration does not converge.
+    both ends and hands the values in.  Raises NumericError
+    (``_root_error``) when f does not change sign between lo and hi, when f
+    returns NaN, or when the iteration does not converge.
     """
-
-    def failed(reason: str) -> NumericError:
-        return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
-
     xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
     if math.isnan(fpre) or math.isnan(fcur):
-        raise failed(f"f(lo)={fpre!r}, f(hi)={fcur!r}")
+        raise _root_error(what, lo, hi, f"f(lo)={fpre!r}, f(hi)={fcur!r}")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise failed(f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
+        raise _root_error(what, lo, hi, f"no sign change (f(lo)={fpre!r}, f(hi)={fcur!r})")
 
     # (xcur, fcur) is the best estimate, xblk the contrapoint that keeps the
     # root bracketed, xpre the previous iterate; spre/scur are the last two
@@ -243,8 +241,12 @@ def _bracketed_root(
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
         if fcur != fcur:
-            raise failed(f"f({xcur!r}) is NaN")
-    raise failed(f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
+            raise _root_error(what, lo, hi, f"f({xcur!r}) is NaN")
+    raise _root_error(what, lo, hi, f"no convergence in {_ROOT_MAXITER} iterations (last x={xcur!r})")
+
+
+def _root_error(what: str, lo: float, hi: float, reason: str) -> NumericError:
+    return NumericError(f"root finding for {what} failed on [{lo!r}, {hi!r}]: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +517,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     Parameters
     ----------
     pr : Priors
-        Prior probabilities; priors with eta1 > 1/2 are handled by the
-        swap symmetry and the failure point is mirrored back.
+        Prior probabilities, oriented once to floats (``core._oriented``);
+        the answer's point is built once, mirrored where they were swapped.
     ov : OverlapSpec
         Initial and target overlaps.
 
@@ -555,22 +557,19 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     (1e12*beta)**2) qmin_at raises NumericError; only eta1 = 0, whose
     answer is the zero-slope end itself, is answered there.
     """
-    prn, swapped = pr.normalized()
-
-    def _ret(q: float, point: FailurePoint) -> tuple[float, FailurePoint]:
-        return q, (point.swapped() if swapped else point)
-
-    if ov.s_prime == ov.s:
-        return _ret(0.0, FailurePoint(0.0, 0.0))
-    if ov.s == 1.0:
-        # Identical inputs cannot be separated at all.
-        return _ret(1.0, FailurePoint(1.0, 1.0))
-    if ov.s_prime == 0.0:
-        q, q1, q2 = _q_ud(prn.eta1, prn.eta2, ov.s)
-        return _ret(q, FailurePoint(q1, q2))
-
     s, beta = ov.s, ov.s_prime
-    eta1, eta2 = prn.eta1, prn.eta2
+    if beta == s:
+        return 0.0, FailurePoint(0.0, 0.0)
+    if s == 1.0:
+        # Identical inputs cannot be separated at all.
+        return 1.0, FailurePoint(1.0, 1.0)
+    eta1, eta2, swapped = _oriented(pr)
+    q, q1, q2 = _q_ud(eta1, eta2, s) if beta == 0.0 else _qmin_search(eta1, eta2, s, beta)
+    return q, (FailurePoint(q2, q1) if swapped else FailurePoint(q1, q2))
+
+
+def _qmin_search(eta1: float, eta2: float, s: float, beta: float) -> tuple[float, float, float]:
+    """``(Q, q1, q2)`` of ``qmin_at`` for oriented priors and 0 < beta < s < 1."""
     vertex = (s - beta) / (1.0 - beta)
     n0 = (s - beta) * (s + beta)
     if n0 < _TINY:
@@ -590,8 +589,8 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
                 f"beta*sqrt(eta2/eta1) = {beta * r2 / r1!r}, beyond 1e-12"
             )
         if gap * r2 < end * r1:  # the tangency q1 = gap*r2/r1 lies before the end
-            return _ret(2.0 * r1 * r2 * gap, FailurePoint(gap * r2 / r1, gap * r1 / r2))
-        return _ret(eta1 * end + eta2 * n0, FailurePoint(end, n0))
+            return 2.0 * r1 * r2 * gap, gap * r2 / r1, gap * r1 / r2
+        return eta1 * end + eta2 * n0, end, n0
     hi, _ = _zero_slope_end(s, beta)
     if hi == 1.0:
         # At q1 = 1, f keeps only its beta*A terms, which underflow to 0
@@ -606,7 +605,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
     # Each end is evaluated once: Brent gets these values back.
     f_lo, f_hi = tangency(vertex), tangency(hi)
     if f_lo >= 0.0:
-        return _ret(vertex, FailurePoint(vertex, vertex))
+        return vertex, vertex, vertex
     if f_hi <= 0.0:
         q1 = hi
     elif vertex >= _SMALL_VERTEX:
@@ -639,7 +638,7 @@ def qmin_at(pr: Priors, ov: OverlapSpec) -> tuple[float, FailurePoint]:
             u = (u_lo + u_hi) / 2.0
         q1 = min(max(math.exp(u), vertex), hi)
     q2 = lower_half_q2(q1, s, beta)
-    return _ret(min(eta1 * q1 + eta2 * q2, 1.0), FailurePoint(q1, q2))  # as in q_ud
+    return min(eta1 * q1 + eta2 * q2, 1.0), q1, q2  # as in q_ud
 
 
 # ---------------------------------------------------------------------------
@@ -697,16 +696,17 @@ def _budget_line_minimum(
 ) -> tuple[float, float] | None:
     """``max_separation``'s (s', theta) for checked inputs with eta1 <= 1/2.
 
-    None where the budget ``q`` covers the discrimination cost ``qud``.
+    None where a budget ``q`` above 0 covers the discrimination cost ``qud``;
+    a zero budget keeps the overlap, also where ``qud`` underflows to 0.
     """
-    # s' vanishes linearly as the budget approaches the discrimination
-    # cost, so budgets within rounding of it take the trivial branch.
-    if q >= qud * (1.0 - 1e-13):
-        return None
     delta = eta2 - eta1
     if q == 0.0:  # the line collapses into the origin; theta is its Q -> 0 limit
         r = 2.0 * math.sqrt(eta1 * (1.0 - eta1))  # as _tradeoff_rows' theta_lo, without its frame
         return s, math.nan if delta == 1.0 else -math.atan2(s * (1.0 - 2.0 * eta1), r)
+    # s' vanishes linearly as the budget approaches the discrimination
+    # cost, so budgets within rounding of it take the trivial branch.
+    if q >= qud * (1.0 - 1e-13):
+        return None
     k, q1_hi = -eta1 / eta2, (q / eta1 if q < eta1 else 1.0)
 
     def slope(t: float) -> float:
@@ -755,11 +755,11 @@ def critical_overlap(pr: Priors, q_max: float) -> float:
     q = float(q_max)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q_max must lie in [0, 1], got {q!r}")
-    prn, _ = pr.normalized()
+    eta1, eta2, _ = _oriented(pr)
     # A certain state (eta1 = 0) falls through: sqrt(q / 1) needs no division by 0.
-    if prn.eta1 > 0.0 and q <= 2.0 * prn.eta1:
-        return q / (2.0 * math.sqrt(prn.eta1 * prn.eta2))
-    return math.sqrt((q - prn.eta1) / prn.eta2)
+    if eta1 > 0.0 and q <= 2.0 * eta1:
+        return q / (2.0 * math.sqrt(eta1 * eta2))
+    return math.sqrt((q - eta1) / eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -903,22 +903,22 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
     if n_samples < 2:
         raise DomainError(f"n_samples must be at least 2, got {n_samples!r}")
     s = float(s)
-    prn, _ = pr.normalized()
-    delta = prn.delta
+    eta1, eta2, _ = _oriented(pr)
+    delta = eta2 - eta1
 
     if delta <= _DEGENERATE_PRIOR_TOL:
         # Equal priors: q1 = q2 = Q on the diagonal, so s' = (s - Q)/(1 - Q).
         thetas = repeat(0.0)
         qs = _range_checked(_linspace(0.0, s, n_samples))
         s_primes = [(s - q) / (1.0 - q) for q in qs]
-    elif prn.eta1 <= _DEGENERATE_PRIOR_TOL and prn.eta1 <= _CERTAINTY_RATIO * s * s:
+    elif eta1 <= _DEGENERATE_PRIOR_TOL and eta1 <= _CERTAINTY_RATIO * s * s:
         # Next to certainty on state 2 the optimum at s' is, to first order
         # in eta1, the curve's zero-slope end (_zero_slope_end): there
         # q2 = (s^2 - s'^2)/(1 - s'^2) and q1 = q2/s^2, and Q = eta1*q1 +
         # eta2*q2.  q2 runs over the grid; at q2 = 0 (s' = s) Q is 0.  Q is
         # capped at 1, as in _q_ud, where the prior-sum slack lifts it past.
         thetas = repeat(math.nan)
-        s2, eta1, eta2 = s * s, prn.eta1, prn.eta2
+        s2 = s * s
         q2s = _linspace(0.0, s2, n_samples)
         s_primes = [sqrt_clamped((s2 - q2) / (1.0 - q2)) for q2 in q2s]
         qs = [0.0 if q2 == 0.0 else min(eta1 * (q2 / s2) + eta2 * q2, 1.0) for q2 in q2s]
@@ -927,11 +927,11 @@ def tradeoff_curve(pr: Priors, s: float, n_samples: int = 512) -> list[TradeoffS
         if s * delta < _TINY:
             raise NumericError(
                 f"tradeoff sweep needs s*delta to be a normal float, got "
-                f"s*delta={s * delta!r} at eta1={prn.eta1!r}, s={s!r}"
+                f"s*delta={s * delta!r} at eta1={eta1!r}, s={s!r}"
             )
-        q_end = _q_ud(prn.eta1, prn.eta2, s)[0]
-        thetas, s_primes, qs = _tradeoff_rows(s, prn.eta1, q_end, n_samples)
-        _check_tradeoff_order(s_primes, qs, s, prn.eta1)
+        q_end = _q_ud(eta1, eta2, s)[0]
+        thetas, s_primes, qs = _tradeoff_rows(s, eta1, q_end, n_samples)
+        _check_tradeoff_order(s_primes, qs, s, eta1)
     return list(map(tuple.__new__, repeat(TradeoffSample), zip(thetas, repeat(s), s_primes, qs)))
 
 
@@ -967,9 +967,9 @@ def tradeoff_at(pr: Priors, s: float, q: float) -> TradeoffSample:
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    prn, _ = pr.normalized()
-    qud = _q_ud(prn.eta1, prn.eta2, s)[0]
-    sep = _budget_line_minimum(prn.eta1, prn.eta2, s, q, qud)
+    eta1, eta2, _ = _oriented(pr)
+    qud = _q_ud(eta1, eta2, s)[0]
+    sep = _budget_line_minimum(eta1, eta2, s, q, qud)
     if sep is None:
         return tuple.__new__(TradeoffSample, (math.nan, s, 0.0, qud))
     return tuple.__new__(TradeoffSample, (sep[1], s, sep[0], q))

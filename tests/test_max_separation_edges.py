@@ -248,6 +248,23 @@ def test_zero_budget_keeps_the_overlap_where_the_sweep_frame_underflows():
     assert max_clones(s, 0.0, pr) == 1
 
 
+@pytest.mark.parametrize(
+    "eta1, s",
+    [(7.385950209797847e-298, 2.8280108446668314e-217), (0.0, 1e-170)],
+    ids=["cost-underflows", "s-squared-underflows"],
+)
+def test_zero_budget_keeps_the_overlap_where_the_discrimination_cost_underflows(eta1, s):
+    # The discrimination cost rounds to 0 here (2*sqrt(eta1*eta2)*s in the
+    # first row, s**2 in the second) although it is above 0, so a zero budget
+    # once claimed full separation.  It can only keep the overlap.
+    pr = Priors.of(eta1)
+    s_prime, theta = max_separation(pr, s, 0.0)
+    smp = tradeoff_at(pr, s, 0.0)
+    assert s_prime == smp.s_prime == s and smp.q == 0.0
+    assert theta == smp.theta or math.isnan(theta) and math.isnan(smp.theta)
+    assert max_clones(s, 0.0, pr) == 1
+
+
 def edge_budgets(n: int, seed: int):
     """n seeded (eta1, s, budget) cases, a third of each parameter near an edge.
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -236,3 +237,56 @@ def test_lower_half_at_the_ends_of_the_float_range():
     # ordinate would be 0/0, which is refused.
     with pytest.raises(NumericError, match="ordinate underflows at q1=1e-300"):
         _lower_q2_scalar(1e-300, 1e-300, 5e-301)
+
+
+# sha256 of the oracle corpus below, one repr (or error) per line.
+_ORACLE_DIGEST = "bb5f7489f0e1d6f9d9f084f381b539044f312e8dbf2f9800c7d69f8a3150898a"
+
+
+def _oracle_lines():
+    """One line per oracle_qmin answer on seeded interior and edge inputs,
+    each prior also mirrored: the answer's repr, or the error's class and
+    message.  The edges are s'/s within 1e-12..1e-2 of 1 at s in
+    1e-12..1e-2, s within 1e-15..1e-9 of 1, eta1 within 1e-12..1e-8 of 0
+    or of 1/2, s down to 1e-300, and s' = 0, s' = s, s = 1, eta1 = 0 and
+    eta1 = 1/2; the priors include ones that use the 1e-12 slack of their
+    sum."""
+    rng = np.random.default_rng(3535)
+
+    def decade(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    cases = []
+    for k in range(300):
+        eta1, s, frac = (float(x) for x in rng.uniform([0.01, 0.05, 0.02], [0.49, 0.95, 0.98]))
+        if k % 6 == 1:
+            s, frac = decade(-12.0, -2.0), 1.0 - decade(-12.0, -2.0)
+        elif k % 6 == 2:
+            s = 1.0 - decade(-15.0, -9.0)
+        elif k % 6 == 3:
+            eta1 = decade(-12.0, -8.0)
+        elif k % 6 == 4:
+            eta1 = 0.5 - decade(-12.0, -8.0)
+        elif k % 6 == 5:
+            s = decade(-300.0, -9.0)
+        cases.append((eta1, s, frac))
+    for eta1 in (0.0, 0.3, 0.5):
+        for s, frac in ((0.6, 0.0), (0.6, 1.0), (1.0, 0.5), (1.0, 1.0), (1e-300, 0.5)):
+            cases.append((eta1, s, frac))
+    for eta1, s, frac in cases:
+        priors = [Priors.of(eta1), Priors(eta1, min(1.0 - eta1 + 5e-13, 1.0))]
+        for prior in priors:
+            for pr in (prior, prior.swapped()):
+                try:
+                    yield repr(oracle_qmin(pr, OverlapSpec(s, frac * s)))
+                except NumericError as exc:
+                    yield f"{type(exc).__name__}: {exc}"
+
+
+def test_oracle_bits_are_pinned():
+    # Every bit of every answer, and every error message, is what it was
+    # when pinned, at the edges and under the swap symmetry alike.
+    lines = list(_oracle_lines())
+    assert len(lines) == 1260
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _ORACLE_DIGEST

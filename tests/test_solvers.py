@@ -807,19 +807,27 @@ def _step(x):
 @pytest.mark.parametrize(
     "f, lo, hi, message, scipy_error",
     [
-        (lambda x: x * x + 1.0, -1.0, 1.0, "no sign change", ValueError),
-        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, "NaN", ValueError),
-        (lambda x: math.nan, 0.0, 1.0, "nan", ValueError),
+        (lambda x: x * x + 1.0, -1.0, 1.0, "no sign change (f(lo)=2.0, f(hi)=2.0)", ValueError),
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, "f(0.5) is NaN", ValueError),
+        (lambda x: math.nan, 0.0, 1.0, "f(lo)=nan, f(hi)=nan", ValueError),
         # A sign step on a huge bracket needs about 1000 bisections.
-        (_step, -1e300, 1e300, "no convergence", RuntimeError),
+        (
+            _step,
+            -1e300,
+            1e300,
+            "no convergence in 100 iterations (last x=1.5777218104420237e+270)",
+            RuntimeError,
+        ),
     ],
     ids=["no-sign-change", "nan-inside", "nan-at-ends", "no-convergence"],
 )
 def test_bracketed_root_failures_raise_numeric_error(f, lo, hi, message, scipy_error):
     from scipy.optimize import brentq
 
-    with pytest.raises(NumericError, match=message):
+    # The whole message: the caller's label, the bracket and the reason.
+    with pytest.raises(NumericError) as info:
         solvers._bracketed_root(f, lo, hi, "test", f(lo), f(hi))
+    assert str(info.value) == f"root finding for test failed on [{lo!r}, {hi!r}]: {message}"
     # The cases are the ones in which brentq itself gives up.
     with pytest.raises(scipy_error):
         brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
